@@ -36,7 +36,6 @@ from .epimodel import (
     save_trajectory,
 )
 from .errors import InputError, LengthMismatch, NumericalError
-from .evaluate import bayesian_predictive, log_score, nb_one_step
 from .ingest import load_cases, load_weather
 from .onset import collect_onset_samples, fit_onset_pdf, save_risk_series
 from .pipeline import predict_onset_risk, weather_feature
@@ -49,7 +48,6 @@ from .severity import (
     predict_severity,
     save_severity,
 )
-from .trend import trend_report
 
 K_METHODS = ("const", "csv", "mean", "ar", "plane")
 PRIOR_NAMES = ("uniform", "gaussian", "band")
@@ -171,6 +169,25 @@ def plane_predictor(cfg, params, weather, cases):
     return predict
 
 
+def forecast_k(args, cfg, params, weather, cases):
+    """Carrying capacity for the predict commands: None for --k const, the
+    K file for csv, or the fitted precipitation-bin planes for plane."""
+    if args.k in ("mean", "ar"):
+        raise InputError(f"--k {args.k} is not supported for prediction; "
+                         "use const, csv or plane")
+    if args.k == "plane":
+        if cases is None:
+            raise InputError("--k plane requires --cases")
+        history_end = weather.dates.index(date(weather.dates[-1].year, 1, 1))
+        history = weather.slice(0, history_end)
+        return plane_predictor(cfg, params, history, cases)
+    if args.k == "csv":
+        if not args.k_file:
+            raise InputError("--k csv requires --k-file")
+        return load_k(args.k_file)
+    return None
+
+
 def onset_bandwidth(cfg):
     if cfg.onset_bandwidth_m > 0 and cfg.onset_bandwidth_r0 > 0:
         return (cfg.onset_bandwidth_m, cfg.onset_bandwidth_r0)
@@ -234,17 +251,7 @@ def cmd_predict_onset(args) -> int:
     weather = load_weather(args.weather)
     pdf = artifacts.load_onset_model(args.model)
     cases = load_cases(args.cases) if args.cases else None
-    k_series = None
-    if args.k == "plane":
-        if cases is None:
-            raise InputError("--k plane requires --cases")
-        history_end = weather.dates.index(date(weather.dates[-1].year, 1, 1))
-        history = weather.slice(0, history_end)
-        k_series = plane_predictor(cfg, params, history, cases)
-    elif args.k == "csv":
-        if not args.k_file:
-            raise InputError("--k csv requires --k-file")
-        k_series = load_k(args.k_file)
+    k_series = forecast_k(args, cfg, params, weather, cases)
     mode = "long_term" if args.mode == "long" else "short_term"
     lead = args.lead if args.lead else (365 if mode == "long_term"
                                         else cfg.short_lead)
@@ -326,15 +333,7 @@ def cmd_predict_severity(args) -> int:
     weather = load_weather(args.weather)
     cases = load_cases(args.cases)
     surface = artifacts.load_severity_model(args.model)
-    k_series = None
-    if args.k == "plane":
-        history_end = weather.dates.index(date(weather.dates[-1].year, 1, 1))
-        history = weather.slice(0, history_end)
-        k_series = plane_predictor(cfg, params, history, cases)
-    elif args.k == "csv":
-        if not args.k_file:
-            raise InputError("--k csv requires --k-file")
-        k_series = load_k(args.k_file)
+    k_series = forecast_k(args, cfg, params, weather, cases)
     onset_pdf = (artifacts.load_onset_model(args.onset_model)
                  if args.onset_model else None)
     mode = "long_term" if args.mode == "long" else "short_term"
@@ -369,6 +368,9 @@ def _weekly_predictions(severity_csv, week_starts):
 
 
 def cmd_evaluate(args) -> int:
+    # evaluate and trend load scipy; importing them here keeps it off the
+    # start-up path of every other command
+    from .evaluate import bayesian_predictive, log_score, nb_one_step
     cfg = load_cfg(args)
     cases = load_cases(args.cases)
     target_year = args.target_year or cases.week_starts[-1].year
@@ -428,6 +430,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_trend(args) -> int:
+    from .trend import trend_report
     cfg = load_cfg(args)
     params = ModelParams.from_config(cfg)
     weather = load_weather(args.weather)

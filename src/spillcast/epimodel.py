@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import timedelta
 
 import numpy as np
@@ -201,6 +201,7 @@ class Trajectory:
     new_infections: np.ndarray  # expected reported cases per day (rho applied)
     weather: WeatherSeries
     clamp_count: int = 0
+    end_state: CompartmentState | None = None  # state after the last day
 
     def __post_init__(self):
         if len(self.dates) != len(self.weather):
@@ -242,6 +243,11 @@ def simulate(params: ModelParams, weather: WeatherSeries, k_series,
     (a scalar is broadcast).  Day i reports the state at its first midnight;
     expected new human infections are accumulated across the day and scaled
     by rho.  Negative excursions are clamped to zero and counted.
+
+    The state after the last day is returned as ``end_state``; passing it
+    as ``init`` to the next span continues the run exactly, because no
+    compartment reads the cumulative-infection accumulator that restarts
+    at zero.  A non-finite end state raises NonFiniteInput.
     """
     n = len(weather)
     k_arr = np.asarray(
@@ -297,6 +303,7 @@ def simulate(params: ModelParams, weather: WeatherSeries, k_series,
         new_infections=new_inf,
         weather=weather,
         clamp_count=clamps,
+        end_state=CompartmentState.from_values(y[:15]),
     )
 
 
@@ -333,26 +340,23 @@ def seeded_year_trajectory(params: ModelParams, weather_year: WeatherSeries,
         raise LengthMismatch("K series and weather differ in length")
     seed_day = min(max(int(seed_day), 0), n - 1)
 
-    pre = simulate(params, weather_year.slice(0, seed_day + 1),
-                   k_arr[:seed_day + 1], init, steps_per_day=steps_per_day)
-    state = dict(zip(COMPARTMENTS, pre.states[-1]))
-    moved = min(seed_birds, state["B_S"])
-    state["B_I"] += moved
-    state["B_S"] -= moved
+    pre = simulate(params, weather_year.slice(0, seed_day),
+                   k_arr[:seed_day], init, steps_per_day=steps_per_day)
+    state = pre.end_state
+    moved = min(seed_birds, state.B_S)
+    seeded = replace(state, B_S=state.B_S - moved, B_I=state.B_I + moved)
     post = simulate(params, weather_year.slice(seed_day, n),
-                    k_arr[seed_day:], CompartmentState.from_values(
-                        [state[c] for c in COMPARTMENTS]),
-                    steps_per_day=steps_per_day)
+                    k_arr[seed_day:], seeded, steps_per_day=steps_per_day)
     return Trajectory(
         dates=weather_year.dates,
-        states=np.vstack([pre.states[:seed_day], post.states]),
-        m=np.concatenate([pre.m[:seed_day], post.m]),
-        r0=np.concatenate([pre.r0[:seed_day], post.r0]),
-        new_infections=np.concatenate(
-            [pre.new_infections[:seed_day], post.new_infections]
-        ),
+        states=np.vstack([pre.states, post.states]),
+        m=np.concatenate([pre.m, post.m]),
+        r0=np.concatenate([pre.r0, post.r0]),
+        new_infections=np.concatenate([pre.new_infections,
+                                       post.new_infections]),
         weather=weather_year,
         clamp_count=pre.clamp_count + post.clamp_count,
+        end_state=post.end_state,
     )
 
 

@@ -7,6 +7,7 @@ Both series are immutable after construction and are kept columnar
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -151,9 +152,13 @@ class CaseSeries:
 
 def _parse_float(text, field_name, lineno):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"bad {field_name} value {text!r}", lineno) from None
+    # float() accepts nan and inf; nan passes every range check downstream
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {field_name} value {text!r}", lineno)
+    return value
 
 
 def _parse_date(text, lineno):
@@ -218,8 +223,12 @@ def load_weather(path) -> WeatherSeries:
             for j in range(1, gap + 1):
                 frac = j / (gap + 1)
                 day = prev[0] + timedelta(days=j)
+                filled = tuple(p + frac * (v - p) for p, v in zip(prev[1:], vals))
+                if not all(map(math.isfinite, filled)):
+                    raise RangeViolation(
+                        "weather", f"interpolated value on {day} overflows")
                 dates.append(day)
-                cols.append(tuple(p + frac * (v - p) for p, v in zip(prev[1:], vals)))
+                cols.append(filled)
                 flagged.append(day)
         dates.append(d)
         cols.append(tuple(vals))

@@ -5,6 +5,13 @@ history (one annual-cycle AR rollout for long-term, iterated lead-day
 windows with actual data appended in between for short-term), splice the
 forecast onto the target year's actual weather, simulate, and hand the
 forecast-window days downstream.
+
+Short-term windows do not re-simulate the target year from January 1:
+each window resumes from a checkpoint, the state at the start of the
+previous window, and simulates only the actual weather since then plus
+its own forecast.  Every actual day is therefore simulated once and every
+forecast day once, and the output is bit-identical to a restart from
+January 1 (see ``forecast_points``).
 """
 
 from __future__ import annotations
@@ -59,13 +66,22 @@ def forecast_points(weather: WeatherSeries, mode: str, lead: int,
 
     ``weather`` holds all available actual weather; everything before
     ``forecast_start`` (default: January 1 of the final year) is history.
-    Each simulation starts from the default initial state on January 1 of
-    the target year, driven by actual weather up to the window and
-    forecast weather inside it.
+    The target year starts from the default initial state on January 1 and
+    is driven by actual weather up to each window and forecast weather
+    inside it.
+
+    A short-term window resumes from a checkpoint, the state at the start
+    of the previous window, and simulates the actual weather of the
+    previous window followed by its own forecast; the state where the
+    actual weather ends is the next window's checkpoint.  This equals a
+    restart from January 1 bit for bit: the compartments never read the
+    cumulative-infection accumulator that restarts at each call, and K
+    for a day depends only on that day's date or weather.
 
     ``k_series`` supplies the carrying capacity: a fixed KSeries, a
-    callable mapping the simulated WeatherSeries to one (e.g. the fitted
-    precipitation-bin planes), or None for the configured constant.
+    callable mapping the simulated WeatherSeries to one day by day (e.g.
+    the fitted precipitation-bin planes), or None for the configured
+    constant.
     """
     if forecast_start is None:
         forecast_start = date(weather.dates[-1].year, 1, 1)
@@ -88,44 +104,46 @@ def forecast_points(weather: WeatherSeries, mode: str, lead: int,
             [max(lookup.get(d, cfg.k_default), 1e-6) for d in spliced.dates]
         )
 
-    init = default_init_state(cfg)
     w_weights = (cfg.w_temp, cfg.w_humidity, cfg.w_precip)
 
-    def run(spliced, window_dates):
+    def run(actual, fcst, init):
+        """Simulate ``actual`` then ``fcst`` from ``init``; returns the
+        trajectory and its forecast points."""
+        spliced = splice(actual, fcst)
         traj = simulate(params, spliced, k_for(spliced), init,
                         steps_per_day=cfg.steps_per_day)
         w_series = weather_feature(spliced, w_weights)
-        return [
+        return traj, [
             ForecastPoint(traj.dates[i], float(traj.m[i]),
                           float(w_series[i]), float(traj.r0[i]))
-            for i, d in enumerate(traj.dates) if d in window_dates
+            for i in range(len(actual), len(traj))
         ]
 
-    points: list[ForecastPoint] = []
+    init = default_init_state(cfg)
     if mode == "long_term":
         history = weather.slice(0, start_idx)
         fcst = weathercast.forecast_weather(
             history, "long_term", horizon,
             order_long=cfg.ar_order_long, ridge=cfg.ar_ridge)
-        points = run(splice(weather.slice(year_start_idx, start_idx), fcst),
-                     set(fcst.dates))
-    elif mode == "short_term":
-        if lead < 1:
-            return []
-        t = start_idx
-        while t < len(weather.dates):
-            history = weather.slice(0, t)
-            step = min(lead, len(weather.dates) - t)
-            fcst = weathercast.forecast_weather(
-                history, "short_term", step,
-                order_long=cfg.ar_order_long, ridge=cfg.ar_ridge)
-            points.extend(
-                run(splice(weather.slice(year_start_idx, t), fcst),
-                    set(fcst.dates))
-            )
-            t += step
-    else:
+        return run(weather.slice(year_start_idx, start_idx), fcst, init)[1]
+    if mode != "short_term":
         raise ValueError(f"unknown mode {mode!r}")
+    if lead < 1:
+        return []
+    points: list[ForecastPoint] = []
+    checkpoint_idx, checkpoint = year_start_idx, init
+    t = start_idx
+    while t < len(weather.dates):
+        history = weather.slice(0, t)
+        step = min(lead, len(weather.dates) - t)
+        fcst = weathercast.forecast_weather(
+            history, "short_term", step,
+            order_long=cfg.ar_order_long, ridge=cfg.ar_ridge)
+        actual = weather.slice(checkpoint_idx, t)
+        traj, window = run(actual, fcst, checkpoint)
+        points.extend(window)
+        checkpoint_idx, checkpoint = t, traj.state(len(actual))
+        t += step
     return points
 
 

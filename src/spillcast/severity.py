@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
-from scipy.special import gammaln
 
 from .config import Config
 from .epimodel import ModelParams, Trajectory
@@ -174,6 +173,10 @@ def poisson_pmf(x: int, lam: float) -> float:
     if lam == 0.0:
         return 1.0 if x == 0 else 0.0
     if x > 20:
+        # scipy's gammaln, not math.lgamma: they differ in the last bit
+        # (e.g. x = 22, 26), which would move posteriors.  Imported here so
+        # that importing this module does not load scipy.
+        from scipy.special import gammaln
         return float(math.exp(x * math.log(lam) - lam - gammaln(x + 1)))
     return float(math.exp(-lam) * lam**x / math.factorial(x))
 

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
-from scipy.stats import t as t_dist
+from scipy.special import kolmogorov, ndtr, stdtr
 
 from .config import Config
 from .epimodel import ModelParams, default_init_state, simulate
@@ -87,7 +86,8 @@ def ols_trend(years, values) -> TrendResult:
         tiny = 1e-12 * max(1.0, float(np.max(np.abs(y))))
         p_value = 1.0 if abs(slope) <= tiny else 0.0
     else:
-        p_value = 2.0 * float(t_dist.sf(abs(slope / stderr), dof))
+        # two-sided t tail: stdtr(dof, -x) is the survival function at x
+        p_value = 2.0 * float(stdtr(dof, -abs(slope / stderr)))
 
     ks_p = ks_normality(resid) if len(resid) >= 5 else 1.0
     return TrendResult(slope=slope, intercept=intercept, stderr=stderr,

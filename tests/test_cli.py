@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import spillcast
 
 from spillcast.cli import main
 from spillcast.synth import write_fixture
@@ -117,6 +123,19 @@ class TestOnsetCommands:
         assert len(body) == 365
 
 
+    @pytest.mark.parametrize("method", ["mean", "ar"])
+    def test_predict_rejects_unsupported_k(self, tmp_path, fixture_dir,
+                                           onset_model, capsys, method):
+        out = tmp_path / "po"
+        code = main(["predict-onset", "--weather", fixture_dir["weather"],
+                     "--cases", fixture_dir["cases"],
+                     "--model", onset_model, "--config", fixture_dir["config"],
+                     "--k", method, "--out", str(out)])
+        assert code == 2
+        assert "not supported for prediction" in capsys.readouterr().err
+        assert not (out / "risk.csv").exists()
+
+
 class TestSeverityCommands:
     def test_estimate(self, tmp_path, fixture_dir, severity_model):
         out = tmp_path / "est"
@@ -159,6 +178,20 @@ class TestSeverityCommands:
                      "--prior", "gaussian", "--mode", "long",
                      "--out", str(out)])
         assert code == 0
+
+
+    @pytest.mark.parametrize("method", ["mean", "ar"])
+    def test_predict_rejects_unsupported_k(self, tmp_path, fixture_dir,
+                                           severity_model, capsys, method):
+        out = tmp_path / "ps"
+        code = main(["predict-severity", "--weather", fixture_dir["weather"],
+                     "--cases", fixture_dir["cases"],
+                     "--model", severity_model,
+                     "--config", fixture_dir["config"],
+                     "--k", method, "--out", str(out)])
+        assert code == 2
+        assert "not supported for prediction" in capsys.readouterr().err
+        assert not (out / "severity.csv").exists()
 
 
 class TestEvaluate:
@@ -289,3 +322,33 @@ def test_numerical_failure_exit_3(tmp_path, fixture_dir, capsys):
                  "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "failure" in capsys.readouterr().err
+
+
+def test_non_finite_weather_exit_2(tmp_path, fixture_dir, capsys):
+    # one nan temperature used to run to exit 0 with nan in every output
+    lines = Path(fixture_dir["weather"]).read_text().splitlines()
+    fields = lines[100].split(",")
+    fields[1] = "nan"
+    lines[100] = ",".join(fields)
+    weather = tmp_path / "weather.csv"
+    weather.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--weather", str(weather),
+                 "--config", fixture_dir["config"], "--out", str(out)])
+    assert code == 2
+    assert "line 101" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    """Start-up stays scipy-free: only evaluate and trend need it, and
+    they are imported by their own commands."""
+    src = str(Path(spillcast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, spillcast.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

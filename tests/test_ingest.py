@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from datetime import date
+from datetime import date, timedelta
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spillcast import errors
 from spillcast.ingest import (
@@ -55,6 +57,16 @@ class TestLoadWeather:
                     "2020-01-01,10,50,0\n2020-01-06,18,50,0\n")
         with pytest.raises(errors.GapTooLong):
             load_weather(bad)
+
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, field, token):
+        values = ["2020-01-01", "10.0", "50", "1.0"]
+        values[field] = token
+        p = write(tmp_path, "w.csv",
+                  "date,temp_mean,humidity,precip\n" + ",".join(values) + "\n")
+        with pytest.raises(errors.ParseError, match="line 2"):
+            load_weather(p)
 
     def test_humidity_range_violation(self, tmp_path):
         p = write(tmp_path, "w.csv",
@@ -166,3 +178,34 @@ class TestSeriesInvariants:
         parts = wx.year_slices()
         assert set(parts) == {2020, 2021}
         assert sum(len(p) for p in parts.values()) == n
+
+
+NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e308",
+                     "-1e308", "1e309", "-1e400", "0", "50", "100"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(
+    st.tuples(st.integers(1, 5), NUMBER_TOKENS, NUMBER_TOKENS, NUMBER_TOKENS),
+    min_size=1, max_size=8))
+# finite values whose difference overflows across a one-day gap
+@example(rows=[(1, "1e308", "50", "0"), (2, "-1e308", "50", "0")])
+def test_load_weather_rejects_or_returns_finite(tmp_path_factory, rows):
+    """Any generated weather file either raises InputError or loads as
+    all-finite columns; gaps (day steps > 1) exercise interpolation."""
+    day = date(2020, 1, 1)
+    lines = ["date,temp_mean,humidity,precip"]
+    for step, temp, hum, prec in rows:
+        day += timedelta(days=step)
+        lines.append(f"{day.isoformat()},{temp},{hum},{prec}")
+    p = tmp_path_factory.mktemp("prop") / "w.csv"
+    p.write_text("\n".join(lines) + "\n")
+    try:
+        series = load_weather(p)
+    except errors.InputError:
+        return
+    for column in (series.temp_mean, series.humidity, series.precip):
+        assert np.all(np.isfinite(column))

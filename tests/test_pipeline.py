@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 from datetime import date
 
-from spillcast import errors
+from spillcast import errors, pipeline, weathercast
+from spillcast.carrycap import KSeries
 from spillcast.epimodel import ModelParams, default_init_state, simulate
 from spillcast.onset import RiskLevel, collect_onset_samples, fit_onset_pdf
-from spillcast.pipeline import forecast_points, predict_onset_risk, splice
+from spillcast.pipeline import (
+    ForecastPoint,
+    forecast_points,
+    predict_onset_risk,
+    splice,
+    weather_feature,
+)
 from spillcast.severity import (
     build_posteriors,
     build_prior,
@@ -76,6 +83,103 @@ class TestForecastPoints:
         with pytest.raises(ValueError):
             forecast_points(world.weather, "long_term", 365, params, cfg,
                             forecast_start=date(2030, 1, 1))
+
+
+def restart_short_term(weather, lead, params, cfg, forecast_start=None,
+                       k_series=None):
+    """Brute-force oracle: every short-term window re-simulates the target
+    year from the default initial state on January 1."""
+    if forecast_start is None:
+        forecast_start = date(weather.dates[-1].year, 1, 1)
+    start = weather.dates.index(forecast_start)
+    year_start = weather.dates.index(date(forecast_start.year, 1, 1))
+    init = default_init_state(cfg)
+    points = []
+    t = start
+    while t < len(weather):
+        step = min(lead, len(weather) - t)
+        fcst = weathercast.forecast_weather(
+            weather.slice(0, t), "short_term", step,
+            order_long=cfg.ar_order_long, ridge=cfg.ar_ridge)
+        spliced = splice(weather.slice(year_start, t), fcst)
+        if k_series is None:
+            k = np.full(len(spliced), cfg.k_default)
+        else:
+            ks = k_series(spliced) if callable(k_series) else k_series
+            lookup = dict(zip(ks.dates, ks.values))
+            k = np.array([max(lookup.get(d, cfg.k_default), 1e-6)
+                          for d in spliced.dates])
+        traj = simulate(params, spliced, k, init,
+                        steps_per_day=cfg.steps_per_day)
+        w = weather_feature(spliced, (cfg.w_temp, cfg.w_humidity,
+                                      cfg.w_precip))
+        points.extend(
+            ForecastPoint(traj.dates[i], float(traj.m[i]), float(w[i]),
+                          float(traj.r0[i]))
+            for i in range(t - year_start, len(spliced))
+        )
+        t += step
+    return points
+
+
+def _fixed_k(weather):
+    """A KSeries over the target year that leaves March uncovered, so the
+    configured default fills in for those days."""
+    dates = tuple(d for d in weather.dates
+                  if d.year == weather.dates[-1].year and d.month != 3)
+    doy = np.array([d.timetuple().tm_yday for d in dates], dtype=float)
+    return KSeries(dates, 4000.0 + 1500.0 * np.sin(doy / 30.0))
+
+
+def _weather_k(wx):
+    """Per-day K from that day's weather, like the precipitation planes."""
+    return KSeries(wx.dates,
+                   np.maximum(150.0 * wx.temp_mean + 20.0 * wx.humidity, 0.0))
+
+
+class TestShortTermCheckpoint:
+    """Short-term windows resume from a checkpoint instead of restarting on
+    January 1; the points must equal the restart oracle exactly."""
+
+    # (forecast_start, last weather day): spans kept short so the
+    # restart oracle stays cheap at lead 1
+    SPANS = {
+        "default": (None, date(2022, 2, 28)),
+        "midyear": (date(2022, 7, 1), date(2022, 7, 15)),
+    }
+
+    @pytest.mark.parametrize("k_kind", ["none", "fixed", "callable"])
+    @pytest.mark.parametrize("span", sorted(SPANS))
+    @pytest.mark.parametrize("lead", [1, 7, 14])
+    def test_equals_restart_from_january(self, world, lead, span, k_kind):
+        cfg = world.cfg
+        params = ModelParams.from_config(cfg)
+        start, last = self.SPANS[span]
+        weather = world.weather.slice(0, world.weather.dates.index(last) + 1)
+        k_series = {"none": None, "fixed": _fixed_k(weather),
+                    "callable": _weather_k}[k_kind]
+        got = forecast_points(weather, "short_term", lead, params, cfg,
+                              forecast_start=start, k_series=k_series)
+        want = restart_short_term(weather, lead, params, cfg,
+                                  forecast_start=start, k_series=k_series)
+        first = start or date(2022, 1, 1)
+        assert len(got) == len(want) == (last - first).days + 1
+        assert got == want
+
+    def test_simulates_each_day_at_most_twice(self, world, monkeypatch):
+        cfg = world.cfg
+        params = ModelParams.from_config(cfg)
+        days = []
+
+        def counting(params, weather, *args, **kwargs):
+            days.append(len(weather))
+            return simulate(params, weather, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "simulate", counting)
+        points = forecast_points(world.weather, "short_term", 14, params, cfg)
+        assert len(points) == 365
+        assert len(days) == 27  # one simulation per window
+        assert sum(days) <= 2 * 366
 
 
 class TestPredictOnsetRisk:
