@@ -23,7 +23,8 @@ from .epimodel import (
     SEED_DAY,
     CompartmentState,
     ModelParams,
-    seeded_year_trajectory,
+    Run,
+    simulate_runs,
     weekly_expected_cases,
 )
 from .errors import (
@@ -54,20 +55,6 @@ class KSeries:
     def __len__(self):
         return len(self.dates)
 
-    def year_slices(self) -> dict[int, "KSeries"]:
-        out = {}
-        years = np.array([d.year for d in self.dates])
-        for year in sorted(set(years.tolist())):
-            mask = years == year
-            idx = np.nonzero(mask)[0]
-            sub_dates = self.dates[idx[0]:idx[-1] + 1]
-            out[year] = KSeries(
-                sub_dates,
-                self.values[idx[0]:idx[-1] + 1].copy(),
-                tuple(d for d in self.flagged if d in set(sub_dates)),
-            )
-        return out
-
 
 def _complete_years(weather: WeatherSeries) -> list[int]:
     have = set(weather.dates)
@@ -90,6 +77,10 @@ def calibrate_K(weather: WeatherSeries, cases: CaseSeries, params: ModelParams,
     squared error between simulated and observed weekly reported cases is
     selected (ties break to the smaller K).  Partial edge years inherit the
     nearest calibrated year's level.
+
+    All years x levels go to ``simulate_runs`` as one set of runs, so a
+    wide grid is integrated as a numpy batch; each run's trajectory is
+    bit-identical to ``seeded_year_trajectory`` on its own.
     """
     grid = sorted(float(k) for k in grid)
     if not grid:
@@ -103,19 +94,17 @@ def calibrate_K(weather: WeatherSeries, cases: CaseSeries, params: ModelParams,
     for wk, count in zip(cases.week_starts, cases.counts):
         weeks_by_year.setdefault(wk.year, []).append((wk, int(count)))
 
+    runs = [Run(weather_by_year[year], k, init, seed_day, seed_birds)
+            for year in years for k in grid]
+    trajectories = iter(simulate_runs(params, runs, steps_per_day=steps_per_day))
     chosen: dict[int, float] = {}
     for year in years:
-        wx = weather_by_year[year]
         weeks = weeks_by_year.get(year, [])
         week_starts = [w for w, _ in weeks]
         observed = np.array([c for _, c in weeks], dtype=float)
         best_k, best_err = None, None
         for k in grid:
-            traj = seeded_year_trajectory(params, wx, k, init,
-                                          seed_day=seed_day,
-                                          seed_birds=seed_birds,
-                                          steps_per_day=steps_per_day)
-            predicted = weekly_expected_cases(traj, week_starts)
+            predicted = weekly_expected_cases(next(trajectories), week_starts)
             err = float(np.sum((predicted - observed) ** 2)) if weeks else 0.0
             if best_err is None or err < best_err:
                 best_k, best_err = k, err
@@ -236,7 +225,8 @@ def predict_K_plane(model: PlaneModel, forecast: WeatherSeries) -> KSeries:
     """Evaluate the per-bin plane on forecast weather, clamping K at 0.
 
     Days whose precipitation falls in no usable bin use the nearest usable
-    bin (by bin center) and are flagged, as are clamped days.
+    bin (by bin center); such days and clamped days are flagged, each date
+    once.
     """
     usable = np.nonzero(model.usable)[0]
     if len(usable) == 0:
@@ -244,22 +234,16 @@ def predict_K_plane(model: PlaneModel, forecast: WeatherSeries) -> KSeries:
     centers = (model.edges[:-1] + model.edges[1:]) / 2.0
     n_bins = len(centers)
 
-    values = np.empty(len(forecast))
-    flagged = []
-    for i in range(len(forecast)):
-        p = float(forecast.precip[i])
-        outside = p < model.edges[0] or p > model.edges[-1]
-        b = int(np.clip(np.searchsorted(model.edges, p, side="right") - 1, 0, n_bins - 1))
-        if outside or not model.usable[b]:
-            b = int(usable[np.argmin(np.abs(centers[usable] - p))])
-            flagged.append(forecast.dates[i])
-        a, bb, c = model.coeffs[b]
-        k = a * forecast.temp_mean[i] + bb * forecast.humidity[i] + c
-        if k < 0.0:
-            k = 0.0
-            flagged.append(forecast.dates[i])
-        values[i] = k
-    return KSeries(forecast.dates, values, tuple(flagged))
+    p = np.asarray(forecast.precip, dtype=float)
+    outside = (p < model.edges[0]) | (p > model.edges[-1])
+    b = np.clip(np.searchsorted(model.edges, p, side="right") - 1, 0, n_bins - 1)
+    fallback = outside | ~model.usable[b]
+    nearest = usable[np.argmin(np.abs(centers[usable] - p[:, None]), axis=1)]
+    a, bb, c = model.coeffs[np.where(fallback, nearest, b)].T
+    k = a * forecast.temp_mean + bb * forecast.humidity + c
+    clamped = k < 0.0
+    flagged = tuple(d for d, f in zip(forecast.dates, fallback | clamped) if f)
+    return KSeries(forecast.dates, np.where(clamped, 0.0, k), flagged)
 
 
 def save_k(series: KSeries, path) -> None:

@@ -31,8 +31,10 @@ from .carrycap import (
 from .config import Config, load_config
 from .epimodel import (
     ModelParams,
+    Run,
     default_init_state,
     simulate,
+    simulate_runs,
     save_trajectory,
 )
 from .errors import InputError, LengthMismatch, NumericalError
@@ -92,14 +94,14 @@ def yearly_trajectories(cfg, params, weather, k_values):
     state; returns {year: Trajectory}."""
     init = default_init_state(cfg)
     by_date = dict(zip(weather.dates, k_values))
-    out = {}
-    for year, wx in weather.year_slices().items():
-        if wx.dates[0] != date(year, 1, 1) or wx.dates[-1] != date(year, 12, 31):
-            continue
-        k = np.array([by_date[d] for d in wx.dates])
-        out[year] = simulate(params, wx, k, init,
-                             steps_per_day=cfg.steps_per_day)
-    return out
+    runs = {
+        year: Run(wx, np.array([by_date[d] for d in wx.dates]), init)
+        for year, wx in weather.year_slices().items()
+        if wx.dates[0] == date(year, 1, 1) and wx.dates[-1] == date(year, 12, 31)
+    }
+    trajectories = simulate_runs(params, runs.values(),
+                                 steps_per_day=cfg.steps_per_day)
+    return dict(zip(runs, trajectories))
 
 
 def resolve_k(args, cfg, params, weather, cases):
@@ -124,10 +126,9 @@ def resolve_k(args, cfg, params, weather, cases):
     # calibrated methods need observed cases
     if cases is None:
         raise InputError(f"--k {method} requires --cases")
-    init = default_init_state(cfg)
-    grid = np.linspace(0.2, 2.0, 10) * cfg.k_default
-    calibrated = calibrate_K(weather, cases, params, grid, init,
-                             steps_per_day=cfg.steps_per_day)
+    if method == "plane":
+        return plane_predictor(cfg, params, weather, cases)(weather).values
+    calibrated = calibrate_history(cfg, params, weather, cases)
     if method == "mean":
         by_doy = {}
         for d, v in zip(calibrated.dates, calibrated.values):
@@ -139,24 +140,21 @@ def resolve_k(args, cfg, params, weather, cases):
         ])
     if method == "ar":
         return calibrated.values
-    if method == "plane":
-        samples = np.column_stack([
-            weather.temp_mean, weather.humidity, weather.precip,
-            calibrated.values,
-        ])
-        model = fit_plane(samples, quantile_edges(weather.precip))
-        predicted = predict_K_plane(model, weather)
-        return np.maximum(predicted.values, 1e-6)
     raise InputError(f"unknown K method {method!r}")
+
+
+def calibrate_history(cfg, params, weather, cases):
+    """K calibrated per year on the grid 0.2..2.0 x the configured
+    default."""
+    grid = np.linspace(0.2, 2.0, 10) * cfg.k_default
+    return calibrate_K(weather, cases, params, grid, default_init_state(cfg),
+                       steps_per_day=cfg.steps_per_day)
 
 
 def plane_predictor(cfg, params, weather, cases):
     """Fit the per-precipitation-bin planes on calibrated history and
-    return a WeatherSeries -> KSeries callable."""
-    init = default_init_state(cfg)
-    grid = np.linspace(0.2, 2.0, 10) * cfg.k_default
-    calibrated = calibrate_K(weather, cases, params, grid, init,
-                             steps_per_day=cfg.steps_per_day)
+    return a WeatherSeries -> KSeries callable (K floored at 1e-6)."""
+    calibrated = calibrate_history(cfg, params, weather, cases)
     samples = np.column_stack([
         weather.temp_mean, weather.humidity, weather.precip,
         calibrated.values,

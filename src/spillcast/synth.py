@@ -24,9 +24,11 @@ from .epimodel import (
     SEED_BIRDS,
     SEED_DAY,
     ModelParams,
+    Run,
     Trajectory,
     default_init_state,
     seeded_year_trajectory as _seeded_year_trajectory,
+    simulate_runs,
 )
 from .ingest import CaseSeries, WeatherSeries, save_cases, save_weather
 
@@ -131,12 +133,13 @@ def generate_world(cfg: Config | None = None, start_year: int = 2019,
     weather = seasonal_weather(start_year, n_years,
                                warming_per_year=warming_per_year, seed=seed)
 
+    init = default_init_state(cfg)
+    runs = {year: Run(wx_year, k_star, init, seed_day, seed_birds)
+            for year, wx_year in weather.year_slices().items()}
+    trajectories = dict(zip(runs, simulate_runs(
+        params, runs.values(), steps_per_day=cfg.steps_per_day)))
     daily_cases: dict[date, float] = {}
-    trajectories = {}
-    for year, wx_year in weather.year_slices().items():
-        traj = seeded_year_trajectory(params, wx_year, k_star, cfg,
-                                      seed_day=seed_day, seed_birds=seed_birds)
-        trajectories[year] = traj
+    for traj in trajectories.values():
         for d, v in zip(traj.dates, traj.new_infections):
             daily_cases[d] = float(v)
 

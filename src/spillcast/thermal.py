@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvariantViolation
 
 KINDS = ("briere", "quadratic", "constant")
@@ -82,3 +84,20 @@ def eval_thermal(curve: ThermalCurve, temp: float) -> float:
         return max(curve.c * temp * (temp - curve.t0) * math.sqrt(curve.tm - temp), 0.0)
     # quadratic
     return max(-curve.c * (temp - curve.t0) * (temp - curve.tm), 0.0)
+
+
+def eval_thermal_array(curve: ThermalCurve, temps) -> np.ndarray:
+    """``eval_thermal`` at every element of ``temps``, float for float: the
+    same operations in the same order, and ``max(x, 0.0)`` kept as
+    "0.0 if 0.0 > x else x" (so -0.0 and NaN pass through as they do)."""
+    t = np.asarray(temps, dtype=float)
+    if curve.kind == "constant":
+        return np.full(t.shape, float(max(curve.c, 0.0)))
+    if curve.kind == "briere":
+        inside = ~((t <= curve.t0) | (t >= curve.tm))
+        # tm - t > 0 inside, so the floor changes no value that is kept
+        raw = curve.c * t * (t - curve.t0) * np.sqrt(np.maximum(curve.tm - t, 0.0))
+        raw = np.where(inside, raw, 0.0)
+    else:
+        raw = -curve.c * (t - curve.t0) * (t - curve.tm)
+    return np.where(0.0 > raw, 0.0, raw)

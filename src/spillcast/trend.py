@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr, stdtr
 
 from .config import Config
-from .epimodel import ModelParams, default_init_state, simulate
+from .epimodel import ModelParams, Run, default_init_state, simulate_runs
 from .errors import EmptyYear, TooFewResiduals, TooFewYears, ZeroVariance
 from .ingest import WeatherSeries
 from .onset import OnsetPdf, RiskLevel, forecast_onset
@@ -132,7 +132,10 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
     trends for both.
 
     ``k_predictor`` maps a year's WeatherSeries to its carrying-capacity
-    series (typically the fitted precipitation-bin planes).
+    series (typically the fitted precipitation-bin planes).  Every year
+    starts from the default initial state; the years go to
+    ``simulate_runs`` together, so an archive of many years is integrated
+    as a numpy batch, bit-identical to simulating each year alone.
     """
     by_year = archive.year_slices()
     years = sorted(by_year)
@@ -140,13 +143,14 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
         raise TooFewYears(f"need at least 10 years of weather, got {len(years)}")
 
     init = default_init_state(cfg)
-    r_year, r_relative = [], []
+    runs = []
     for year in years:
         wx = by_year[year]
         k_series = k_predictor(wx)
         k_values = np.maximum(np.asarray(k_series.values, dtype=float), 1e-6)
-        traj = simulate(params, wx, k_values, init,
-                        steps_per_day=cfg.steps_per_day)
+        runs.append(Run(wx, k_values, init))
+    r_year, r_relative = [], []
+    for traj in simulate_runs(params, runs, steps_per_day=cfg.steps_per_day):
         risk = forecast_onset(pdf, traj)
         ry, rr = annual_indicators(risk.levels)
         r_year.append(ry)

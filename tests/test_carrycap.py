@@ -15,7 +15,7 @@ from spillcast.carrycap import (
     save_k,
 )
 from spillcast.epimodel import ModelParams, default_init_state
-from spillcast.ingest import CaseSeries
+from spillcast.ingest import CaseSeries, WeatherSeries
 from spillcast.synth import default_config, seasonal_weather, seeded_year_trajectory
 
 from tests.conftest import constant_weather
@@ -253,6 +253,50 @@ class TestPredictPlane:
         out = predict_K_plane(model, wx)
         assert out.values[0] == pytest.approx(6.0)
         assert len(out.flagged) == 1
+
+    def test_fallback_and_clamp_flag_the_day_once(self):
+        model = self.make_model()
+        wx = constant_weather(1, temp=-10.0, humidity=0.0, precip=99.0)
+        out = predict_K_plane(model, wx)
+        assert out.values[0] == 0.0
+        assert out.flagged == (date(2021, 1, 1),)
+
+    def test_matches_per_day_reference(self):
+        rng = np.random.default_rng(5)
+        n = 400
+        t = rng.uniform(0.0, 30.0, n)
+        h = rng.uniform(30.0, 90.0, n)
+        p = rng.uniform(0.0, 5.0, n)
+        k = 2.0 * t - 3.0 * h + 150.0 + rng.normal(0.0, 5.0, n)
+        # bin [4, 4.5) gets two samples and is unusable
+        keep = (p < 4.0) | (p >= 4.5)
+        p[np.nonzero(~keep)[0][2:]] = 4.7
+        model = fit_plane(zip(t, h, p, k), [0.0, 1.0, 2.5, 4.0, 4.5, 5.0])
+        assert not model.usable.all()
+        m = 300
+        dates = tuple(date(2022, 1, 1) + timedelta(days=i) for i in range(m))
+        wx = WeatherSeries(dates, rng.uniform(-5.0, 35.0, m),
+                           rng.uniform(0.0, 100.0, m), rng.uniform(0.0, 7.0, m))
+        out = predict_K_plane(model, wx)
+
+        usable = np.nonzero(model.usable)[0]
+        centers = (model.edges[:-1] + model.edges[1:]) / 2.0
+        flagged = []
+        for i in range(m):
+            p_i = float(wx.precip[i])
+            b = int(np.clip(np.searchsorted(model.edges, p_i, side="right") - 1,
+                            0, len(centers) - 1))
+            fallback = p_i < model.edges[0] or p_i > model.edges[-1] \
+                or not model.usable[b]
+            if fallback:
+                b = int(usable[np.argmin(np.abs(centers[usable] - p_i))])
+            a, bb, c = model.coeffs[b]
+            value = a * wx.temp_mean[i] + bb * wx.humidity[i] + c
+            assert out.values[i] == (0.0 if value < 0.0 else value)
+            if fallback or value < 0.0:
+                flagged.append(dates[i])
+        assert out.flagged == tuple(flagged)
+        assert 0 < len(flagged) < m
 
     def test_no_usable_bin(self):
         samples = [(1.0, 1.0, 0.5, 6.0), (2.0, 1.0, 0.5, 8.0)]

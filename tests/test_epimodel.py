@@ -1,19 +1,29 @@
+from dataclasses import replace
+from datetime import date, timedelta
+from unittest import mock
+
 import numpy as np
 import pytest
-from datetime import date
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spillcast import errors
+from spillcast import epimodel, errors
 from spillcast.config import Config
 from spillcast.epimodel import (
     COMPARTMENTS,
     CompartmentState,
     ModelParams,
+    Run,
+    Trajectory,
     default_init_state,
     derivatives,
+    seeded_year_trajectory,
     simulate,
+    simulate_runs,
     save_trajectory,
     weekly_expected_cases,
 )
+from spillcast.ingest import WeatherSeries
 
 from tests.conftest import constant_weather, sinusoid_weather
 
@@ -179,3 +189,172 @@ def test_save_trajectory_schema(tmp_path, default_cfg, default_params):
     lines = out.read_text().splitlines()
     assert lines[0] == "date,M,R0,H_new_cases," + ",".join(COMPARTMENTS)
     assert len(lines) == 6
+
+
+# --- simulate_runs: the batched year-runner ---------------------------------
+
+def split_seeded_reference(params, wx, k_series, init, seed_day, seed_birds,
+                           steps):
+    """A seeded run as two simulate calls around the pulse, each
+    accumulating new infections from zero."""
+    n = len(wx)
+    k = np.asarray(k_series if np.ndim(k_series) else np.full(n, k_series),
+                   dtype=float)
+    seed_day = min(max(int(seed_day), 0), n - 1)
+    pre = simulate(params, wx.slice(0, seed_day), k[:seed_day], init,
+                   steps_per_day=steps)
+    state = pre.end_state
+    moved = min(seed_birds, state.B_S)
+    post = simulate(params, wx.slice(seed_day, n), k[seed_day:],
+                    replace(state, B_S=state.B_S - moved, B_I=state.B_I + moved),
+                    steps_per_day=steps)
+    return Trajectory(
+        dates=wx.dates,
+        states=np.vstack([pre.states, post.states]),
+        m=np.concatenate([pre.m, post.m]),
+        r0=np.concatenate([pre.r0, post.r0]),
+        new_infections=np.concatenate([pre.new_infections,
+                                       post.new_infections]),
+        weather=wx,
+        clamp_count=pre.clamp_count + post.clamp_count,
+        end_state=post.end_state,
+    )
+
+
+@st.composite
+def run_sets(draw):
+    """Runs of unequal length over random weather, scalar or per-day K,
+    default, random, bird-free or human-free start states, with and
+    without a seed pulse."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = Config()
+    runs = []
+    for _ in range(draw(st.integers(1, 14))):
+        n = draw(st.integers(1, 24))
+        start = date(2021, 1, 1) + timedelta(days=int(rng.integers(0, 365)))
+        wx = WeatherSeries(
+            tuple(start + timedelta(days=i) for i in range(n)),
+            rng.uniform(-5.0, 38.0, n), rng.uniform(0.0, 100.0, n),
+            rng.uniform(0.0, 10.0, n))
+        k = (float(rng.uniform(100.0, 20000.0)) if draw(st.booleans())
+             else rng.uniform(100.0, 20000.0, n))
+        kind = draw(st.sampled_from(("default", "random", "no_birds",
+                                     "no_humans")))
+        values = dict(zip(COMPARTMENTS, rng.uniform(0.0, 3000.0, 15)))
+        if kind == "default":
+            values = default_init_state(cfg).__dict__
+        elif kind == "no_birds":
+            values.update(E_B=0.0, F_B=0.0, B_S=0.0, B_E=0.0, B_I=0.0, B_R=0.0)
+        elif kind == "no_humans":
+            values.update(H_S=0.0, H_E=0.0, H_I=0.0, H_R=0.0)
+        seed_day = draw(st.one_of(st.none(), st.integers(-2, n + 2)))
+        runs.append(Run(wx, k, CompartmentState(**values), seed_day,
+                        float(rng.uniform(0.0, 50.0))))
+    return runs
+
+
+def assert_same_trajectory(got, want):
+    for field in ("states", "m", "r0", "new_infections"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.clamp_count == want.clamp_count
+    assert got.end_state == want.end_state
+    assert got.dates == want.dates
+
+
+# bird WND mortality fast enough that one RK4 step a day overshoots below
+# zero (clamps) and, with other rates, can blow up
+STIFF_PARAMS = ModelParams.from_config(
+    Config(rates={"bird_wnd_mort": "constant,3.0"}))
+
+
+class TestSimulateRuns:
+    @given(runs=run_sets(), batch_from=st.sampled_from((1, "default")),
+           steps=st.integers(1, 3), stiff=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_single_runs(self, default_params, runs,
+                                          batch_from, steps, stiff):
+        params = STIFF_PARAMS if stiff else default_params
+        if batch_from == "default":
+            batch_from = epimodel.BATCH_MIN_WIDTH
+        want, raised = [], set()
+        for run in runs:
+            try:
+                if run.seed_day is None:
+                    want.append(simulate(params, run.weather, run.k_series,
+                                         run.init, steps_per_day=steps))
+                else:
+                    want.append(split_seeded_reference(
+                        params, run.weather, run.k_series, run.init,
+                        run.seed_day, run.seed_birds, steps))
+                    one = seeded_year_trajectory(
+                        params, run.weather, run.k_series, run.init,
+                        run.seed_day, run.seed_birds, steps_per_day=steps)
+                    assert_same_trajectory(one, want[-1])
+            except errors.SpillcastError as exc:
+                raised.add(type(exc))
+        kernel = mock.Mock(wraps=epimodel._advance_batch)
+        with mock.patch.object(epimodel, "BATCH_MIN_WIDTH", batch_from), \
+                mock.patch.object(epimodel, "_advance_batch", kernel):
+            if raised:
+                with pytest.raises(tuple(raised)):
+                    simulate_runs(params, runs, steps_per_day=steps)
+                return
+            got = simulate_runs(params, runs, steps_per_day=steps)
+        assert kernel.called == (len(runs) >= batch_from)
+        assert len(got) == len(runs)
+        for g, w in zip(got, want):
+            assert_same_trajectory(g, w)
+
+    def test_clamps_counted_per_run_in_a_batch(self):
+        init = CompartmentState(**dict(zip(
+            COMPARTMENTS, np.random.default_rng(0).uniform(0.0, 3000.0, 15))))
+        runs = [Run(sinusoid_weather(20 + j), 5000.0, init)
+                for j in range(epimodel.BATCH_MIN_WIDTH)]
+        got = simulate_runs(STIFF_PARAMS, runs, steps_per_day=1)
+        for run, traj in zip(runs, got):
+            want = simulate(STIFF_PARAMS, run.weather, 5000.0, init,
+                            steps_per_day=1)
+            assert want.clamp_count > 0
+            assert_same_trajectory(traj, want)
+
+    def test_wide_batch_of_years_matches_simulate(self, default_cfg,
+                                                  default_params):
+        init = default_init_state(default_cfg)
+        years = [sinusoid_weather(365 + (j % 2), base=15.0 + j)
+                 for j in range(epimodel.BATCH_MIN_WIDTH + 1)]
+        runs = [Run(wx, 2000.0 + 500.0 * j, init) for j, wx in enumerate(years)]
+        kernel = mock.Mock(wraps=epimodel._advance_batch)
+        with mock.patch.object(epimodel, "_advance_batch", kernel):
+            got = simulate_runs(default_params, runs)
+        assert kernel.called
+        for run, traj in zip(runs, got):
+            assert_same_trajectory(traj, simulate(default_params, run.weather,
+                                                  run.k_series, init))
+
+    @pytest.mark.parametrize("batch_from", [1, 100])
+    def test_blow_up_raised_with_or_without_batching(self, default_cfg,
+                                                     batch_from):
+        cfg = Config(rates={"egg_laying": "constant,500.0",
+                            "aquatic_dev": "constant,5.0",
+                            "aquatic_mort": "constant,0.001",
+                            "adult_mort": "constant,0.001"})
+        params = ModelParams.from_config(cfg)
+        init = default_init_state(cfg)
+        wx = constant_weather(400, temp=25.0)
+        runs = [Run(wx, 1e9, init), Run(wx.slice(0, 100), 5000.0, init)]
+        with mock.patch.object(epimodel, "BATCH_MIN_WIDTH", batch_from):
+            with pytest.raises(errors.BlowUp):
+                simulate_runs(params, runs, steps_per_day=4)
+
+    @pytest.mark.parametrize("batch_from", [1, 100])
+    @pytest.mark.parametrize("bad_k", [0.0, -5.0, float("nan")])
+    def test_invalid_k_rejected_with_or_without_batching(
+            self, default_cfg, default_params, batch_from, bad_k):
+        init = default_init_state(default_cfg)
+        wx = constant_weather(10)
+        k = np.full(10, 5000.0)
+        k[3] = bad_k
+        runs = [Run(wx, 5000.0, init), Run(wx, k, init, seed_day=2)]
+        with mock.patch.object(epimodel, "BATCH_MIN_WIDTH", batch_from):
+            with pytest.raises(errors.NonFiniteInput):
+                simulate_runs(default_params, runs)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spillcast.errors import InvariantViolation
-from spillcast.thermal import ThermalCurve, eval_thermal
+from spillcast.thermal import ThermalCurve, eval_thermal, eval_thermal_array
 
 
 def test_briere_zero_at_lower_limit():
@@ -71,3 +73,22 @@ def test_parse_rejects_garbage():
 def test_non_finite_coefficients_rejected():
     with pytest.raises(InvariantViolation):
         ThermalCurve("briere", float("nan"), 1.0, 2.0)
+
+
+@given(
+    kind=st.sampled_from(("briere", "quadratic", "constant")),
+    c=st.floats(-1.0, 1.0),
+    t0=st.floats(-10.0, 20.0),
+    width=st.floats(0.0, 40.0),
+    temps=st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_array_evaluation_matches_scalar_bit_for_bit(kind, c, t0, width, temps):
+    if kind == "constant":
+        c = abs(c)
+    curve = ThermalCurve(kind, c, t0, t0 + width)
+    # the curve's own limits and roots are the edge cases
+    temps = temps + [t0, t0 + width]
+    expected = np.array([eval_thermal(curve, t) for t in temps])
+    got = eval_thermal_array(curve, np.array(temps))
+    assert got.tobytes() == expected.tobytes()   # signed zeros included
