@@ -2,15 +2,16 @@
 
 Historical K is calibrated per calendar year by grid search: the level
 whose simulated weekly reported cases best match the observed counts
-(squared error) wins, ties going to the smaller K.  Prediction offers the
-three approaches used downstream: day-of-year averaging across years,
-short-term AR extrapolation, and per-precipitation-bin planes
-K = a*T + b*H + c fitted to history.
+(squared error) wins, ties going to the smaller K.  Prediction offers
+day-of-year averaging across years (CLI ``--k mean``), per-precipitation-
+bin planes K = a*T + b*H + c fitted to history (``--k plane``), and a
+short-term AR extrapolation that no CLI method uses.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -274,4 +275,7 @@ def load_k(path) -> KSeries:
                 values.append(float(row[1]))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
+            # float() accepts nan and inf; nan passes the K > 0 check
+            if not math.isfinite(values[-1]):
+                raise ParseError(f"non-finite K value {row[1]!r}", lineno)
     return KSeries(tuple(dates), np.array(values))

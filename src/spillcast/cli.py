@@ -25,6 +25,7 @@ from .carrycap import (
     calibrate_K,
     fit_plane,
     load_k,
+    predict_K_mean,
     predict_K_plane,
     quantile_edges,
 )
@@ -42,17 +43,16 @@ from .ingest import load_cases, load_weather
 from .onset import collect_onset_samples, fit_onset_pdf, save_risk_series
 from .pipeline import predict_onset_risk, weather_feature
 from .severity import (
-    build_posteriors,
-    build_prior,
+    PRIOR_KINDS,
     collect_severity_samples,
+    curve_posteriors,
     estimate_severity,
     fit_rate_surface,
     predict_severity,
     save_severity,
 )
 
-K_METHODS = ("const", "csv", "mean", "ar", "plane")
-PRIOR_NAMES = ("uniform", "gaussian", "band")
+K_METHODS = ("const", "csv", "mean", "plane")
 
 
 def sha256_file(path) -> str:
@@ -89,101 +89,104 @@ def out_dir(args) -> Path:
     return out
 
 
-def yearly_trajectories(cfg, params, weather, k_values):
-    """Simulate each complete calendar year from the default initial
-    state; returns {year: Trajectory}."""
+def k_map(method, k_file, cfg, params, history, cases):
+    """--k METHOD as a WeatherSeries -> KSeries map.
+
+    ``const`` is the configured default.  ``csv`` reads ``k_file``, which
+    must give a K > 0 for every simulated day.  ``mean`` and ``plane`` are
+    calibrated on ``history`` against ``cases`` by a per-year grid search
+    over 0.2..2.0 x the configured default: ``mean`` is the day-of-year
+    mean of each calendar year (``predict_K_mean``), ``plane`` the fitted
+    per-precipitation-bin planes with K floored at 1e-6.
+    """
+    if method == "const":
+        return lambda wx: KSeries(wx.dates, np.full(len(wx), cfg.k_default))
+    if method == "csv":
+        if not k_file:
+            raise InputError("--k csv requires --k-file")
+        series = load_k(k_file)
+        lookup = dict(zip(series.dates, series.values))
+
+        def from_file(wx):
+            missing = [d for d in wx.dates if d not in lookup]
+            if missing:
+                raise LengthMismatch(
+                    f"K file does not cover {len(missing)} simulated days "
+                    f"(first missing: {missing[0]})")
+            values = np.array([lookup[d] for d in wx.dates])
+            if np.any(values <= 0):
+                first = wx.dates[int(np.argmax(values <= 0))]
+                raise InputError(f"K file has K <= 0 on a simulated day "
+                                 f"(first: {first})")
+            return KSeries(wx.dates, values)
+        return from_file
+
+    if cases is None:
+        raise InputError(f"--k {method} requires --cases")
+    grid = np.linspace(0.2, 2.0, 10) * cfg.k_default
+    calibrated = calibrate_K(history, cases, params, grid,
+                             default_init_state(cfg),
+                             steps_per_day=cfg.steps_per_day)
+    if method == "mean":
+        def mean(wx):
+            lookup = {}
+            for year in sorted({d.year for d in wx.dates}):
+                year_k = predict_K_mean(calibrated, year)
+                lookup.update(zip(year_k.dates, year_k.values))
+            return KSeries(wx.dates, np.array([lookup[d] for d in wx.dates]))
+        return mean
+
+    samples = np.column_stack([
+        history.temp_mean, history.humidity, history.precip,
+        calibrated.values,
+    ])
+    model = fit_plane(samples, quantile_edges(history.precip))
+
+    def plane(wx):
+        predicted = predict_K_plane(model, wx)
+        return KSeries(predicted.dates, np.maximum(predicted.values, 1e-6))
+    return plane
+
+
+def fit_history(args):
+    """Preamble of the fit commands: the trajectory of each complete
+    calendar year from the default initial state, and the case weeks of
+    those years; returns (cfg, {year: Trajectory}, {year: CaseSeries})."""
+    cfg = load_cfg(args)
+    params = ModelParams.from_config(cfg)
+    weather = load_weather(args.weather)
+    cases = load_cases(args.cases)
+    k = k_map(args.k, args.k_file, cfg, params, weather, cases)(weather)
+    by_date = dict(zip(k.dates, k.values))
     init = default_init_state(cfg)
-    by_date = dict(zip(weather.dates, k_values))
     runs = {
         year: Run(wx, np.array([by_date[d] for d in wx.dates]), init)
         for year, wx in weather.year_slices().items()
         if wx.dates[0] == date(year, 1, 1) and wx.dates[-1] == date(year, 12, 31)
     }
-    trajectories = simulate_runs(params, runs.values(),
-                                 steps_per_day=cfg.steps_per_day)
-    return dict(zip(runs, trajectories))
+    if not runs:
+        raise InputError("no complete calendar year in the weather file")
+    trajectories = dict(zip(runs, simulate_runs(
+        params, runs.values(), steps_per_day=cfg.steps_per_day)))
+    case_years = cases.year_slices()
+    usable = {y: case_years[y] for y in trajectories if y in case_years}
+    return cfg, trajectories, usable
 
 
-def resolve_k(args, cfg, params, weather, cases):
-    """Per-day carrying capacity over the weather span for --k METHOD."""
-    method = args.k
-    n = len(weather)
-    if method == "const":
-        return np.full(n, cfg.k_default)
-    if method == "csv":
-        if not args.k_file:
-            raise InputError("--k csv requires --k-file")
-        series = load_k(args.k_file)
-        lookup = dict(zip(series.dates, series.values))
-        missing = [d for d in weather.dates if d not in lookup]
-        if missing:
-            raise LengthMismatch(
-                f"K file does not cover {len(missing)} weather days "
-                f"(first missing: {missing[0]})"
-            )
-        return np.array([lookup[d] for d in weather.dates])
-
-    # calibrated methods need observed cases
-    if cases is None:
-        raise InputError(f"--k {method} requires --cases")
-    if method == "plane":
-        return plane_predictor(cfg, params, weather, cases)(weather).values
-    calibrated = calibrate_history(cfg, params, weather, cases)
-    if method == "mean":
-        by_doy = {}
-        for d, v in zip(calibrated.dates, calibrated.values):
-            by_doy.setdefault((d.month, d.day), []).append(float(v))
-        fallback = float(np.mean(calibrated.values))
-        return np.array([
-            float(np.mean(by_doy.get((d.month, d.day), [fallback])))
-            for d in weather.dates
-        ])
-    if method == "ar":
-        return calibrated.values
-    raise InputError(f"unknown K method {method!r}")
-
-
-def calibrate_history(cfg, params, weather, cases):
-    """K calibrated per year on the grid 0.2..2.0 x the configured
-    default."""
-    grid = np.linspace(0.2, 2.0, 10) * cfg.k_default
-    return calibrate_K(weather, cases, params, grid, default_init_state(cfg),
-                       steps_per_day=cfg.steps_per_day)
-
-
-def plane_predictor(cfg, params, weather, cases):
-    """Fit the per-precipitation-bin planes on calibrated history and
-    return a WeatherSeries -> KSeries callable (K floored at 1e-6)."""
-    calibrated = calibrate_history(cfg, params, weather, cases)
-    samples = np.column_stack([
-        weather.temp_mean, weather.humidity, weather.precip,
-        calibrated.values,
-    ])
-    model = fit_plane(samples, quantile_edges(weather.precip))
-
-    def predict(wx):
-        predicted = predict_K_plane(model, wx)
-        return KSeries(predicted.dates, np.maximum(predicted.values, 1e-6))
-    return predict
-
-
-def forecast_k(args, cfg, params, weather, cases):
-    """Carrying capacity for the predict commands: None for --k const, the
-    K file for csv, or the fitted precipitation-bin planes for plane."""
-    if args.k in ("mean", "ar"):
-        raise InputError(f"--k {args.k} is not supported for prediction; "
+def forecast_setup(args, cfg, params, weather, cases):
+    """Preamble of the predict commands: (mode, lead, K map), with
+    calibrated K fitted on the years before the target year."""
+    if args.k == "mean":
+        raise InputError("--k mean is not supported for prediction; "
                          "use const, csv or plane")
-    if args.k == "plane":
-        if cases is None:
-            raise InputError("--k plane requires --cases")
-        history_end = weather.dates.index(date(weather.dates[-1].year, 1, 1))
-        history = weather.slice(0, history_end)
-        return plane_predictor(cfg, params, history, cases)
-    if args.k == "csv":
-        if not args.k_file:
-            raise InputError("--k csv requires --k-file")
-        return load_k(args.k_file)
-    return None
+    year_start = date(weather.dates[-1].year, 1, 1)
+    if year_start not in weather.dates:
+        raise InputError(f"the weather does not reach back to {year_start}")
+    history = weather.slice(0, weather.dates.index(year_start))
+    k = k_map(args.k, args.k_file, cfg, params, history, cases)
+    mode = "long_term" if args.mode == "long" else "short_term"
+    lead = args.lead or (365 if mode == "long_term" else cfg.short_lead)
+    return mode, lead, k
 
 
 def onset_bandwidth(cfg):
@@ -205,8 +208,8 @@ def cmd_simulate(args) -> int:
     params = ModelParams.from_config(cfg)
     weather = load_weather(args.weather)
     cases = load_cases(args.cases) if args.cases else None
-    k_values = resolve_k(args, cfg, params, weather, cases)
-    traj = simulate(params, weather, k_values, default_init_state(cfg),
+    k = k_map(args.k, args.k_file, cfg, params, weather, cases)(weather)
+    traj = simulate(params, weather, k.values, default_init_state(cfg),
                     steps_per_day=cfg.steps_per_day)
     out = out_dir(args)
     save_trajectory(traj, out / "trajectory.csv")
@@ -217,16 +220,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit_onset(args) -> int:
-    cfg = load_cfg(args)
-    params = ModelParams.from_config(cfg)
-    weather = load_weather(args.weather)
-    cases = load_cases(args.cases)
-    k_values = resolve_k(args, cfg, params, weather, cases)
-    trajectories = yearly_trajectories(cfg, params, weather, k_values)
-    if not trajectories:
-        raise InputError("no complete calendar year in the weather file")
-    case_years = cases.year_slices()
-    usable = {y: case_years[y] for y in trajectories if y in case_years}
+    cfg, trajectories, usable = fit_history(args)
     samples, skipped = collect_onset_samples(
         trajectories, usable, transform=cfg.feature_transform)
     for year in skipped:
@@ -249,12 +243,9 @@ def cmd_predict_onset(args) -> int:
     weather = load_weather(args.weather)
     pdf = artifacts.load_onset_model(args.model)
     cases = load_cases(args.cases) if args.cases else None
-    k_series = forecast_k(args, cfg, params, weather, cases)
-    mode = "long_term" if args.mode == "long" else "short_term"
-    lead = args.lead if args.lead else (365 if mode == "long_term"
-                                        else cfg.short_lead)
+    mode, lead, k = forecast_setup(args, cfg, params, weather, cases)
     risk = predict_onset_risk(weather, mode, lead, pdf, params, cfg,
-                              k_series=k_series)
+                              k_series=k)
     out = out_dir(args)
     save_risk_series(risk, out / "risk.csv")
     write_manifest(out, "predict-onset", args,
@@ -263,16 +254,7 @@ def cmd_predict_onset(args) -> int:
 
 
 def cmd_fit_severity(args) -> int:
-    cfg = load_cfg(args)
-    params = ModelParams.from_config(cfg)
-    weather = load_weather(args.weather)
-    cases = load_cases(args.cases)
-    k_values = resolve_k(args, cfg, params, weather, cases)
-    trajectories = yearly_trajectories(cfg, params, weather, k_values)
-    if not trajectories:
-        raise InputError("no complete calendar year in the weather file")
-    case_years = cases.year_slices()
-    usable = {y: case_years[y] for y in trajectories if y in case_years}
+    cfg, trajectories, usable = fit_history(args)
     samples = collect_severity_samples(
         trajectories, usable,
         w_weights=(cfg.w_temp, cfg.w_humidity, cfg.w_precip),
@@ -291,8 +273,6 @@ def cmd_fit_severity(args) -> int:
 def _cfg_with_prior(cfg, prior_name):
     if prior_name is None:
         return cfg
-    if prior_name not in PRIOR_NAMES:
-        raise InputError(f"unknown prior {prior_name!r}")
     import dataclasses
     return dataclasses.replace(cfg, prior=prior_name)
 
@@ -305,17 +285,13 @@ def cmd_estimate_severity(args) -> int:
     onset_pdf = (artifacts.load_onset_model(args.onset_model)
                  if args.onset_model else None)
     cases = load_cases(args.cases) if args.cases else None
-    k_values = resolve_k(args, cfg, params, weather, cases)
-    traj = simulate(params, weather, k_values, default_init_state(cfg),
+    k = k_map(args.k, args.k_file, cfg, params, weather, cases)(weather)
+    traj = simulate(params, weather, k.values, default_init_state(cfg),
                     steps_per_day=cfg.steps_per_day)
     w_weights = (cfg.w_temp, cfg.w_humidity, cfg.w_precip)
-    prior_kind = {"uniform": "uniform_box", "gaussian": "gaussian_ridge",
-                  "band": "uniform_band"}[cfg.prior]
     w_series = weather_feature(weather, w_weights)
     curve = list(zip(traj.m.tolist(), w_series.tolist()))
-    prior = build_prior(prior_kind, curve, surface.grid,
-                        sigma=cfg.prior_sigma, halfwidth=cfg.band_halfwidth)
-    posteriors = build_posteriors(prior, surface, cfg.x_max)
+    posteriors = curve_posteriors(curve, surface, cfg)
     result = estimate_severity(traj, posteriors, w_weights=w_weights,
                                onset_pdf=onset_pdf)
     out = out_dir(args)
@@ -331,14 +307,11 @@ def cmd_predict_severity(args) -> int:
     weather = load_weather(args.weather)
     cases = load_cases(args.cases)
     surface = artifacts.load_severity_model(args.model)
-    k_series = forecast_k(args, cfg, params, weather, cases)
+    mode, lead, k = forecast_setup(args, cfg, params, weather, cases)
     onset_pdf = (artifacts.load_onset_model(args.onset_model)
                  if args.onset_model else None)
-    mode = "long_term" if args.mode == "long" else "short_term"
-    lead = args.lead if args.lead else (365 if mode == "long_term"
-                                        else cfg.short_lead)
     result = predict_severity(weather, cases, mode, lead, surface, params,
-                              cfg, k_series=k_series, onset_pdf=onset_pdf)
+                              cfg, k_series=k, onset_pdf=onset_pdf)
     out = out_dir(args)
     save_severity(result, out / "severity.csv")
     write_manifest(out, "predict-severity", args,
@@ -368,16 +341,14 @@ def _weekly_predictions(severity_csv, week_starts):
 def cmd_evaluate(args) -> int:
     # evaluate and trend load scipy; importing them here keeps it off the
     # start-up path of every other command
-    from .evaluate import bayesian_predictive, log_score, nb_one_step
+    from .evaluate import bayesian_predictive, nb_one_step, score_run
     cfg = load_cfg(args)
     cases = load_cases(args.cases)
     target_year = args.target_year or cases.week_starts[-1].year
-    weeks = [i for i, w in enumerate(cases.week_starts)
-             if w.year == target_year]
-    if not weeks:
+    target = cases.year_slices().get(target_year)
+    if target is None:
         raise InputError(f"no observed weeks in {target_year}")
-    target_weeks = [cases.week_starts[i] for i in weeks]
-    observed = [int(cases.counts[i]) for i in weeks]
+    first = cases.week_starts.index(target.week_starts[0])
 
     models = ("bayes", "nb") if args.model == "both" else (args.model,)
     rows = []
@@ -386,30 +357,20 @@ def cmd_evaluate(args) -> int:
         if model == "bayes":
             if not args.severity_csv:
                 raise InputError("--model bayes requires --severity-csv")
-            weekly = _weekly_predictions(args.severity_csv, target_weeks)
+            weekly = _weekly_predictions(args.severity_csv, target.week_starts)
             dists = [bayesian_predictive(v, sigma=cfg.sharpen_sigma,
                                          x_cap=cfg.x_cap, week=w)
-                     for v, w in zip(weekly, target_weeks)]
-        elif model == "nb":
-            dists = []
-            for i, week in zip(weeks, target_weeks):
-                window = cases.counts[:i]
-                dists.append(nb_one_step(window, x_cap=cfg.x_cap,
-                                         min_obs=cfg.nb_min_obs, week=week))
+                     for v, w in zip(weekly, target.week_starts)]
         else:
-            raise InputError(f"unknown model {model!r}")
-
-        scores = []
-        for dist, week, obs in zip(dists, target_weeks, observed):
-            s = log_score(dist, obs, floor=cfg.score_floor)
+            dists = [nb_one_step(cases.counts[:first + n], x_cap=cfg.x_cap,
+                                 min_obs=cfg.nb_min_obs, week=w)
+                     for n, w in enumerate(target.week_starts)]
+        report = score_run(dists, target, floor=cfg.score_floor)
+        for dist, week, obs, s in zip(dists, report.weeks, report.observed,
+                                      report.scores):
             prob = float(dist.probs[obs]) if obs <= dist.x_cap else 0.0
             rows.append((week, obs, model, prob, s))
-            scores.append((s, obs))
-        summary[model] = {
-            "TS": sum(s for s, _ in scores),
-            "ZS": sum(s for s, o in scores if o == 0),
-            "NZS": sum(s for s, o in scores if o > 0),
-        }
+        summary[model] = {"TS": report.ts, "ZS": report.zs, "NZS": report.nzs}
 
     out = out_dir(args)
     import csv as csvmod
@@ -444,14 +405,9 @@ def cmd_trend(args) -> int:
             raise InputError(f"no weather in {args.years}")
         weather = weather.slice(idx[0], idx[-1] + 1)
 
-    if args.cases:
-        cases = load_cases(args.cases)
-        k_predictor = plane_predictor(cfg, params, weather, cases)
-    else:
-        def k_predictor(wx):
-            return KSeries(wx.dates, np.full(len(wx), cfg.k_default))
-
-    report = trend_report(weather, pdf, params, k_predictor, cfg)
+    cases = load_cases(args.cases) if args.cases else None
+    k = k_map("plane" if args.cases else "const", None, cfg, params, weather, cases)
+    report = trend_report(weather, pdf, params, k, cfg)
     out = out_dir(args)
     import csv as csvmod
     with open(out / "trend.csv", "w", newline="") as fh:
@@ -486,10 +442,14 @@ def add_common(parser, k_flag=True):
                         help="seed recorded in the manifest")
     parser.add_argument("--out", required=True, help="output directory")
     if k_flag:
-        parser.add_argument("--k", choices=K_METHODS, default="const",
-                            help="carrying-capacity source")
+        parser.add_argument(
+            "--k", choices=K_METHODS, default="const",
+            help="carrying-capacity source: const (configured default), csv "
+                 "(--k-file), or mean/plane (calibrated from --cases); "
+                 "predict-* reject mean")
         parser.add_argument("--k-file", dest="k_file",
-                            help="K CSV for --k csv")
+                            help="K CSV for --k csv: K > 0 on every "
+                                 "simulated day")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weather", required=True)
     p.add_argument("--cases")
     p.add_argument("--model", required=True, help="fitted severity model dir")
-    p.add_argument("--prior", choices=PRIOR_NAMES)
+    p.add_argument("--prior", choices=tuple(PRIOR_KINDS))
     p.add_argument("--onset-model", dest="onset_model",
                    help="gate Green days to zero with this onset model")
     p.set_defaults(func=cmd_estimate_severity)
@@ -548,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="fitted severity model dir")
     p.add_argument("--mode", choices=("long", "short"), default="long")
     p.add_argument("--lead", type=int, default=0)
-    p.add_argument("--prior", choices=PRIOR_NAMES)
+    p.add_argument("--prior", choices=tuple(PRIOR_KINDS))
     p.add_argument("--onset-model", dest="onset_model",
                    help="gate Green days to zero with this onset model")
     p.set_defaults(func=cmd_predict_severity)

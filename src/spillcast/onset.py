@@ -171,12 +171,8 @@ def fit_onset_pdf(samples, bandwidth=None, grid_size: int = 128,
             f"bandwidth ({h_m:g}, {h_r:g}); supply explicit positive bandwidths"
         )
 
-    lo_m = sm.min() - GRID_PAD_BANDWIDTHS * h_m
-    hi_m = sm.max() + GRID_PAD_BANDWIDTHS * h_m
-    lo_r = sr.min() - GRID_PAD_BANDWIDTHS * h_r
-    hi_r = sr.max() + GRID_PAD_BANDWIDTHS * h_r
-    m_grid = _cell_centers(lo_m, hi_m, grid_size)
-    r0_grid = _cell_centers(lo_r, hi_r, grid_size)
+    m_grid = padded_cell_centers(sm, h_m, grid_size)
+    r0_grid = padded_cell_centers(sr, h_r, grid_size)
 
     zm = (m_grid[:, None] - sm[None, :]) / h_m
     zr = (r0_grid[:, None] - sr[None, :]) / h_r
@@ -195,7 +191,12 @@ def fit_onset_pdf(samples, bandwidth=None, grid_size: int = 128,
     return pdf
 
 
-def _cell_centers(lo, hi, n):
+def padded_cell_centers(samples, bandwidth, n):
+    """Centers of n equal cells spanning the samples padded by
+    GRID_PAD_BANDWIDTHS bandwidths on each side; shared by the onset
+    density and the severity rate surface."""
+    lo = samples.min() - GRID_PAD_BANDWIDTHS * bandwidth
+    hi = samples.max() + GRID_PAD_BANDWIDTHS * bandwidth
     step = (hi - lo) / n
     return lo + step * (np.arange(n) + 0.5)
 

@@ -22,12 +22,20 @@ from .config import Config
 from .epimodel import ModelParams, Trajectory
 from .errors import EmptyCurve, TooFewSamples, ZeroEvidence
 from .ingest import CaseSeries, WeatherSeries
-from .onset import OnsetPdf, RiskLevel, apply_transform, classify
+from .onset import (
+    OnsetPdf,
+    RiskLevel,
+    apply_transform,
+    classify,
+    padded_cell_centers,
+)
 from .pipeline import forecast_points, weather_feature
 
-GRID_PAD_BANDWIDTHS = 3.0
 MIN_KERNEL_WEIGHT = 1e-12
 AUTO_SIGMA_FRACTION = 0.05
+# configured prior name -> build_prior kind
+PRIOR_KINDS = {"uniform": "uniform_box", "gaussian": "gaussian_ridge",
+               "band": "uniform_band"}
 
 
 @dataclass(frozen=True)
@@ -104,11 +112,6 @@ class Grid2D:
         return i, j, outside
 
 
-def _cell_centers(lo, hi, n):
-    step = (hi - lo) / n
-    return lo + step * (np.arange(n) + 0.5)
-
-
 @dataclass(frozen=True)
 class RateSurface:
     """Poisson rate lambda(m, w) on a grid, with the fitted samples kept
@@ -146,12 +149,8 @@ def fit_rate_surface(samples, bandwidths=None, grid_size: int = 64) -> RateSurfa
             f"degenerate bandwidth ({h_m:g}, {h_w:g}); supply explicit bandwidths"
         )
 
-    grid = Grid2D(
-        _cell_centers(sm.min() - GRID_PAD_BANDWIDTHS * h_m,
-                      sm.max() + GRID_PAD_BANDWIDTHS * h_m, grid_size),
-        _cell_centers(sw.min() - GRID_PAD_BANDWIDTHS * h_w,
-                      sw.max() + GRID_PAD_BANDWIDTHS * h_w, grid_size),
-    )
+    grid = Grid2D(padded_cell_centers(sm, h_m, grid_size),
+                  padded_cell_centers(sw, h_w, grid_size))
     zm = (grid.m_centers[:, None] - sm[None, :]) / h_m
     zw = (grid.w_centers[:, None] - sw[None, :]) / h_w
     km = np.exp(-0.5 * zm * zm)
@@ -298,6 +297,14 @@ def build_posteriors(prior: PriorGrid, surface: RateSurface,
     return out
 
 
+def curve_posteriors(curve, surface: RateSurface, cfg: Config) -> list:
+    """Posteriors for x = 1..cfg.x_max under the configured prior
+    (``cfg.prior``, see ``PRIOR_KINDS``) built on the (m, w) curve."""
+    prior = build_prior(PRIOR_KINDS[cfg.prior], curve, surface.grid,
+                        sigma=cfg.prior_sigma, halfwidth=cfg.band_halfwidth)
+    return build_posteriors(prior, surface, cfg.x_max)
+
+
 def mpp_predict(point, posteriors) -> tuple:
     """Candidate count whose posterior assigns the most support to the
     point (nearest grid cell; ties break to the smaller count).
@@ -376,12 +383,7 @@ def predict_severity(weather: WeatherSeries, cases: CaseSeries, mode: str,
     points = forecast_points(weather, mode, lead, params, cfg,
                              forecast_start=forecast_start, k_series=k_series)
 
-    curve = [(p.m, p.w) for p in points]
-    prior_kind = {"uniform": "uniform_box", "gaussian": "gaussian_ridge",
-                  "band": "uniform_band"}[cfg.prior]
-    prior = build_prior(prior_kind, curve, surface.grid,
-                        sigma=cfg.prior_sigma, halfwidth=cfg.band_halfwidth)
-    posteriors = build_posteriors(prior, surface, cfg.x_max)
+    posteriors = curve_posteriors([(p.m, p.w) for p in points], surface, cfg)
 
     predicted = np.zeros(len(points), dtype=int)
     off_grid = []

@@ -25,9 +25,7 @@ from .epimodel import (
     SEED_DAY,
     ModelParams,
     Run,
-    Trajectory,
     default_init_state,
-    seeded_year_trajectory as _seeded_year_trajectory,
     simulate_runs,
 )
 from .ingest import CaseSeries, WeatherSeries, save_cases, save_weather
@@ -84,18 +82,6 @@ def seasonal_weather(start_year: int, n_years: int,
     )
     return WeatherSeries(dates, np.round(temp, 3), np.round(humidity, 3),
                          np.round(precip, 3))
-
-
-def seeded_year_trajectory(params: ModelParams, wx_year: WeatherSeries,
-                           k: float, cfg: Config,
-                           seed_day: int = SEED_DAY,
-                           seed_birds: float = SEED_BIRDS) -> Trajectory:
-    """One year with an infected-bird pulse at ``seed_day``."""
-    return _seeded_year_trajectory(
-        params, wx_year, k, default_init_state(cfg),
-        seed_day=seed_day, seed_birds=seed_birds,
-        steps_per_day=cfg.steps_per_day,
-    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from datetime import date, timedelta
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spillcast import errors
 from spillcast.carrycap import (
@@ -14,9 +16,13 @@ from spillcast.carrycap import (
     quantile_edges,
     save_k,
 )
-from spillcast.epimodel import ModelParams, default_init_state
+from spillcast.epimodel import (
+    ModelParams,
+    default_init_state,
+    seeded_year_trajectory,
+)
 from spillcast.ingest import CaseSeries, WeatherSeries
-from spillcast.synth import default_config, seasonal_weather, seeded_year_trajectory
+from spillcast.synth import default_config, seasonal_weather
 
 from tests.conftest import constant_weather
 
@@ -38,7 +44,8 @@ def generated():
     cfg = default_config(k_star=5000.0)
     params = ModelParams.from_config(cfg)
     wx = seasonal_weather(2021, 1)
-    traj = seeded_year_trajectory(params, wx, 5000.0, cfg)
+    traj = seeded_year_trajectory(params, wx, 5000.0, default_init_state(cfg),
+                                  steps_per_day=cfg.steps_per_day)
     week_starts, counts = [], []
     wk = wx.dates[0]
     while wk + timedelta(days=6) <= wx.dates[-1]:
@@ -324,3 +331,37 @@ def test_k_csv_round_trip(tmp_path):
     again = load_k(path)
     assert again.dates == ks.dates
     assert np.array_equal(again.values, ks.values)
+
+
+@pytest.mark.parametrize("token", ["nan", "-nan", "inf", "-inf", "Infinity"])
+def test_load_k_rejects_non_finite(tmp_path, token):
+    path = tmp_path / "k.csv"
+    path.write_text(f"date,K\n2021-01-01,5000.0\n2021-01-02,{token}\n")
+    with pytest.raises(errors.ParseError, match="line 3"):
+        load_k(path)
+
+
+K_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e309",
+                     "-1e400", "0", "0.0", "-1", "5000"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(K_TOKENS, min_size=1, max_size=8))
+def test_load_k_rejects_or_returns_finite(tmp_path_factory, values):
+    """Any generated K file either raises InputError or loads as finite,
+    non-negative values."""
+    lines = ["date,K"] + [
+        f"{(date(2021, 1, 1) + timedelta(days=i)).isoformat()},{v}"
+        for i, v in enumerate(values)
+    ]
+    path = tmp_path_factory.mktemp("prop") / "k.csv"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        series = load_k(path)
+    except (errors.InputError, ValueError):
+        return
+    assert np.all(np.isfinite(series.values))
+    assert np.all(series.values >= 0)

@@ -12,6 +12,11 @@ from spillcast.cli import main
 from spillcast.synth import write_fixture
 
 
+# predict-* reject --k mean themselves; "ar" is no K method at all, so
+# argparse rejects it
+REJECTION = {"mean": "not supported for prediction", "ar": "invalid choice"}
+
+
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory, world):
     directory = tmp_path_factory.mktemp("fixture")
@@ -132,7 +137,7 @@ class TestOnsetCommands:
                      "--model", onset_model, "--config", fixture_dir["config"],
                      "--k", method, "--out", str(out)])
         assert code == 2
-        assert "not supported for prediction" in capsys.readouterr().err
+        assert REJECTION[method] in capsys.readouterr().err
         assert not (out / "risk.csv").exists()
 
 
@@ -190,7 +195,7 @@ class TestSeverityCommands:
                      "--config", fixture_dir["config"],
                      "--k", method, "--out", str(out)])
         assert code == 2
-        assert "not supported for prediction" in capsys.readouterr().err
+        assert REJECTION[method] in capsys.readouterr().err
         assert not (out / "severity.csv").exists()
 
 
@@ -352,3 +357,59 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+class TestKFileRule:
+    """One rule for a K file in every command: a simulated day the file
+    does not cover, or a K <= 0, is an input error (exit 2)."""
+
+    @staticmethod
+    def write_k(path, source, keep=lambda d: True, value=None):
+        lines = Path(source).read_text().splitlines()
+        body = [ln for ln in lines[1:] if keep(ln.split(",")[0])]
+        if value is not None:
+            body = [ln.split(",")[0] + f",{value}" for ln in body]
+        path.write_text("\n".join([lines[0], *body]) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["predict-onset", "predict-severity"])
+    def test_k_file_missing_target_days_exit_2(
+            self, tmp_path, fixture_dir, onset_model, severity_model, capsys,
+            command):
+        # predict-* used to fall back to the configured constant and exit 0
+        k_path = self.write_k(tmp_path / "k.csv", fixture_dir["k"],
+                              keep=lambda d: d < "2022-06")
+        model = onset_model if command == "predict-onset" else severity_model
+        out = tmp_path / "out"
+        code = main([command, "--weather", fixture_dir["weather"],
+                     "--cases", fixture_dir["cases"], "--model", model,
+                     "--config", fixture_dir["config"], "--mode", "short",
+                     "--k", "csv", "--k-file", k_path, "--out", str(out)])
+        assert code == 2
+        assert "K file does not cover" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "predict-onset"])
+    def test_all_zero_k_file_exit_2(self, tmp_path, fixture_dir, onset_model,
+                                    capsys, command):
+        # predict-onset used to floor K to 1e-6 and exit 0, simulate to
+        # exit 3 inside the model
+        k_path = self.write_k(tmp_path / "k.csv", fixture_dir["k"], value=0.0)
+        model = ["--model", onset_model] if command == "predict-onset" else []
+        code = main([command, "--weather", fixture_dir["weather"], *model,
+                     "--config", fixture_dir["config"],
+                     "--k", "csv", "--k-file", k_path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "K <= 0" in capsys.readouterr().err
+
+    def test_simulate_k_ar_rejected(self, tmp_path, fixture_dir, capsys):
+        # "ar" returned the calibrated series as-is and never ran an AR model
+        out = tmp_path / "sim"
+        code = main(["simulate", "--weather", fixture_dir["weather"],
+                     "--cases", fixture_dir["cases"],
+                     "--config", fixture_dir["config"],
+                     "--k", "ar", "--out", str(out)])
+        assert code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
