@@ -278,4 +278,6 @@ def load_k(path) -> KSeries:
             # float() accepts nan and inf; nan passes the K > 0 check
             if not math.isfinite(values[-1]):
                 raise ParseError(f"non-finite K value {row[1]!r}", lineno)
+            if values[-1] < 0.0:
+                raise ParseError(f"negative K value {row[1]!r}", lineno)
     return KSeries(tuple(dates), np.array(values))

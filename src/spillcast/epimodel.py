@@ -15,17 +15,21 @@ Integration is fixed-step RK4 (default 24 steps/day) with daily sampling
 at midnight; per-day temperature and carrying capacity are held constant
 across the day.
 
-``simulate`` integrates one run in pure Python; it is the reference.
-``simulate_runs`` is the year-runner for sets of independent runs (K grid
-x years, the years of an archive), each with its own weather, K, start
-state and optional seed pulse.  Where at least ``BATCH_MIN_WIDTH`` runs
-share a span of days it integrates them together as columns of a (16, w)
-numpy state; below that width it runs the scalar loop run by run.  Either
-way each run's trajectory is bit-identical to ``simulate``: the batch
-kernel performs every element's floating-point operations in the order
-``_rhs`` and the RK4 update do, and keeps their guards (force-of-infection
-and recruitment guards, negative clamp and its count, BlowUp, the K check,
-NonFiniteInput on a non-finite end state).
+``simulate`` integrates one run in pure Python; it is the reference.  Its
+scalar loop holds the state in local floats, writes the four RK4 stages
+out and evaluates the right-hand side through ``_day_rhs``, a function of
+the compartments built once per day from that day's rates and K; the same
+rates give the day's R0.  ``simulate_runs`` is the year-runner for sets
+of independent runs (K grid x years, the years of an archive), each with
+its own weather, K, start state and optional seed pulse.  Where at least
+``BATCH_MIN_WIDTH`` runs share a span of days it integrates them together
+as columns of a (16, w) numpy state; below that width it runs the scalar
+loop run by run.  Either way each run's trajectory is bit-identical to
+``simulate``: the batch kernel performs every element's floating-point
+operations in the order ``_day_rhs`` and the RK4 update do, and keeps
+their guards (force-of-infection and recruitment guards, negative clamp
+and its count, BlowUp, the K check, NonFiniteInput on a non-finite end
+state).
 """
 
 from __future__ import annotations
@@ -134,48 +138,57 @@ def default_init_state(cfg: Config) -> CompartmentState:
     )
 
 
-def _rhs(y, rates, k_cap):
-    """Right-hand side of the ODE system; y has 16 entries, the last being
-    cumulative new human infections."""
-    (h_s, h_e, h_i, h_r,
-     e_m, a_m, m_s, m_e, m_i,
-     e_b, f_b, b_s, b_e, b_i, b_r, _) = y
+def _day_rhs(rates, k_cap: float):
+    """The right-hand side of the ODE system for one day's thermal rates
+    (in ``_RATE_KEYS`` order) and carrying capacity.
+
+    Returns a function of the 15 compartments, in COMPARTMENTS order, that
+    returns their 15 derivatives followed by the rate of new human
+    infections (the derivative of the cumulative-infection accumulator).
+    The loss-rate sums are formed once here, with the expressions
+    ``_advance_batch`` uses."""
     (phi_m, nu_m, mu_a, mu_m, pdr,
      b_bm, b_mb, b_mh,
      phi_b, mat_b, mu_b, delta_b, lam_b, mu_wb,
      eps_h, gam_h) = rates
+    aquatic_out = nu_m + mu_a
+    m_e_out = pdr + mu_m
+    bird_young_out = mat_b + mu_b
+    b_e_out = delta_b + mu_b
+    b_i_out = lam_b + mu_wb + mu_b
 
-    n_b = b_s + b_e + b_i + b_r
-    n_h = h_s + h_e + h_i + h_r
-    m_tot = m_s + m_e + m_i
+    def rhs(h_s, h_e, h_i, h_r, e_m, a_m, m_s, m_e, m_i,
+            e_b, f_b, b_s, b_e, b_i, b_r):
+        n_b = b_s + b_e + b_i + b_r
+        n_h = h_s + h_e + h_i + h_r
+        if n_b > 0.0:
+            foi_m = b_bm * b_i / n_b
+            foi_b = b_mb * m_i / n_b
+        else:
+            foi_m = foi_b = 0.0
+        foi_h = b_mh * m_i / n_h if n_h > 0.0 else 0.0
+        room = 1.0 - a_m / k_cap
+        new_h = foi_h * h_s
+        return (
+            -new_h,
+            new_h - eps_h * h_e,
+            eps_h * h_e - gam_h * h_i,
+            gam_h * h_i,
+            phi_m * (m_s + m_e + m_i) - aquatic_out * e_m,
+            nu_m * e_m * (room if room > 0.0 else 0.0) - aquatic_out * a_m,
+            nu_m * a_m - foi_m * m_s - mu_m * m_s,
+            foi_m * m_s - m_e_out * m_e,
+            pdr * m_e - mu_m * m_i,
+            phi_b * n_b - bird_young_out * e_b,
+            mat_b * e_b - bird_young_out * f_b,
+            mat_b * f_b - foi_b * b_s - mu_b * b_s,
+            foi_b * b_s - b_e_out * b_e,
+            delta_b * b_e - b_i_out * b_i,
+            lam_b * b_i - mu_b * b_r,
+            new_h,
+        )
 
-    foi_m = b_bm * b_i / n_b if n_b > 0.0 else 0.0
-    foi_b = b_mb * m_i / n_b if n_b > 0.0 else 0.0
-    foi_h = b_mh * m_i / n_h if n_h > 0.0 else 0.0
-
-    room = 1.0 - a_m / k_cap
-    recruit = nu_m * e_m * (room if room > 0.0 else 0.0)
-
-    new_h = foi_h * h_s
-
-    return (
-        -new_h,
-        new_h - eps_h * h_e,
-        eps_h * h_e - gam_h * h_i,
-        gam_h * h_i,
-        phi_m * m_tot - (nu_m + mu_a) * e_m,
-        recruit - (nu_m + mu_a) * a_m,
-        nu_m * a_m - foi_m * m_s - mu_m * m_s,
-        foi_m * m_s - (pdr + mu_m) * m_e,
-        pdr * m_e - mu_m * m_i,
-        phi_b * n_b - (mat_b + mu_b) * e_b,
-        mat_b * e_b - (mat_b + mu_b) * f_b,
-        mat_b * f_b - foi_b * b_s - mu_b * b_s,
-        foi_b * b_s - (delta_b + mu_b) * b_e,
-        delta_b * b_e - (lam_b + mu_wb + mu_b) * b_i,
-        lam_b * b_i - mu_b * b_r,
-        new_h,
-    )
+    return rhs
 
 
 class StateDerivative:
@@ -198,8 +211,8 @@ def derivatives(state: CompartmentState, params: ModelParams, temp: float,
     carrying capacity ``k_cap`` (> 0)."""
     if not math.isfinite(temp) or not math.isfinite(k_cap) or k_cap <= 0.0:
         raise NonFiniteInput(f"temp={temp}, K={k_cap}")
-    y = state.as_list() + [0.0]
-    return StateDerivative(_rhs(y, params.daily_rates(temp), k_cap))
+    rhs = _day_rhs(params.daily_rates(temp), k_cap)
+    return StateDerivative(rhs(*state.as_list())[:15])
 
 
 @dataclass(frozen=True)
@@ -232,19 +245,17 @@ def r0_inputs_for_day(params: ModelParams, temp: float, m_s: float,
                       b_s: float) -> r0mod.R0Inputs:
     """Assemble the reproduction-number inputs from one day's thermal rates
     and susceptible counts."""
-    rates = params.rates
+    return _r0_inputs(params.daily_rates(temp), m_s, b_s)
+
+
+def _r0_inputs(rates, m_s: float, b_s: float) -> r0mod.R0Inputs:
+    """R0 inputs from one day's rates in ``_RATE_KEYS`` order."""
+    (_, _, _, mu_m, pdr, b_bm, b_mb, _,
+     _, _, mu_b, delta_b, lam_b, mu_wb, _, _) = rates
     return r0mod.R0Inputs(
-        beta_b_to_m=eval_thermal(rates["beta_b_to_m"], temp),
-        delta_b=eval_thermal(rates["bird_incubation"], temp),
-        mu_b=eval_thermal(rates["bird_mort"], temp),
-        lambda_b=eval_thermal(rates["bird_recovery"], temp),
-        mu_wnd_b=eval_thermal(rates["bird_wnd_mort"], temp),
-        beta_m_to_b=eval_thermal(rates["beta_m_to_b"], temp),
-        pdr=eval_thermal(rates["pdr"], temp),
-        mu_m=eval_thermal(rates["adult_mort"], temp),
-        m_s=m_s,
-        b_s=b_s,
-    )
+        beta_b_to_m=b_bm, delta_b=delta_b, mu_b=mu_b, lambda_b=lam_b,
+        mu_wnd_b=mu_wb, beta_m_to_b=b_mb, pdr=pdr, mu_m=mu_m,
+        m_s=m_s, b_s=b_s)
 
 
 def _k_array(k_series, n: int) -> np.ndarray:
@@ -265,37 +276,91 @@ def _advance(params: ModelParams, weather: WeatherSeries, k_arr, y: list,
     """Integrate days [lo, hi) from the 16-entry state ``y`` (the last
     entry is the cumulative-infection accumulator), writing day i into row
     i of ``out`` = (states, m, r0, new_infections).  Returns the state
-    after day hi - 1 and the number of clamped values."""
+    after day hi - 1 and the number of clamped values.
+
+    The state lives in local floats and the four RK4 stages are written
+    out with ``half = 0.5 * h`` and ``sixth = h / 6.0``, the factors that
+    ``0.5 * h * k`` and ``h / 6.0 * (...)`` form in a list-based RK4, so
+    every float equals that loop's (tests/test_epimodel.py keeps it as the
+    oracle)."""
     states, m_prof, r0_daily, new_inf = out
+    rho = params.rho
     h = 1.0 / steps_per_day
+    half = 0.5 * h
+    sixth = h / 6.0
     clamps = 0
 
-    for i in range(lo, hi):
+    temps = weather.temp_mean[lo:hi]
+    span_rates = zip(*(eval_thermal_array(params.rates[key], temps).tolist()
+                       for key in _RATE_KEYS))
+    for i, rates, k_cap in zip(range(lo, hi), span_rates, k_arr[lo:hi].tolist()):
         states[i] = y[:15]
         m_prof[i] = y[6] + y[7] + y[8]
-        temp = float(weather.temp_mean[i])
-        r0_daily[i] = r0mod.r0(r0_inputs_for_day(params, temp, y[6], y[11]))
+        r0_daily[i] = r0mod.r0(_r0_inputs(rates, y[6], y[11]))
+        rhs = _day_rhs(rates, k_cap)
 
-        rates = params.daily_rates(temp)
-        k_cap = float(k_arr[i])
-        cum_before = y[15]
+        (h_s, h_e, h_i, h_r, e_m, a_m, m_s, m_e, m_i,
+         e_b, f_b, b_s, b_e, b_i, b_r, cum) = y
+        cum_before = cum
         for _ in range(steps_per_day):
-            k1 = _rhs(y, rates, k_cap)
-            y2 = [a + 0.5 * h * b for a, b in zip(y, k1)]
-            k2 = _rhs(y2, rates, k_cap)
-            y3 = [a + 0.5 * h * b for a, b in zip(y, k2)]
-            k3 = _rhs(y3, rates, k_cap)
-            y4 = [a + h * b for a, b in zip(y, k3)]
-            k4 = _rhs(y4, rates, k_cap)
-            y = [
-                a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-            ]
-            for j in range(15):
-                if y[j] < 0.0:
-                    y[j] = 0.0
-                    clamps += 1
-        new_inf[i] = params.rho * (y[15] - cum_before)
+            k1 = rhs(h_s, h_e, h_i, h_r, e_m, a_m, m_s, m_e, m_i,
+                     e_b, f_b, b_s, b_e, b_i, b_r)
+            k2 = rhs(h_s + half * k1[0], h_e + half * k1[1],
+                     h_i + half * k1[2], h_r + half * k1[3],
+                     e_m + half * k1[4], a_m + half * k1[5],
+                     m_s + half * k1[6], m_e + half * k1[7],
+                     m_i + half * k1[8], e_b + half * k1[9],
+                     f_b + half * k1[10], b_s + half * k1[11],
+                     b_e + half * k1[12], b_i + half * k1[13],
+                     b_r + half * k1[14])
+            k3 = rhs(h_s + half * k2[0], h_e + half * k2[1],
+                     h_i + half * k2[2], h_r + half * k2[3],
+                     e_m + half * k2[4], a_m + half * k2[5],
+                     m_s + half * k2[6], m_e + half * k2[7],
+                     m_i + half * k2[8], e_b + half * k2[9],
+                     f_b + half * k2[10], b_s + half * k2[11],
+                     b_e + half * k2[12], b_i + half * k2[13],
+                     b_r + half * k2[14])
+            k4 = rhs(h_s + h * k3[0], h_e + h * k3[1],
+                     h_i + h * k3[2], h_r + h * k3[3],
+                     e_m + h * k3[4], a_m + h * k3[5],
+                     m_s + h * k3[6], m_e + h * k3[7],
+                     m_i + h * k3[8], e_b + h * k3[9],
+                     f_b + h * k3[10], b_s + h * k3[11],
+                     b_e + h * k3[12], b_i + h * k3[13],
+                     b_r + h * k3[14])
+            h_s += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            h_e += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            h_i += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            h_r += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+            e_m += sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
+            a_m += sixth * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
+            m_s += sixth * (k1[6] + 2.0 * k2[6] + 2.0 * k3[6] + k4[6])
+            m_e += sixth * (k1[7] + 2.0 * k2[7] + 2.0 * k3[7] + k4[7])
+            m_i += sixth * (k1[8] + 2.0 * k2[8] + 2.0 * k3[8] + k4[8])
+            e_b += sixth * (k1[9] + 2.0 * k2[9] + 2.0 * k3[9] + k4[9])
+            f_b += sixth * (k1[10] + 2.0 * k2[10] + 2.0 * k3[10] + k4[10])
+            b_s += sixth * (k1[11] + 2.0 * k2[11] + 2.0 * k3[11] + k4[11])
+            b_e += sixth * (k1[12] + 2.0 * k2[12] + 2.0 * k3[12] + k4[12])
+            b_i += sixth * (k1[13] + 2.0 * k2[13] + 2.0 * k3[13] + k4[13])
+            b_r += sixth * (k1[14] + 2.0 * k2[14] + 2.0 * k3[14] + k4[14])
+            cum += sixth * (k1[15] + 2.0 * k2[15] + 2.0 * k3[15] + k4[15])
+            # min() skips NaNs after its first argument and returns NaN if
+            # that one is NaN, so "not >= 0" holds whenever some value is
+            # below zero; the clamp itself then goes value by value.
+            if not min(h_s, h_e, h_i, h_r, e_m, a_m, m_s, m_e, m_i,
+                       e_b, f_b, b_s, b_e, b_i, b_r) >= 0.0:
+                y = [h_s, h_e, h_i, h_r, e_m, a_m, m_s, m_e, m_i,
+                     e_b, f_b, b_s, b_e, b_i, b_r]
+                for j in range(15):
+                    if y[j] < 0.0:
+                        y[j] = 0.0
+                        clamps += 1
+                (h_s, h_e, h_i, h_r, e_m, a_m, m_s, m_e, m_i,
+                 e_b, f_b, b_s, b_e, b_i, b_r) = y
+        y = [h_s, h_e, h_i, h_r, e_m, a_m, m_s, m_e, m_i,
+             e_b, f_b, b_s, b_e, b_i, b_r, cum]
+        new_inf[i] = rho * (cum - cum_before)
         if any(v > BLOWUP_LIMIT for v in y):
             raise BlowUp(f"compartment exceeded {BLOWUP_LIMIT:g} on {weather.dates[i]}")
     return y, clamps
@@ -354,11 +419,12 @@ SEED_BIRDS = 20.0
 
 # Number of runs from which simulate_runs integrates a span of days as one
 # numpy batch rather than run by run.  A batch day costs about 3600 numpy
-# calls on small arrays whatever its width; a scalar run-day is ~0.4 ms of
+# calls on small arrays whatever its width; a scalar run-day is ~0.25 ms of
 # pure Python.  On a 2-core x86-64 machine (100-day spans, 24 steps/day,
-# median of 9 interleaved trials) the batch ran 0.86x the scalar loop at
-# 10 runs, 0.97x at 11, 1.22x at 12 and 2.9x at 30.
-BATCH_MIN_WIDTH = 12
+# median of 9 interleaved trials) the batch ran 0.91x the scalar loop at
+# 16 runs, 0.96x at 17, 1.03x at 18, 1.12x at 20 and (7 trials) 1.75x at
+# 30.
+BATCH_MIN_WIDTH = 18
 
 
 @dataclass(frozen=True)
@@ -452,18 +518,18 @@ def _advance_batch(params: ModelParams, weathers, k_arrs, y: np.ndarray,
     column per run, and column c is written into ``outs[c]``.  Returns the
     final (16, w) state and the per-run clamp counts.
 
-    Every element goes through the floating-point operations of ``_rhs``
-    and the RK4 update in ``_advance``, in the same order, so each column
-    is bit-identical to the scalar loop.  The per-day coefficient sums of
-    ``_rhs`` (such as nu_m + mu_a) are formed once per day with the same
-    expressions.
+    Every element goes through the floating-point operations of
+    ``_day_rhs`` and the RK4 update in ``_advance``, in the same order, so
+    each column is bit-identical to the scalar loop.  The per-day
+    coefficient sums (such as nu_m + mu_a) are formed once per day with the
+    expressions ``_day_rhs`` uses.
     """
     w = y.shape[1]
     temps = np.stack([np.asarray(wx.temp_mean[lo:hi], dtype=float)
                       for wx in weathers], axis=1)
     k_cap = np.stack([k[lo:hi] for k in k_arrs], axis=1)
     curves = [params.rates[key] for key in _RATE_KEYS]
-    # _rhs row r (1 <= r <= 14) is "gain - loss[r] * y[r]"; most gains are
+    # _day_rhs row r (1 <= r <= 14) is "gain - loss[r] * y[r]"; most gains are
     # gain[r] * y[r - 1].  Rows 1, 7 and 12 of gain take the forces of
     # infection on every evaluation.
     gain = np.zeros((16, w))
@@ -551,7 +617,7 @@ def _batch_r0(bird_num, d1, d2, mosq_num, mu_m, pdr_mu_m):
 
 
 def _batch_rhs(y, gain, loss, b_bm, b_mb, b_mh, phi_m, phi_b, k_cap):
-    """``_rhs`` for a (16, w) state; see ``_advance_batch``."""
+    """``_day_rhs`` for a (16, w) state; see ``_advance_batch``."""
     (h_s, h_e, h_i, h_r,
      e_m, a_m, m_s, m_e, m_i,
      e_b, f_b, b_s, b_e, b_i, b_r, _) = y
@@ -581,7 +647,7 @@ def _batch_rhs(y, gain, loss, b_bm, b_mb, b_mh, phi_m, phi_b, k_cap):
 
 def _divide_where_positive(population, *pairs) -> None:
     """For each (numerator, out) pair, out = numerator / population where
-    population > 0 and 0.0 elsewhere: the guards of ``_rhs``."""
+    population > 0 and 0.0 elsewhere: the guards of ``_day_rhs``."""
     if np.minimum.reduce(population) > 0.0:     # False for NaN: guarded path
         for numerator, out in pairs:
             np.divide(numerator, population, out=out)

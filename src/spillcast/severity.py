@@ -172,12 +172,36 @@ def poisson_pmf(x: int, lam: float) -> float:
     if lam == 0.0:
         return 1.0 if x == 0 else 0.0
     if x > 20:
-        # scipy's gammaln, not math.lgamma: they differ in the last bit
-        # (e.g. x = 22, 26), which would move posteriors.  Imported here so
-        # that importing this module does not load scipy.
-        from scipy.special import gammaln
-        return float(math.exp(x * math.log(lam) - lam - gammaln(x + 1)))
+        # log x! from the Stirling series that scipy's gammaln uses here
+        log_pmf = x * math.log(lam) - lam - _lgamma_stirling(float(x + 1))
+        return float(math.exp(log_pmf))
     return float(math.exp(-lam) * lam**x / math.factorial(x))
+
+
+# log sqrt(2 pi) and the Stirling-series coefficients of cephes lgam
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+
+
+def _lgamma_stirling(x: float) -> float:
+    """log Gamma(x) for x >= 13: the Stirling branch of cephes ``lgam``,
+    operation for operation, so it equals scipy.special.gammaln there
+    (math.lgamma differs in the last bit, e.g. at 23 and 27, which would
+    move posteriors) without loading scipy."""
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = _STIRLING[0]
+    for coef in _STIRLING[1:]:
+        series = series * p + coef
+    return q + series / x
 
 
 def _poisson_pmf_grid(x: int, lam: np.ndarray) -> np.ndarray:

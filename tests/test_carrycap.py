@@ -341,6 +341,14 @@ def test_load_k_rejects_non_finite(tmp_path, token):
         load_k(path)
 
 
+@pytest.mark.parametrize("token", ["-1", "-0.5", "-1e300"])
+def test_load_k_rejects_negative_with_line(tmp_path, token):
+    path = tmp_path / "k.csv"
+    path.write_text(f"date,K\n2021-01-01,5000.0\n2021-01-02,{token}\n")
+    with pytest.raises(errors.ParseError, match="line 3"):
+        load_k(path)
+
+
 K_TOKENS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e309",
@@ -361,7 +369,7 @@ def test_load_k_rejects_or_returns_finite(tmp_path_factory, values):
     path.write_text("\n".join(lines) + "\n")
     try:
         series = load_k(path)
-    except (errors.InputError, ValueError):
+    except errors.InputError:
         return
     assert np.all(np.isfinite(series.values))
     assert np.all(series.values >= 0)

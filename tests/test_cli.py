@@ -359,6 +359,34 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_severity_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,
+                                         severity_model):
+    """estimate-severity and predict-severity run without scipy: the
+    log-space Poisson pmf uses its own log-gamma."""
+    src = str(Path(spillcast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    data = ["--weather", fixture_dir["weather"],
+            "--config", fixture_dir["config"]]
+    commands = {
+        "estimate": ["estimate-severity", *data, "--model", severity_model],
+        "predict": ["predict-severity", *data, "--cases", fixture_dir["cases"],
+                    "--model", severity_model, "--mode", "short",
+                    "--onset-model", onset_model],
+    }
+    probe = ("import sys; from spillcast.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    for name, argv in commands.items():
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv, "--out", str(out)],
+            env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "0 []", name
+        assert (out / "severity.csv").exists()
+
+
 class TestKFileRule:
     """One rule for a K file in every command: a simulated day the file
     does not cover, or a K <= 0, is an input error (exit 2)."""

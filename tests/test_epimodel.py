@@ -17,6 +17,7 @@ from spillcast.epimodel import (
     Trajectory,
     default_init_state,
     derivatives,
+    r0_inputs_for_day,
     seeded_year_trajectory,
     simulate,
     simulate_runs,
@@ -24,6 +25,8 @@ from spillcast.epimodel import (
     weekly_expected_cases,
 )
 from spillcast.ingest import WeatherSeries
+from spillcast.r0 import r0
+from spillcast.thermal import ThermalCurve
 
 from tests.conftest import constant_weather, sinusoid_weather
 
@@ -168,6 +171,217 @@ class TestSimulate:
         t_half = simulate(ModelParams.from_config(half), wx, k, init_half)
         assert np.allclose(t_half.new_infections, 0.5 * t_full.new_infections,
                            rtol=1e-12, atol=1e-15)
+
+
+# --- simulate against the original list-based RK4 loop ----------------------
+
+def reference_rhs(y, rates, k_cap):
+    """The original tuple-building right-hand side, kept verbatim."""
+    (h_s, h_e, h_i, h_r,
+     e_m, a_m, m_s, m_e, m_i,
+     e_b, f_b, b_s, b_e, b_i, b_r, _) = y
+    (phi_m, nu_m, mu_a, mu_m, pdr,
+     b_bm, b_mb, b_mh,
+     phi_b, mat_b, mu_b, delta_b, lam_b, mu_wb,
+     eps_h, gam_h) = rates
+
+    n_b = b_s + b_e + b_i + b_r
+    n_h = h_s + h_e + h_i + h_r
+    m_tot = m_s + m_e + m_i
+
+    foi_m = b_bm * b_i / n_b if n_b > 0.0 else 0.0
+    foi_b = b_mb * m_i / n_b if n_b > 0.0 else 0.0
+    foi_h = b_mh * m_i / n_h if n_h > 0.0 else 0.0
+
+    room = 1.0 - a_m / k_cap
+    recruit = nu_m * e_m * (room if room > 0.0 else 0.0)
+
+    new_h = foi_h * h_s
+
+    return (
+        -new_h,
+        new_h - eps_h * h_e,
+        eps_h * h_e - gam_h * h_i,
+        gam_h * h_i,
+        phi_m * m_tot - (nu_m + mu_a) * e_m,
+        recruit - (nu_m + mu_a) * a_m,
+        nu_m * a_m - foi_m * m_s - mu_m * m_s,
+        foi_m * m_s - (pdr + mu_m) * m_e,
+        pdr * m_e - mu_m * m_i,
+        phi_b * n_b - (mat_b + mu_b) * e_b,
+        mat_b * e_b - (mat_b + mu_b) * f_b,
+        mat_b * f_b - foi_b * b_s - mu_b * b_s,
+        foi_b * b_s - (delta_b + mu_b) * b_e,
+        delta_b * b_e - (lam_b + mu_wb + mu_b) * b_i,
+        lam_b * b_i - mu_b * b_r,
+        new_h,
+    )
+
+
+def reference_simulate(params, weather, k_series, init, steps_per_day=24):
+    """The original list-comprehension RK4 loop of ``simulate``, kept
+    verbatim as the oracle for the straight-line integrator."""
+    n = len(weather)
+    k_arr = epimodel._k_array(k_series, n)
+    states, m_prof, r0_daily, new_inf = (
+        np.empty((n, 15)), np.empty(n), np.empty(n), np.empty(n))
+    y = init.as_list() + [0.0]
+    h = 1.0 / steps_per_day
+    clamps = 0
+
+    for i in range(n):
+        states[i] = y[:15]
+        m_prof[i] = y[6] + y[7] + y[8]
+        temp = float(weather.temp_mean[i])
+        r0_daily[i] = r0(r0_inputs_for_day(params, temp, y[6], y[11]))
+
+        rates = params.daily_rates(temp)
+        k_cap = float(k_arr[i])
+        cum_before = y[15]
+        for _ in range(steps_per_day):
+            k1 = reference_rhs(y, rates, k_cap)
+            y2 = [a + 0.5 * h * b for a, b in zip(y, k1)]
+            k2 = reference_rhs(y2, rates, k_cap)
+            y3 = [a + 0.5 * h * b for a, b in zip(y, k2)]
+            k3 = reference_rhs(y3, rates, k_cap)
+            y4 = [a + h * b for a, b in zip(y, k3)]
+            k4 = reference_rhs(y4, rates, k_cap)
+            y = [
+                a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+            ]
+            for j in range(15):
+                if y[j] < 0.0:
+                    y[j] = 0.0
+                    clamps += 1
+        new_inf[i] = params.rho * (y[15] - cum_before)
+        if any(v > epimodel.BLOWUP_LIMIT for v in y):
+            raise errors.BlowUp(f"compartment exceeded {epimodel.BLOWUP_LIMIT:g}"
+                                f" on {weather.dates[i]}")
+    return Trajectory(
+        dates=weather.dates, states=states, m=m_prof, r0=r0_daily,
+        new_infections=new_inf, weather=weather, clamp_count=clamps,
+        end_state=CompartmentState.from_values(y[:15]),
+    )
+
+
+# Rate sets that drive every branch of the integrator: the defaults;
+# WND mortality fast enough that coarse steps overshoot below zero (the
+# clamp); an exploding mosquito cycle (BlowUp, or overflow to a non-finite
+# end state); and zero mortalities, for r0's zero-denominator rule.
+ORACLE_PARAMS = {
+    "default": ModelParams.from_config(Config()),
+    "stiff": ModelParams.from_config(
+        Config(rates={"bird_wnd_mort": "constant,3.0"})),
+    "explosive": ModelParams.from_config(
+        Config(rates={"egg_laying": "constant,500.0",
+                      "aquatic_dev": "constant,5.0",
+                      "aquatic_mort": "constant,0.001",
+                      "adult_mort": "constant,0.001"})),
+    "zero_mortality": ModelParams.from_config(
+        Config(rates={"adult_mort": "quadratic,1.0e-3,15.0,40.0",
+                      "bird_mort": "constant,0.0",
+                      "bird_recovery": "constant,0.0",
+                      "bird_wnd_mort": "constant,0.0"})),
+}
+
+
+@st.composite
+def oracle_cases(draw):
+    """One run: random weather, scalar or per-day K from small (recruitment
+    room <= 0) to huge, and a default, random, bird-free or human-free
+    start state."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 30))
+    start = date(2021, 1, 1) + timedelta(days=int(rng.integers(0, 365)))
+    wx = WeatherSeries(
+        tuple(start + timedelta(days=i) for i in range(n)),
+        rng.uniform(-5.0, 42.0, n), rng.uniform(0.0, 100.0, n),
+        rng.uniform(0.0, 10.0, n))
+    k_lo, k_hi = draw(st.sampled_from(((1.0, 500.0), (100.0, 20000.0),
+                                       (1e6, 1e9))))
+    k = (float(rng.uniform(k_lo, k_hi)) if draw(st.booleans())
+         else rng.uniform(k_lo, k_hi, n))
+    kind = draw(st.sampled_from(("default", "random", "no_birds",
+                                 "no_humans")))
+    values = dict(zip(COMPARTMENTS, rng.uniform(0.0, 3000.0, 15)))
+    if kind == "default":
+        values = default_init_state(Config()).__dict__
+    elif kind == "no_birds":
+        values.update(E_B=0.0, F_B=0.0, B_S=0.0, B_E=0.0, B_I=0.0, B_R=0.0)
+    elif kind == "no_humans":
+        values.update(H_S=0.0, H_E=0.0, H_I=0.0, H_R=0.0)
+    return wx, k, CompartmentState(**values)
+
+
+class TestSimulateOracle:
+    @given(case=oracle_cases(),
+           rates=st.sampled_from((*sorted(ORACLE_PARAMS), "random")),
+           rate_seed=st.integers(0, 2**32 - 1),
+           steps=st.sampled_from((1, 2, 3, 24)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_list_based_rk4(self, case, rates, rate_seed, steps):
+        wx, k, init = case
+        if rates == "random":
+            # arbitrary constants, so that no rounding coincidence of the
+            # configured values can hide a reordered sum
+            values = np.random.default_rng(rate_seed).uniform(0.0, 0.6, 16)
+            params = ModelParams(rates={
+                key: ThermalCurve.constant(float(v))
+                for key, v in zip(epimodel._RATE_KEYS, values)})
+        else:
+            params = ORACLE_PARAMS[rates]
+        try:
+            want = reference_simulate(params, wx, k, init, steps_per_day=steps)
+        except errors.SpillcastError as exc:
+            with pytest.raises(errors.SpillcastError) as got:
+                simulate(params, wx, k, init, steps_per_day=steps)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return
+        assert_same_trajectory(simulate(params, wx, k, init,
+                                        steps_per_day=steps), want)
+
+    @pytest.mark.parametrize("rates, k, expected", [
+        ("default", 50.0, "room <= 0"),
+        ("stiff", 5000.0, "clamp"),
+        ("explosive", 1e9, errors.BlowUp),
+        ("zero_mortality", 5000.0, errors.ZeroDenominator),
+    ])
+    def test_every_rate_set_reaches_its_branch(self, rates, k, expected):
+        """The oracle's rate sets hit what they are there for: A_M above K
+        (no recruitment room), clamps, BlowUp and ZeroDenominator."""
+        wx = sinusoid_weather(20, base=14.0, amp=1.0)
+        init = CompartmentState(**dict(zip(
+            COMPARTMENTS, np.random.default_rng(1).uniform(0.0, 3000.0, 15))))
+        params = ORACLE_PARAMS[rates]
+        if not isinstance(expected, str):
+            for integrate in (reference_simulate, simulate):
+                with pytest.raises(expected):
+                    integrate(params, wx, k, init, steps_per_day=2)
+            return
+        want = reference_simulate(params, wx, k, init, steps_per_day=1)
+        if expected == "clamp":
+            assert want.clamp_count > 0
+        else:
+            assert want.states[0, COMPARTMENTS.index("A_M")] > k
+        assert_same_trajectory(
+            simulate(params, wx, k, init, steps_per_day=1), want)
+
+    def test_derivatives_equal_list_based_rhs(self, default_params):
+        rng = np.random.default_rng(7)
+        for kind in ("random", "no_birds", "no_humans"):
+            values = dict(zip(COMPARTMENTS, rng.uniform(0.0, 1000.0, 15)))
+            if kind == "no_birds":
+                values.update(B_S=0.0, B_E=0.0, B_I=0.0, B_R=0.0)
+            elif kind == "no_humans":
+                values.update(H_S=0.0, H_E=0.0, H_I=0.0, H_R=0.0)
+            state = CompartmentState(**values)
+            for temp, k_cap in ((25.0, 5000.0), (12.0, 10.0), (39.0, 1e8)):
+                want = reference_rhs(state.as_list() + [0.0],
+                                     default_params.daily_rates(temp), k_cap)
+                got = derivatives(state, default_params, temp, k_cap)
+                assert got.as_list() == list(want[:15])
 
 
 def test_weekly_expected_cases_sums_days(default_cfg, default_params):

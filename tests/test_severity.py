@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from datetime import date, timedelta
 
+from scipy.special import gammaln
 from scipy.stats import poisson as scipy_poisson
 
-from spillcast import errors
+from spillcast import errors, severity
 from spillcast.config import Config
 from spillcast.epimodel import ModelParams, default_init_state, simulate
 from spillcast.ingest import CaseSeries
@@ -57,6 +58,21 @@ class TestPoissonPmf:
             for lam in (0.5, 10.0, 50.0):
                 assert poisson_pmf(x, lam) == pytest.approx(
                     float(scipy_poisson.pmf(x, lam)), rel=1e-10)
+
+    def test_log_gamma_equals_scipy_gammaln_exactly(self):
+        # every argument poisson_pmf can pass (x + 1 >= 22) up to 300000,
+        # then a sparse sweep across the three Stirling regimes
+        args = np.concatenate([np.arange(22.0, 300001.0),
+                               np.unique(np.logspace(5.5, 12.0, 2000).round())])
+        want = gammaln(args).tolist()
+        got = [severity._lgamma_stirling(a) for a in args.tolist()]
+        assert got == want
+
+    def test_log_space_branch_is_scipys_formula(self):
+        for x in (21, 22, 26, 99, 1000, 5000):
+            for lam in (0.5, 10.0, 50.0, 3000.0):
+                want = math.exp(x * math.log(lam) - lam - gammaln(x + 1))
+                assert poisson_pmf(x, lam) == want
 
     def test_mass_sums_to_one(self):
         for lam in (0.1, 1.0, 10.0, 50.0):
