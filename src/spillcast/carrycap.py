@@ -3,9 +3,9 @@
 Historical K is calibrated per calendar year by grid search: the level
 whose simulated weekly reported cases best match the observed counts
 (squared error) wins, ties going to the smaller K.  Prediction offers
-day-of-year averaging across years (CLI ``--k mean``), per-precipitation-
-bin planes K = a*T + b*H + c fitted to history (``--k plane``), and a
-short-term AR extrapolation that no CLI method uses.
+day-of-year averaging across years (CLI ``--k mean``) and per-
+precipitation-bin planes K = a*T + b*H + c fitted to history
+(``--k plane``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import weathercast
 from .epimodel import (
     SEED_BIRDS,
     SEED_DAY,
@@ -79,9 +78,9 @@ def calibrate_K(weather: WeatherSeries, cases: CaseSeries, params: ModelParams,
     selected (ties break to the smaller K).  Partial edge years inherit the
     nearest calibrated year's level.
 
-    All years x levels go to ``simulate_runs`` as one set of runs, so a
-    wide grid is integrated as a numpy batch; each run's trajectory is
-    bit-identical to ``seeded_year_trajectory`` on its own.
+    All years x levels go to ``simulate_runs`` as one set of runs; each
+    run's trajectory is bit-identical to ``seeded_year_trajectory`` on its
+    own.
     """
     grid = sorted(float(k) for k in grid)
     if not grid:
@@ -146,17 +145,6 @@ def predict_K_mean(history: KSeries, target_year: int | None = None) -> KSeries:
             vals = by_doy.get((2, 28), [float(np.mean(history.values))])
         values[i] = np.mean(vals)
     return KSeries(dates, values)
-
-
-def predict_K_ar(history: KSeries, lead: int, order: int = 7) -> KSeries:
-    """Short-term AR extrapolation of the K series."""
-    if lead < 1:
-        return KSeries((), np.array([]))
-    model = weathercast.fit_ar(history.values, order)
-    values = weathercast.forecast(model, history.values, lead)
-    start = history.dates[-1] + timedelta(days=1)
-    dates = tuple(start + timedelta(days=i) for i in range(lead))
-    return KSeries(dates, np.maximum(values, 0.0))
 
 
 @dataclass(frozen=True)

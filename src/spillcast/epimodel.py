@@ -15,36 +15,43 @@ Integration is fixed-step RK4 (default 24 steps/day) with daily sampling
 at midnight; per-day temperature and carrying capacity are held constant
 across the day.
 
-``simulate`` integrates one run in pure Python; it is the reference.  Its
-scalar loop holds the state in local floats, writes the four RK4 stages
-out and evaluates the right-hand side through ``_day_rhs``, a function of
-the compartments built once per day from that day's rates and K; the same
-rates give the day's R0.  ``simulate_runs`` is the year-runner for sets
-of independent runs (K grid x years, the years of an archive), each with
-its own weather, K, start state and optional seed pulse.  Where at least
-``BATCH_MIN_WIDTH`` runs share a span of days it integrates them together
-as columns of a (16, w) numpy state; below that width it runs the scalar
-loop run by run.  Either way each run's trajectory is bit-identical to
-``simulate``: the batch kernel performs every element's floating-point
-operations in the order ``_day_rhs`` and the RK4 update do, and keeps
-their guards (force-of-infection and recruitment guards, negative clamp
-and its count, BlowUp, the K check, NonFiniteInput on a non-finite end
-state).
+``simulate`` integrates one run; ``simulate_runs`` is the year-runner for
+sets of independent runs (K grid x years, the years of an archive), each
+with its own weather, K, start state and optional seed pulse, simulated
+one after another.  Both advance days through ``spillcast_advance`` in
+``_rk4.c``, a C port of the day loop that the first simulation of a
+process compiles and caches in ``__pycache__``.  It keeps the operation
+order of ``_advance``, the straight-line Python loop, which is the oracle
+and the fallback when no C compiler is available (``kernel()`` tells
+which is in use).  ``_advance`` holds the state in local floats, writes
+the four RK4 stages out and evaluates the right-hand side through
+``_day_rhs``, a function of the compartments built once per day from that
+day's rates and K; the same rates give the day's R0.  Either loop keeps
+every guard (force-of-infection and recruitment guards, negative clamp
+and its count, r0's zero-denominator rule, BlowUp), so the two give the
+same floats bit for bit and raise the same errors on the same day.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import math
+import operator
+import os
+import tempfile
 from dataclasses import dataclass, replace
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 
-from . import r0 as r0mod
 from .config import Config
 from .errors import BlowUp, LengthMismatch, NonFiniteInput, ZeroDenominator
 from .ingest import WeatherSeries
+from .r0 import R0Inputs, r0
 from .thermal import eval_thermal, eval_thermal_array
 
 BLOWUP_LIMIT = 1e12
@@ -146,7 +153,7 @@ def _day_rhs(rates, k_cap: float):
     returns their 15 derivatives followed by the rate of new human
     infections (the derivative of the cumulative-infection accumulator).
     The loss-rate sums are formed once here, with the expressions
-    ``_advance_batch`` uses."""
+    ``day_init`` in ``_rk4.c`` uses."""
     (phi_m, nu_m, mu_a, mu_m, pdr,
      b_bm, b_mb, b_mh,
      phi_b, mat_b, mu_b, delta_b, lam_b, mu_wb,
@@ -242,17 +249,17 @@ class Trajectory:
 
 
 def r0_inputs_for_day(params: ModelParams, temp: float, m_s: float,
-                      b_s: float) -> r0mod.R0Inputs:
+                      b_s: float) -> R0Inputs:
     """Assemble the reproduction-number inputs from one day's thermal rates
     and susceptible counts."""
     return _r0_inputs(params.daily_rates(temp), m_s, b_s)
 
 
-def _r0_inputs(rates, m_s: float, b_s: float) -> r0mod.R0Inputs:
+def _r0_inputs(rates, m_s: float, b_s: float) -> R0Inputs:
     """R0 inputs from one day's rates in ``_RATE_KEYS`` order."""
     (_, _, _, mu_m, pdr, b_bm, b_mb, _,
      _, _, mu_b, delta_b, lam_b, mu_wb, _, _) = rates
-    return r0mod.R0Inputs(
+    return R0Inputs(
         beta_b_to_m=b_bm, delta_b=delta_b, mu_b=mu_b, lambda_b=lam_b,
         mu_wnd_b=mu_wb, beta_m_to_b=b_mb, pdr=pdr, mu_m=mu_m,
         m_s=m_s, b_s=b_s)
@@ -269,6 +276,15 @@ def _k_array(k_series, n: int) -> np.ndarray:
     if np.any(k_arr <= 0) or not np.all(np.isfinite(k_arr)):
         raise NonFiniteInput("carrying capacity must be finite and > 0")
     return k_arr
+
+
+def _span_rates(params: ModelParams, weather: WeatherSeries, lo: int,
+                hi: int) -> np.ndarray:
+    """The thermal rates of days [lo, hi) as an (n, 16) array, one row per
+    day in ``_RATE_KEYS`` order."""
+    temps = weather.temp_mean[lo:hi]
+    return np.column_stack([eval_thermal_array(params.rates[key], temps)
+                            for key in _RATE_KEYS])
 
 
 def _advance(params: ModelParams, weather: WeatherSeries, k_arr, y: list,
@@ -290,13 +306,11 @@ def _advance(params: ModelParams, weather: WeatherSeries, k_arr, y: list,
     sixth = h / 6.0
     clamps = 0
 
-    temps = weather.temp_mean[lo:hi]
-    span_rates = zip(*(eval_thermal_array(params.rates[key], temps).tolist()
-                       for key in _RATE_KEYS))
+    span_rates = _span_rates(params, weather, lo, hi).tolist()
     for i, rates, k_cap in zip(range(lo, hi), span_rates, k_arr[lo:hi].tolist()):
         states[i] = y[:15]
         m_prof[i] = y[6] + y[7] + y[8]
-        r0_daily[i] = r0mod.r0(_r0_inputs(rates, y[6], y[11]))
+        r0_daily[i] = r0(_r0_inputs(rates, y[6], y[11]))
         rhs = _day_rhs(rates, k_cap)
 
         (h_s, h_e, h_i, h_r, e_m, a_m, m_s, m_e, m_i,
@@ -366,65 +380,149 @@ def _advance(params: ModelParams, weather: WeatherSeries, k_arr, y: list,
     return y, clamps
 
 
-def simulate(params: ModelParams, weather: WeatherSeries, k_series,
-             init: CompartmentState, steps_per_day: int = 24) -> Trajectory:
-    """Integrate the model over the weather span.
+# --- the compiled day loop ---------------------------------------------------
 
-    ``k_series`` is the per-day carrying capacity, aligned with the weather
-    (a scalar is broadcast).  Day i reports the state at its first midnight;
-    expected new human infections are accumulated across the day and scaled
-    by rho.  Negative excursions are clamped to zero and counted.
-
-    The state after the last day is returned as ``end_state``; passing it
-    as ``init`` to the next span continues the run exactly, because no
-    compartment reads the cumulative-infection accumulator that restarts
-    at zero.  A non-finite end state raises NonFiniteInput.
-
-    This is the single-run path and the reference that ``simulate_runs``
-    reproduces bit for bit.
-    """
-    n = len(weather)
-    k_arr = _k_array(k_series, n)
-    out = (np.empty((n, 15)), np.empty(n), np.empty(n), np.empty(n))
-    y, clamps = _advance(params, weather, k_arr, init.as_list() + [0.0],
-                         steps_per_day, 0, n, out)
-    states, m_prof, r0_daily, new_inf = out
-    return Trajectory(
-        dates=weather.dates,
-        states=states,
-        m=m_prof,
-        r0=r0_daily,
-        new_infections=new_inf,
-        weather=weather,
-        clamp_count=clamps,
-        end_state=CompartmentState.from_values(y[:15]),
-    )
+_KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
+_KERNEL_DIR = Path(__file__).with_name("__pycache__")
+# -ffp-contract=off: no fused multiply-add, so every operation rounds as
+# Python's does; -ffast-math and -march=native stay out for the same reason
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_BUILD_TIMEOUT_S = 60.0
 
 
-def weekly_expected_cases(traj: Trajectory, week_starts) -> np.ndarray:
-    """Expected reported cases summed over each week starting at the given
-    dates; days outside the trajectory contribute zero."""
-    by_date = dict(zip(traj.dates, traj.new_infections))
-    totals = np.zeros(len(week_starts))
-    for j, start in enumerate(week_starts):
-        totals[j] = sum(by_date.get(start + _DAY * d, 0.0) for d in range(7))
-    return totals
+def _compilers() -> list:
+    """The C compiler commands to try in turn: the one Python was built
+    with, then ``cc``, since the first may not be installed here."""
+    import sysconfig
+    tries = [(sysconfig.get_config_var("CC") or "").split(), ["cc"]]
+    return [cmd for i, cmd in enumerate(tries) if cmd and cmd not in tries[:i]]
 
+
+def _kernel_path() -> Path:
+    """Where the compiled loop is cached: ``_KERNEL_DIR``, under a key that
+    hashes the C source, the flags and the platform."""
+    import hashlib
+    import sysconfig
+
+    key = hashlib.sha256(b"\0".join(
+        [_KERNEL_SOURCE.read_bytes(), *(f.encode() for f in _KERNEL_FLAGS),
+         sysconfig.get_platform().encode()])).hexdigest()[:16]
+    return _KERNEL_DIR / f"_rk4-{key}.so"
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled ``spillcast_advance`` of ``_rk4.c``, or None when it
+    cannot be had; the simulations then run ``_advance`` in Python.
+
+    The first simulation of a process that finds no cached library builds
+    it, once per key.  A build goes to a temporary name and is renamed
+    into place, so processes that build at once each load a whole
+    library."""
+    try:
+        path = _kernel_path()
+        if not path.exists() and not _build_kernel(path):
+            return None
+        advance = ctypes.CDLL(str(path)).spillcast_advance
+    except (OSError, AttributeError):
+        return None
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    advance.restype = ctypes.c_int
+    advance.argtypes = (ctypes.c_int64, ctypes.c_int64, *[ctypes.c_double] * 5,
+                        *[f64] * 7, i64, i64)
+    return advance
+
+
+def _build_kernel(path: Path) -> bool:
+    """Compile ``_KERNEL_SOURCE`` to ``path`` with the first of
+    ``_compilers()`` that builds it; False, with nothing printed and
+    nothing left behind, if each is missing, fails or times out, or the
+    directory is not writable."""
+    import subprocess
+
+    tmp = None
+    try:
+        path.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}-", suffix=".tmp",
+                                   dir=path.parent)
+        os.close(fd)
+        for compiler in _compilers():
+            try:
+                done = subprocess.run(
+                    [*compiler, *_KERNEL_FLAGS, "-o", tmp,
+                     str(_KERNEL_SOURCE)],
+                    stdin=subprocess.DEVNULL, capture_output=True,
+                    timeout=_BUILD_TIMEOUT_S)
+            except (OSError, subprocess.SubprocessError):
+                continue
+            if done.returncode == 0:
+                os.replace(tmp, path)
+                tmp = None
+                return True
+        return False
+    except OSError:
+        return False
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def kernel() -> str:
+    """The day loop simulations run in this process: ``"c"`` for the
+    compiled one, ``"python"`` for the fallback."""
+    return "python" if _load_kernel() is None else "c"
+
+
+# spillcast_advance's error codes; code 3 (an R0 denominator underflowed
+# to zero) re-runs the span in Python, which raises its own
+# ZeroDivisionError on that day
+_UNDERFLOW = 3
+_KERNEL_ERRORS = {
+    1: lambda day: ZeroDenominator("bird component denominator is zero"),
+    2: lambda day: ZeroDenominator("mosquito mortality must be > 0"),
+    4: lambda day: BlowUp(f"compartment exceeded {BLOWUP_LIMIT:g} on {day}"),
+}
+
+
+def _advance_days(params: ModelParams, weather: WeatherSeries, k_arr,
+                  y: list, steps_per_day: int, lo: int, hi: int,
+                  out: tuple) -> tuple:
+    """``_advance`` through the compiled loop when it is available: the same
+    arguments, states, clamp count and errors, raised on the same day."""
+    advance = _load_kernel()
+    if advance is None:
+        return _advance(params, weather, k_arr, y, steps_per_day, lo, hi, out)
+    n = hi - lo
+    h = 1.0 / steps_per_day
+    state = np.array(y, dtype=float)
+    rates = _span_rates(params, weather, lo, hi)
+    k_span = np.ascontiguousarray(k_arr[lo:hi], dtype=float)
+    rows = [a[lo:hi] for a in out]              # states, m, r0, new cases
+    # the loop reads and writes n rows of each array through raw pointers
+    if (state.shape != (16,) or rates.shape != (n, 16)
+            or rows[0].shape != (n, 15)
+            or any(a.shape != (n,) for a in (k_span, *rows[1:]))):
+        raise ValueError(f"arrays do not fit the {n}-day span")
+    counts = np.zeros(2, dtype=np.int64)        # clamps, failing day
+    status = advance(n, operator.index(steps_per_day), h, 0.5 * h, h / 6.0,
+                     params.rho, BLOWUP_LIMIT, rates, k_span, state, *rows,
+                     counts[:1], counts[1:])
+    if status == _UNDERFLOW:
+        return _advance(params, weather, k_arr, y, steps_per_day, lo, hi, out)
+    if status:
+        raise _KERNEL_ERRORS[status](weather.dates[lo + int(counts[1])])
+    return state.tolist(), int(counts[0])
+
+
+# --- runs ----------------------------------------------------------------------
 
 # A January pulse of infected birds decays away long before the
 # transmission season in a deterministic ODE, so case-producing yearly runs
 # seed the pulse at the season start instead.
 SEED_DAY = 90
 SEED_BIRDS = 20.0
-
-# Number of runs from which simulate_runs integrates a span of days as one
-# numpy batch rather than run by run.  A batch day costs about 3600 numpy
-# calls on small arrays whatever its width; a scalar run-day is ~0.25 ms of
-# pure Python.  On a 2-core x86-64 machine (100-day spans, 24 steps/day,
-# median of 9 interleaved trials) the batch ran 0.91x the scalar loop at
-# 16 runs, 0.96x at 17, 1.03x at 18, 1.12x at 20 and (7 trials) 1.75x at
-# 30.
-BATCH_MIN_WIDTH = 18
 
 
 @dataclass(frozen=True)
@@ -450,212 +548,74 @@ def _seed_pulse(y, seed_birds: float) -> list:
     return seeded.as_list() + [0.0]
 
 
+def _run_trajectory(params: ModelParams, run: Run, k_arr,
+                    steps_per_day: int) -> Trajectory:
+    """Advance to the pulse day, pulse, then advance to the end."""
+    n = len(run.weather)
+    out = (np.empty((n, 15)), np.empty(n), np.empty(n), np.empty(n))
+    y, clamps, lo = run.init.as_list() + [0.0], 0, 0
+    if run.seed_day is not None and n:
+        lo = min(max(int(run.seed_day), 0), n - 1)
+        y, clamps = _advance_days(params, run.weather, k_arr, y,
+                                  steps_per_day, 0, lo, out)
+        y = _seed_pulse(y, run.seed_birds)
+    y, count = _advance_days(params, run.weather, k_arr, y, steps_per_day,
+                             lo, n, out)
+    states, m_prof, r0_daily, new_inf = out
+    return Trajectory(
+        dates=run.weather.dates,
+        states=states,
+        m=m_prof,
+        r0=r0_daily,
+        new_infections=new_inf,
+        weather=run.weather,
+        clamp_count=clamps + count,
+        end_state=CompartmentState.from_values(y[:15]),
+    )
+
+
+def simulate(params: ModelParams, weather: WeatherSeries, k_series,
+             init: CompartmentState, steps_per_day: int = 24) -> Trajectory:
+    """Integrate the model over the weather span.
+
+    ``k_series`` is the per-day carrying capacity, aligned with the weather
+    (a scalar is broadcast).  Day i reports the state at its first midnight;
+    expected new human infections are accumulated across the day and scaled
+    by rho.  Negative excursions are clamped to zero and counted.
+
+    The state after the last day is returned as ``end_state``; passing it
+    as ``init`` to the next span continues the run exactly, because no
+    compartment reads the cumulative-infection accumulator that restarts
+    at zero.  A non-finite end state raises NonFiniteInput.
+    """
+    k_arr = _k_array(k_series, len(weather))
+    return _run_trajectory(params, Run(weather, k_series, init), k_arr,
+                           steps_per_day)
+
+
 def simulate_runs(params: ModelParams, runs, steps_per_day: int = 24) -> list:
     """Simulate independent runs; returns one Trajectory per run.
 
     Each trajectory equals, bit for bit, ``simulate`` on that run alone
     (for a seeded run: ``simulate`` up to the pulse, then ``simulate``
-    from the pulsed state).  The days are cut into spans at every run's
-    end and pulse day.  A span that at least ``BATCH_MIN_WIDTH`` runs
-    share is integrated as one numpy batch, with every run's arithmetic
-    unchanged; a narrower span runs the scalar loop run by run.  Errors
-    are those of ``simulate``: LengthMismatch, NonFiniteInput (K <= 0 or
-    non-finite, non-finite end state), BlowUp.
+    from the pulsed state).  Every run's K is checked before any run is
+    simulated.  Errors are those of ``simulate``: LengthMismatch,
+    NonFiniteInput (K <= 0 or non-finite, non-finite end state), BlowUp.
     """
     runs = list(runs)
-    lengths = [len(run.weather) for run in runs]
-    k_arrs = [_k_array(run.k_series, n) for run, n in zip(runs, lengths)]
-    seed_days = [
-        None if run.seed_day is None or n == 0
-        else min(max(int(run.seed_day), 0), n - 1)
-        for run, n in zip(runs, lengths)
-    ]
-    outs = [(np.empty((n, 15)), np.empty(n), np.empty(n), np.empty(n))
-            for n in lengths]
-    ys = [run.init.as_list() + [0.0] for run in runs]
-    clamps = [0] * len(runs)
-
-    cuts = sorted({0, *lengths, *(d for d in seed_days if d is not None)})
-    for lo, hi in zip(cuts, cuts[1:]):
-        active = [j for j, n in enumerate(lengths) if n > lo]
-        for j in active:
-            if seed_days[j] == lo:
-                ys[j] = _seed_pulse(ys[j], runs[j].seed_birds)
-        if len(active) >= BATCH_MIN_WIDTH:
-            y, counts = _advance_batch(
-                params, [runs[j].weather for j in active],
-                [k_arrs[j] for j in active],
-                np.array([ys[j] for j in active]).T.copy(),
-                steps_per_day, lo, hi, [outs[j] for j in active])
-            for c, j in enumerate(active):
-                ys[j] = y[:, c].tolist()
-                clamps[j] += int(counts[c])
-        else:
-            for j in active:
-                ys[j], count = _advance(params, runs[j].weather, k_arrs[j],
-                                        ys[j], steps_per_day, lo, hi, outs[j])
-                clamps[j] += count
-
-    return [
-        Trajectory(
-            dates=run.weather.dates,
-            states=states,
-            m=m_prof,
-            r0=r0_daily,
-            new_infections=new_inf,
-            weather=run.weather,
-            clamp_count=count,
-            end_state=CompartmentState.from_values(y[:15]),
-        )
-        for run, (states, m_prof, r0_daily, new_inf), count, y
-        in zip(runs, outs, clamps, ys)
-    ]
+    k_arrs = [_k_array(run.k_series, len(run.weather)) for run in runs]
+    return [_run_trajectory(params, run, k_arr, steps_per_day)
+            for run, k_arr in zip(runs, k_arrs)]
 
 
-def _advance_batch(params: ModelParams, weathers, k_arrs, y: np.ndarray,
-                   steps_per_day: int, lo: int, hi: int, outs) -> tuple:
-    """``_advance`` for w runs at once: ``y`` is the (16, w) state, one
-    column per run, and column c is written into ``outs[c]``.  Returns the
-    final (16, w) state and the per-run clamp counts.
-
-    Every element goes through the floating-point operations of
-    ``_day_rhs`` and the RK4 update in ``_advance``, in the same order, so
-    each column is bit-identical to the scalar loop.  The per-day
-    coefficient sums (such as nu_m + mu_a) are formed once per day with the
-    expressions ``_day_rhs`` uses.
-    """
-    w = y.shape[1]
-    temps = np.stack([np.asarray(wx.temp_mean[lo:hi], dtype=float)
-                      for wx in weathers], axis=1)
-    k_cap = np.stack([k[lo:hi] for k in k_arrs], axis=1)
-    curves = [params.rates[key] for key in _RATE_KEYS]
-    # _day_rhs row r (1 <= r <= 14) is "gain - loss[r] * y[r]"; most gains are
-    # gain[r] * y[r - 1].  Rows 1, 7 and 12 of gain take the forces of
-    # infection on every evaluation.
-    gain = np.zeros((16, w))
-    loss = np.zeros((16, w))
-    m_out = np.empty((hi - lo, w))
-    r0_out = np.empty((hi - lo, w))
-    new_out = np.empty((hi - lo, w))
-    counts = np.zeros(w, dtype=np.int64)
-    h = 1.0 / steps_per_day
-    half = 0.5 * h
-    sixth = h / 6.0
-
-    with np.errstate(all="ignore"):
-        for i in range(hi - lo):
-            (phi_m, nu_m, mu_a, mu_m, pdr,
-             b_bm, b_mb, b_mh,
-             phi_b, mat_b, mu_b, delta_b, lam_b, mu_wb,
-             eps_h, gam_h) = (eval_thermal_array(c, temps[i]) for c in curves)
-            gain[2] = loss[1] = eps_h
-            gain[3] = loss[2] = gam_h
-            gain[5] = gain[6] = nu_m
-            gain[8] = pdr
-            gain[10] = gain[11] = mat_b
-            gain[13] = delta_b
-            gain[14] = lam_b
-            loss[4] = loss[5] = nu_m + mu_a
-            loss[6] = loss[8] = mu_m
-            loss[7] = pdr + mu_m
-            loss[9] = loss[10] = mat_b + mu_b
-            loss[11] = loss[14] = mu_b
-            loss[12] = delta_b + mu_b
-            loss[13] = lam_b + mu_wb + mu_b
-
-            for c, out in enumerate(outs):
-                out[0][lo + i] = y[:15, c]      # states
-            m_out[i] = y[6] + y[7] + y[8]
-            # loss[12], loss[13] and loss[7] are r0's delta_b + mu_b,
-            # lambda_b + mu_wnd_b + mu_b and pdr + mu_m
-            r0_out[i] = _batch_r0(b_bm * y[6] * delta_b, loss[12], loss[13],
-                                  b_mb * y[11] * pdr, mu_m, loss[7])
-
-            coeffs = (gain, loss, b_bm, b_mb, b_mh, phi_m, phi_b, k_cap[i])
-            cum_before = y[15].copy()
-            for _ in range(steps_per_day):
-                k1 = _batch_rhs(y, *coeffs)
-                k2 = _batch_rhs(y + half * k1, *coeffs)
-                k3 = _batch_rhs(y + half * k2, *coeffs)
-                k4 = _batch_rhs(y + h * k3, *coeffs)
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                negative = y[:15] < 0.0
-                if np.count_nonzero(negative):
-                    counts += negative.sum(axis=0)
-                    y[:15][negative] = 0.0
-            new_out[i] = params.rho * (y[15] - cum_before)
-            blown = (y > BLOWUP_LIMIT).any(axis=0)
-            if blown.any():
-                c = int(np.argmax(blown))
-                raise BlowUp(f"compartment exceeded {BLOWUP_LIMIT:g} on "
-                             f"{weathers[c].dates[lo + i]}")
-
-    for c, (_, m_prof, r0_daily, new_inf) in enumerate(outs):
-        m_prof[lo:hi] = m_out[:, c]
-        r0_daily[lo:hi] = r0_out[:, c]
-        new_inf[lo:hi] = new_out[:, c]
-    return y, counts
-
-
-def _batch_r0(bird_num, d1, d2, mosq_num, mu_m, pdr_mu_m):
-    """r0.r0 for one day of every run, including its zero-denominator
-    rule: a zero denominator gives 0 over a zero numerator and raises
-    ZeroDenominator otherwise."""
-    bird = bird_num / (d1 * d2)
-    bird_bad = (d1 <= 0.0) | (d2 <= 0.0)
-    if bird_bad.any():
-        if np.any(bird_num[bird_bad] != 0.0):
-            raise ZeroDenominator("bird component denominator is zero")
-        bird = np.where(bird_bad, 0.0, bird)
-    mosquito = mosq_num / (mu_m * pdr_mu_m)
-    mosq_bad = mu_m <= 0.0
-    if mosq_bad.any():
-        if np.any(mosq_num[mosq_bad] != 0.0):
-            raise ZeroDenominator("mosquito mortality must be > 0")
-        mosquito = np.where(mosq_bad, 0.0, mosquito)
-    return np.sqrt(bird * mosquito)
-
-
-def _batch_rhs(y, gain, loss, b_bm, b_mb, b_mh, phi_m, phi_b, k_cap):
-    """``_day_rhs`` for a (16, w) state; see ``_advance_batch``."""
-    (h_s, h_e, h_i, h_r,
-     e_m, a_m, m_s, m_e, m_i,
-     e_b, f_b, b_s, b_e, b_i, b_r, _) = y
-
-    n_b = b_s + b_e + b_i + b_r
-    n_h = h_s + h_e + h_i + h_r
-    _divide_where_positive(n_b, (b_bm * b_i, gain[7]),     # foi_m
-                           (b_mb * m_i, gain[12]))          # foi_b
-    _divide_where_positive(n_h, (b_mh * m_i, gain[1]))     # foi_h
-    room = 1.0 - a_m / k_cap
-    np.maximum(room, 0.0, out=room)     # NaN only where row 5 is NaN anyway
-
-    prod = gain[1:] * y[:15]            # prod[r - 1] = gain[r] * y[r - 1]
-    lost = loss * y
-    out = np.empty_like(y)
-    np.subtract(prod, lost[1:], out=out[1:])
-    np.negative(prod[0], out=out[0])    # -new_h
-    out[3] = prod[2]                    # gam_h * h_i
-    out[15] = prod[0]                   # new_h
-    np.subtract(phi_m * (m_s + m_e + m_i), lost[4], out=out[4])
-    np.subtract(prod[4] * room, lost[5], out=out[5])
-    np.subtract(prod[5] - prod[6], lost[6], out=out[6])
-    np.subtract(phi_b * n_b, lost[9], out=out[9])
-    np.subtract(prod[10] - prod[11], lost[11], out=out[11])
-    return out
-
-
-def _divide_where_positive(population, *pairs) -> None:
-    """For each (numerator, out) pair, out = numerator / population where
-    population > 0 and 0.0 elsewhere: the guards of ``_day_rhs``."""
-    if np.minimum.reduce(population) > 0.0:     # False for NaN: guarded path
-        for numerator, out in pairs:
-            np.divide(numerator, population, out=out)
-    else:
-        positive = population > 0.0
-        for numerator, out in pairs:
-            out[...] = 0.0
-            np.divide(numerator, population, out=out, where=positive)
+def weekly_expected_cases(traj: Trajectory, week_starts) -> np.ndarray:
+    """Expected reported cases summed over each week starting at the given
+    dates; days outside the trajectory contribute zero."""
+    by_date = dict(zip(traj.dates, traj.new_infections))
+    totals = np.zeros(len(week_starts))
+    for j, start in enumerate(week_starts):
+        totals[j] = sum(by_date.get(start + _DAY * d, 0.0) for d in range(7))
+    return totals
 
 
 def seeded_year_trajectory(params: ModelParams, weather_year: WeatherSeries,

@@ -23,6 +23,9 @@ from .ingest import CaseSeries
 
 DEFAULT_LEVELS = (0.88, 0.90, 0.95)
 GRID_PAD_BANDWIDTHS = 3.0
+# points per block of OnsetPdf.evaluate: a block's kernel matrix is
+# CLASSIFY_BLOCK x (number of samples) floats
+CLASSIFY_BLOCK = 1024
 
 
 class RiskLevel(enum.IntEnum):
@@ -133,13 +136,24 @@ class OnsetPdf:
     def grid_mass(self) -> float:
         return float(np.sum(self.density) * self.cell_area)
 
-    def evaluate(self, m: float, r0: float) -> float:
-        """KDE density at an already-transformed point."""
+    def evaluate(self, m, r0) -> np.ndarray:
+        """KDE density at the already-transformed points (m[i], r0[i]).
+
+        The points go through in blocks of ``CLASSIFY_BLOCK``; each row
+        sums its own kernel values, so a point's density does not depend
+        on the points beside it."""
+        m = np.asarray(m, dtype=float)
+        r0 = np.asarray(r0, dtype=float)
         h_m, h_r = self.bandwidth
-        zm = (m - self.sample_m) / h_m
-        zr = (r0 - self.sample_r0) / h_r
-        kern = np.exp(-0.5 * (zm * zm + zr * zr))
-        return float(np.sum(self.weights * kern) / (2.0 * math.pi * h_m * h_r))
+        density = np.empty(len(m))
+        for lo in range(0, len(m), CLASSIFY_BLOCK):
+            hi = lo + CLASSIFY_BLOCK
+            zm = (m[lo:hi, None] - self.sample_m) / h_m
+            zr = (r0[lo:hi, None] - self.sample_r0) / h_r
+            kern = np.exp(-0.5 * (zm * zm + zr * zr))
+            density[lo:hi] = (np.sum(self.weights * kern, axis=1)
+                              / (2.0 * math.pi * h_m * h_r))
+        return density
 
 
 def fit_onset_pdf(samples, bandwidth=None, grid_size: int = 128,
@@ -221,18 +235,24 @@ def hdr_thresholds(pdf: OnsetPdf, levels) -> list:
     return out
 
 
-def classify(pdf: OnsetPdf, point) -> RiskLevel:
-    """Risk class of a raw (m, r0) point; thresholds are inclusive upward."""
-    m, r0 = apply_transform(pdf.transform, float(point[0]), float(point[1]))
-    d = pdf.evaluate(m, r0)
+def classify_days(pdf: OnsetPdf, m, r0) -> tuple:
+    """Risk class of every raw point (m[i], r0[i]), thresholds inclusive
+    upward: returns the KDE densities as an array and the risk levels as
+    a tuple."""
+    density = pdf.evaluate(*apply_transform(
+        pdf.transform, np.asarray(m, dtype=float), np.asarray(r0, dtype=float)))
     t_high, t_risky, t_low = pdf.thresholds
-    if d >= t_high:
-        return RiskLevel.HIGH
-    if d >= t_risky:
-        return RiskLevel.RISKY
-    if d >= t_low:
-        return RiskLevel.LOW
-    return RiskLevel.GREEN
+    # np.select takes the first condition that holds: the highest level
+    codes = np.select([density >= t_high, density >= t_risky,
+                       density >= t_low],
+                      [RiskLevel.HIGH, RiskLevel.RISKY, RiskLevel.LOW],
+                      RiskLevel.GREEN)
+    return density, tuple(map(RiskLevel, codes.tolist()))
+
+
+def classify(pdf: OnsetPdf, point) -> RiskLevel:
+    """Risk class of one raw (m, r0) point, as ``classify_days`` gives it."""
+    return classify_days(pdf, [point[0]], [point[1]])[1][0]
 
 
 @dataclass(frozen=True)
@@ -256,9 +276,7 @@ class RiskSeries:
 
 def forecast_onset(pdf: OnsetPdf, traj: Trajectory) -> RiskSeries:
     """Classify every trajectory day against the fitted onset density."""
-    levels = tuple(
-        classify(pdf, (traj.m[i], traj.r0[i])) for i in range(len(traj))
-    )
+    _, levels = classify_days(pdf, traj.m, traj.r0)
     return RiskSeries(dates=traj.dates, m=traj.m.copy(), r0=traj.r0.copy(),
                       levels=levels)
 

@@ -25,7 +25,7 @@ from . import weathercast
 from .config import Config
 from .epimodel import ModelParams, default_init_state, simulate
 from .ingest import WeatherSeries
-from .onset import OnsetPdf, RiskSeries, classify
+from .onset import OnsetPdf, RiskSeries, classify_days
 
 
 @dataclass(frozen=True)
@@ -154,10 +154,7 @@ def predict_onset_risk(weather: WeatherSeries, mode: str, lead: int,
     """Long- or short-term daily onset-risk forecast for the target year."""
     points = forecast_points(weather, mode, lead, params, cfg,
                              forecast_start=forecast_start, k_series=k_series)
-    levels = tuple(classify(pdf, (p.m, p.r0)) for p in points)
-    return RiskSeries(
-        dates=tuple(p.date for p in points),
-        m=np.array([p.m for p in points]),
-        r0=np.array([p.r0 for p in points]),
-        levels=levels,
-    )
+    m = np.array([p.m for p in points])
+    r0 = np.array([p.r0 for p in points])
+    return RiskSeries(dates=tuple(p.date for p in points), m=m, r0=r0,
+                      levels=classify_days(pdf, m, r0)[1])

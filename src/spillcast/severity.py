@@ -26,7 +26,7 @@ from .onset import (
     OnsetPdf,
     RiskLevel,
     apply_transform,
-    classify,
+    classify_days,
     padded_cell_centers,
 )
 from .pipeline import forecast_points, weather_feature
@@ -363,6 +363,15 @@ class SeverityForecast:
         return len(self.dates)
 
 
+def _green_days(onset_pdf: OnsetPdf | None, m, r0) -> list:
+    """Per point, whether the onset density classifies it Green; all False
+    without a density."""
+    if onset_pdf is None:
+        return [False] * len(m)
+    _, levels = classify_days(onset_pdf, m, r0)
+    return [lvl is RiskLevel.GREEN for lvl in levels]
+
+
 def estimate_severity(traj: Trajectory, posteriors,
                       w_weights=(1.0, 0.0, 0.0),
                       onset_pdf: OnsetPdf | None = None) -> SeverityForecast:
@@ -372,12 +381,12 @@ def estimate_severity(traj: Trajectory, posteriors,
     """
     n = len(traj)
     w_series = weather_feature(traj.weather, w_weights)
+    green = _green_days(onset_pdf, traj.m, traj.r0)
     predicted = np.zeros(n, dtype=int)
     off_grid = []
     for i in range(n):
-        if onset_pdf is not None:
-            if classify(onset_pdf, (traj.m[i], traj.r0[i])) is RiskLevel.GREEN:
-                continue
+        if green[i]:
+            continue
         x, outside = mpp_predict((traj.m[i], w_series[i]), posteriors)
         predicted[i] = x
         if outside:
@@ -409,11 +418,12 @@ def predict_severity(weather: WeatherSeries, cases: CaseSeries, mode: str,
 
     posteriors = curve_posteriors([(p.m, p.w) for p in points], surface, cfg)
 
+    green = _green_days(onset_pdf, [p.m for p in points],
+                        [p.r0 for p in points])
     predicted = np.zeros(len(points), dtype=int)
     off_grid = []
     for idx, p in enumerate(points):
-        if onset_pdf is not None and \
-                classify(onset_pdf, (p.m, p.r0)) is RiskLevel.GREEN:
+        if green[idx]:
             x, outside = 0, False
         else:
             x, outside = mpp_predict((p.m, p.w), posteriors)

@@ -134,8 +134,8 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
     ``k_predictor`` maps a year's WeatherSeries to its carrying-capacity
     series (typically the fitted precipitation-bin planes).  Every year
     starts from the default initial state; the years go to
-    ``simulate_runs`` together, so an archive of many years is integrated
-    as a numpy batch, bit-identical to simulating each year alone.
+    ``simulate_runs`` together, bit-identical to simulating each year
+    alone.
     """
     by_year = archive.year_slices()
     years = sorted(by_year)

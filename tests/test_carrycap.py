@@ -10,7 +10,6 @@ from spillcast.carrycap import (
     calibrate_K,
     fit_plane,
     load_k,
-    predict_K_ar,
     predict_K_mean,
     predict_K_plane,
     quantile_edges,
@@ -152,26 +151,6 @@ class TestPredictMean:
     def test_empty_history(self):
         with pytest.raises(errors.EmptyHistory):
             predict_K_mean(KSeries((), np.array([])))
-
-
-class TestPredictAr:
-    def test_constant_history(self):
-        hist = k_series_for_years([2020], [5.5])
-        out = predict_K_ar(hist, 10)
-        assert len(out) == 10
-        assert np.allclose(out.values, 5.5, atol=1e-6)
-        assert out.dates[0] == hist.dates[-1] + timedelta(days=1)
-
-    def test_linear_ramp_continued(self):
-        dates = tuple(date(2021, 1, 1) + timedelta(days=i) for i in range(120))
-        hist = KSeries(dates, 100.0 + 2.0 * np.arange(120))
-        out = predict_K_ar(hist, 5, order=2)
-        expected = 100.0 + 2.0 * (120 + np.arange(5))
-        assert np.max(np.abs(out.values - expected)) < 1e-6
-
-    def test_zero_lead(self):
-        hist = k_series_for_years([2020], [5.5])
-        assert len(predict_K_ar(hist, 0)) == 0
 
 
 class TestFitPlane:

@@ -1,5 +1,10 @@
+import contextlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -314,7 +319,25 @@ def oracle_cases(draw):
     return wx, k, CompartmentState(**values)
 
 
+# The two day loops: the compiled one (the Python loop where no C compiler
+# is available) and ``_advance``, the Python loop itself.
+DAY_LOOPS = ("c", "python")
+
+
+@contextlib.contextmanager
+def day_loop(name):
+    """Simulate in the named day loop within the block."""
+    if name == "python":
+        with mock.patch.object(epimodel, "_load_kernel", lambda: None):
+            assert epimodel.kernel() == "python"
+            yield
+    else:
+        yield
+
+
 class TestSimulateOracle:
+    """Both day loops against the original list-based RK4."""
+
     @given(case=oracle_cases(),
            rates=st.sampled_from((*sorted(ORACLE_PARAMS), "random")),
            rate_seed=st.integers(0, 2**32 - 1),
@@ -334,13 +357,17 @@ class TestSimulateOracle:
         try:
             want = reference_simulate(params, wx, k, init, steps_per_day=steps)
         except errors.SpillcastError as exc:
-            with pytest.raises(errors.SpillcastError) as got:
-                simulate(params, wx, k, init, steps_per_day=steps)
-            assert type(got.value) is type(exc)
-            assert str(got.value) == str(exc)
+            for loop in DAY_LOOPS:
+                with day_loop(loop), \
+                        pytest.raises(errors.SpillcastError) as got:
+                    simulate(params, wx, k, init, steps_per_day=steps)
+                assert type(got.value) is type(exc), loop
+                assert str(got.value) == str(exc), loop
             return
-        assert_same_trajectory(simulate(params, wx, k, init,
-                                        steps_per_day=steps), want)
+        for loop in DAY_LOOPS:
+            with day_loop(loop):
+                assert_same_trajectory(simulate(params, wx, k, init,
+                                                steps_per_day=steps), want)
 
     @pytest.mark.parametrize("rates, k, expected", [
         ("default", 50.0, "room <= 0"),
@@ -356,17 +383,39 @@ class TestSimulateOracle:
             COMPARTMENTS, np.random.default_rng(1).uniform(0.0, 3000.0, 15))))
         params = ORACLE_PARAMS[rates]
         if not isinstance(expected, str):
-            for integrate in (reference_simulate, simulate):
-                with pytest.raises(expected):
-                    integrate(params, wx, k, init, steps_per_day=2)
+            with pytest.raises(expected) as want:
+                reference_simulate(params, wx, k, init, steps_per_day=2)
+            for loop in DAY_LOOPS:
+                with day_loop(loop), pytest.raises(expected) as got:
+                    simulate(params, wx, k, init, steps_per_day=2)
+                assert str(got.value) == str(want.value), loop
             return
         want = reference_simulate(params, wx, k, init, steps_per_day=1)
         if expected == "clamp":
             assert want.clamp_count > 0
         else:
             assert want.states[0, COMPARTMENTS.index("A_M")] > k
-        assert_same_trajectory(
-            simulate(params, wx, k, init, steps_per_day=1), want)
+        for loop in DAY_LOOPS:
+            with day_loop(loop):
+                assert_same_trajectory(
+                    simulate(params, wx, k, init, steps_per_day=1), want)
+
+    def test_underflowed_r0_denominator_raises_as_python(self):
+        """Bird rates so small that r0's (delta_b + mu_b) * (lambda_b +
+        mu_wnd_b + mu_b) underflows to zero: both loops raise Python's
+        ZeroDivisionError on the first day."""
+        params = ModelParams.from_config(Config(rates={
+            key: "constant,1e-170" for key in (
+                "bird_mort", "bird_incubation", "bird_recovery",
+                "bird_wnd_mort")}))
+        wx = constant_weather(3)
+        init = default_init_state(Config())
+        with pytest.raises(ZeroDivisionError) as want:
+            reference_simulate(params, wx, 5000.0, init, steps_per_day=2)
+        for loop in DAY_LOOPS:
+            with day_loop(loop), pytest.raises(ZeroDivisionError) as got:
+                simulate(params, wx, 5000.0, init, steps_per_day=2)
+            assert str(got.value) == str(want.value), loop
 
     def test_derivatives_equal_list_based_rhs(self, default_params):
         rng = np.random.default_rng(7)
@@ -394,6 +443,27 @@ def test_weekly_expected_cases_sums_days(default_cfg, default_params):
     assert totals[2] == pytest.approx(traj.new_infections[14:21].sum())
 
 
+def test_simulate_after_reloading_the_module():
+    """epimodel binds the r0 names it uses itself: the package attribute
+    ``spillcast.r0`` is the function, not the module, once the package
+    has finished importing."""
+    src = str(Path(epimodel.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (
+        "import importlib, spillcast.epimodel as e; from spillcast.config "
+        "import Config; from tests.conftest import sinusoid_weather; "
+        "importlib.reload(e); cfg = Config(); "
+        "traj = e.simulate(e.ModelParams.from_config(cfg), sinusoid_weather(5),"
+        " 5000.0, e.default_init_state(cfg)); print(len(traj))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            cwd=Path(src).parent, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "5"
+
+
 def test_save_trajectory_schema(tmp_path, default_cfg, default_params):
     init = default_init_state(default_cfg)
     wx = constant_weather(5)
@@ -405,7 +475,7 @@ def test_save_trajectory_schema(tmp_path, default_cfg, default_params):
     assert len(lines) == 6
 
 
-# --- simulate_runs: the batched year-runner ---------------------------------
+# --- simulate_runs: the year-runner -----------------------------------------
 
 def split_seeded_reference(params, wx, k_series, init, seed_day, seed_birds,
                            steps):
@@ -482,21 +552,21 @@ STIFF_PARAMS = ModelParams.from_config(
 
 
 class TestSimulateRuns:
-    @given(runs=run_sets(), batch_from=st.sampled_from((1, "default")),
-           steps=st.integers(1, 3), stiff=st.booleans())
+    """simulate_runs in both day loops against simulate in Python."""
+
+    @given(runs=run_sets(), steps=st.integers(1, 3), stiff=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_bit_identical_to_single_runs(self, default_params, runs,
-                                          batch_from, steps, stiff):
+    def test_bit_identical_to_single_runs(self, default_params, runs, steps,
+                                          stiff):
         params = STIFF_PARAMS if stiff else default_params
-        if batch_from == "default":
-            batch_from = epimodel.BATCH_MIN_WIDTH
         want, raised = [], set()
-        for run in runs:
-            try:
-                if run.seed_day is None:
-                    want.append(simulate(params, run.weather, run.k_series,
-                                         run.init, steps_per_day=steps))
-                else:
+        with day_loop("python"):
+            for run in runs:
+                try:
+                    if run.seed_day is None:
+                        want.append(simulate(params, run.weather, run.k_series,
+                                             run.init, steps_per_day=steps))
+                        continue
                     want.append(split_seeded_reference(
                         params, run.weather, run.k_series, run.init,
                         run.seed_day, run.seed_birds, steps))
@@ -504,50 +574,52 @@ class TestSimulateRuns:
                         params, run.weather, run.k_series, run.init,
                         run.seed_day, run.seed_birds, steps_per_day=steps)
                     assert_same_trajectory(one, want[-1])
-            except errors.SpillcastError as exc:
-                raised.add(type(exc))
-        kernel = mock.Mock(wraps=epimodel._advance_batch)
-        with mock.patch.object(epimodel, "BATCH_MIN_WIDTH", batch_from), \
-                mock.patch.object(epimodel, "_advance_batch", kernel):
-            if raised:
-                with pytest.raises(tuple(raised)):
-                    simulate_runs(params, runs, steps_per_day=steps)
-                return
-            got = simulate_runs(params, runs, steps_per_day=steps)
-        assert kernel.called == (len(runs) >= batch_from)
-        assert len(got) == len(runs)
-        for g, w in zip(got, want):
-            assert_same_trajectory(g, w)
+                except errors.SpillcastError as exc:
+                    raised.add(type(exc))
+        for loop in DAY_LOOPS:
+            with day_loop(loop):
+                if raised:
+                    with pytest.raises(tuple(raised)):
+                        simulate_runs(params, runs, steps_per_day=steps)
+                    continue
+                got = simulate_runs(params, runs, steps_per_day=steps)
+            assert len(got) == len(runs)
+            for g, w in zip(got, want):
+                assert_same_trajectory(g, w)
 
     def test_clamps_counted_per_run_in_a_batch(self):
         init = CompartmentState(**dict(zip(
             COMPARTMENTS, np.random.default_rng(0).uniform(0.0, 3000.0, 15))))
         runs = [Run(sinusoid_weather(20 + j), 5000.0, init)
-                for j in range(epimodel.BATCH_MIN_WIDTH)]
-        got = simulate_runs(STIFF_PARAMS, runs, steps_per_day=1)
-        for run, traj in zip(runs, got):
-            want = simulate(STIFF_PARAMS, run.weather, 5000.0, init,
-                            steps_per_day=1)
-            assert want.clamp_count > 0
-            assert_same_trajectory(traj, want)
+                for j in range(6)]
+        want = [reference_simulate(STIFF_PARAMS, run.weather, 5000.0, init,
+                                   steps_per_day=1) for run in runs]
+        assert all(w.clamp_count > 0 for w in want)
+        for loop in DAY_LOOPS:
+            with day_loop(loop):
+                got = simulate_runs(STIFF_PARAMS, runs, steps_per_day=1)
+            for traj, w in zip(got, want):
+                assert_same_trajectory(traj, w)
 
     def test_wide_batch_of_years_matches_simulate(self, default_cfg,
                                                   default_params):
         init = default_init_state(default_cfg)
         years = [sinusoid_weather(365 + (j % 2), base=15.0 + j)
-                 for j in range(epimodel.BATCH_MIN_WIDTH + 1)]
+                 for j in range(4)]
         runs = [Run(wx, 2000.0 + 500.0 * j, init) for j, wx in enumerate(years)]
-        kernel = mock.Mock(wraps=epimodel._advance_batch)
-        with mock.patch.object(epimodel, "_advance_batch", kernel):
-            got = simulate_runs(default_params, runs)
-        assert kernel.called
-        for run, traj in zip(runs, got):
-            assert_same_trajectory(traj, simulate(default_params, run.weather,
-                                                  run.k_series, init))
+        with day_loop("python"):
+            want = [simulate(default_params, run.weather, run.k_series, init)
+                    for run in runs]
+        for loop in DAY_LOOPS:
+            with day_loop(loop):
+                got = simulate_runs(default_params, runs)
+            for traj, w in zip(got, want):
+                assert_same_trajectory(traj, w)
 
-    @pytest.mark.parametrize("batch_from", [1, 100])
-    def test_blow_up_raised_with_or_without_batching(self, default_cfg,
-                                                     batch_from):
+    @pytest.mark.parametrize("width", [1, 100])
+    def test_blow_up_raised_with_or_without_batching(self, width):
+        """A run that blows up, alone or first in a batch of ``width`` runs:
+        both day loops raise the list-based oracle's BlowUp for it."""
         cfg = Config(rates={"egg_laying": "constant,500.0",
                             "aquatic_dev": "constant,5.0",
                             "aquatic_mort": "constant,0.001",
@@ -555,20 +627,27 @@ class TestSimulateRuns:
         params = ModelParams.from_config(cfg)
         init = default_init_state(cfg)
         wx = constant_weather(400, temp=25.0)
-        runs = [Run(wx, 1e9, init), Run(wx.slice(0, 100), 5000.0, init)]
-        with mock.patch.object(epimodel, "BATCH_MIN_WIDTH", batch_from):
-            with pytest.raises(errors.BlowUp):
+        runs = ([Run(wx, 1e9, init)]
+                + [Run(wx.slice(0, 100), 5000.0, init)] * (width - 1))
+        with pytest.raises(errors.BlowUp) as want:
+            reference_simulate(params, wx, 1e9, init, steps_per_day=4)
+        for loop in DAY_LOOPS:
+            with day_loop(loop), pytest.raises(errors.BlowUp) as got:
                 simulate_runs(params, runs, steps_per_day=4)
+            assert str(got.value) == str(want.value), loop
 
-    @pytest.mark.parametrize("batch_from", [1, 100])
+    @pytest.mark.parametrize("width", [1, 100])
     @pytest.mark.parametrize("bad_k", [0.0, -5.0, float("nan")])
     def test_invalid_k_rejected_with_or_without_batching(
-            self, default_cfg, default_params, batch_from, bad_k):
+            self, default_cfg, default_params, width, bad_k):
+        """One run, or a batch of ``width`` runs whose last one has a bad
+        K day: both day loops reject it."""
         init = default_init_state(default_cfg)
         wx = constant_weather(10)
         k = np.full(10, 5000.0)
         k[3] = bad_k
-        runs = [Run(wx, 5000.0, init), Run(wx, k, init, seed_day=2)]
-        with mock.patch.object(epimodel, "BATCH_MIN_WIDTH", batch_from):
-            with pytest.raises(errors.NonFiniteInput):
+        runs = ([Run(wx, 5000.0, init)] * (width - 1)
+                + [Run(wx, k, init, seed_day=2)])
+        for loop in DAY_LOOPS:
+            with day_loop(loop), pytest.raises(errors.NonFiniteInput):
                 simulate_runs(default_params, runs)

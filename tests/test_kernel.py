@@ -1,0 +1,157 @@
+"""The compiled day loop: its build, its cache and its fallback."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spillcast import epimodel
+from spillcast.config import Config
+
+from tests.conftest import sinusoid_weather
+
+SRC = Path(epimodel.__file__).resolve().parents[1]
+ROOT = SRC.parent
+
+# Simulates the fixture's first year, seeded and unseeded, in a process
+# that caches the library in the directory given as argv[1] ("" keeps the
+# package's own) and, with argv[2] == "missing-cc", has no compiler; prints
+# the day loop in use and the trajectories' bytes as hex.
+PROBE = """
+import sys
+from pathlib import Path
+import spillcast.epimodel as e
+from spillcast import synth
+if sys.argv[1]:
+    e._KERNEL_DIR = Path(sys.argv[1])
+if sys.argv[2] == "missing-cc":
+    e._compilers = lambda: [[str(Path(sys.argv[1]) / "no-such-cc")]]
+cfg = synth.default_config()
+wx = synth.seasonal_weather(2019, 1, seed=3)
+params = e.ModelParams.from_config(cfg)
+init = e.default_init_state(cfg)
+runs = [e.Run(wx, cfg.k_default, init), e.Run(wx, 900.0, init, seed_day=90)]
+out = []
+for t in e.simulate_runs(params, runs, steps_per_day=cfg.steps_per_day):
+    out += [t.states.tobytes(), t.m.tobytes(), t.r0.tobytes(),
+            t.new_infections.tobytes(), repr(t.clamp_count).encode(),
+            repr(t.end_state).encode()]
+print(e.kernel(), b"|".join(out).hex())
+"""
+
+
+def probe(cache_dir="", compiler="default"):
+    """Start the probe process (cwd: the source root, no stdin)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-c", PROBE, str(cache_dir), compiler], env=env,
+        cwd=ROOT, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+
+
+def finish(proc):
+    """The probe's (kernel, trajectory hex); its stderr must be empty."""
+    stdout, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 0, stderr
+    assert stderr == ""
+    kernel, data = stdout.split()
+    return kernel, data
+
+
+def have_compiler():
+    """Whether any compiler the loader tries is on PATH."""
+    return any(shutil.which(cmd[0]) for cmd in epimodel._compilers())
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+def test_kernel_compiled_when_cc_available():
+    """Where any of the loader's compilers exists the simulations run the
+    compiled loop: a silent fallback would pass every other test and lose
+    the speed."""
+    kernel, _ = finish(probe())
+    assert kernel == "c"
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+def test_concurrent_builds_into_an_empty_directory(tmp_path):
+    """Two processes that build into the same empty cache at once both
+    load a whole library and agree bit for bit; no temporary file is
+    left behind."""
+    procs = [probe(tmp_path), probe(tmp_path)]
+    results = [finish(p) for p in procs]
+    assert results[0] == results[1]
+    assert results[0][0] == "c"
+    assert [p.name for p in tmp_path.iterdir()] == [
+        epimodel._kernel_path().name]
+
+
+def test_failed_build_falls_back_silently(tmp_path):
+    """With no compiler the Python loop runs, prints nothing and gives the
+    compiled loop's bytes."""
+    fallback = finish(probe(tmp_path, "missing-cc"))
+    assert fallback[0] == "python"
+    assert list(tmp_path.iterdir()) == []
+    if have_compiler():
+        assert finish(probe())[1] == fallback[1]
+
+
+def test_cli_import_loads_no_build_machinery():
+    """The loader imports what a build needs on first use, not at start-up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    check = ("import sys, spillcast.cli; print(sorted(m for m in ("
+             "'subprocess', 'sysconfig', 'numpy.ctypeslib') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", check], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
+def test_build_falls_through_a_missing_cc_to_cc(tmp_path, monkeypatch):
+    """sysconfig's CC may name a compiler that is not installed, as in
+    some standalone Python builds; the build then uses ``cc``."""
+    import sysconfig
+
+    get = sysconfig.get_config_var
+    missing = str(tmp_path / "no-such-cc")
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: missing if name == "CC" else get(name))
+    assert epimodel._compilers() == [[missing], ["cc"]]
+    lib = tmp_path / "cache" / "lib.so"
+    assert epimodel._build_kernel(lib)
+    assert [p.name for p in lib.parent.iterdir()] == ["lib.so"]
+
+
+def test_library_path_is_git_ignored():
+    if shutil.which("git") is None or not (ROOT / ".git").exists():
+        pytest.skip("not a git checkout")
+    path = epimodel._kernel_path()
+    done = subprocess.run(["git", "-C", str(ROOT), "check-ignore", "-q",
+                           str(path)], capture_output=True)
+    assert done.returncode == 0, f"{path} is not ignored by git"
+
+
+def test_compiled_loop_fills_only_its_span(default_params):
+    """A span [lo, hi) writes rows lo..hi-1 of the outputs and nothing
+    else, as ``_advance`` does."""
+    if epimodel.kernel() != "c":
+        pytest.skip("no compiled loop")
+    wx = sinusoid_weather(12)
+    k_arr = np.full(12, 5000.0)
+    y = epimodel.default_init_state(Config()).as_list() + [0.0]
+    got, want = ((np.full((12, 15), -1.0), np.full(12, -1.0),
+                  np.full(12, -1.0), np.full(12, -1.0)) for _ in range(2))
+    end_c = epimodel._advance_days(default_params, wx, k_arr, y, 3, 4, 9,
+                                   got)
+    end_py = epimodel._advance(default_params, wx, k_arr, y, 3, 4, 9, want)
+    assert end_c == end_py
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

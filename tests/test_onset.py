@@ -8,7 +8,9 @@ from spillcast import errors
 from spillcast.onset import (
     OnsetSample,
     RiskLevel,
+    apply_transform,
     classify,
+    classify_days,
     collect_onset_samples,
     fit_onset_pdf,
     forecast_onset,
@@ -16,6 +18,21 @@ from spillcast.onset import (
     save_pdf_grid,
     save_risk_series,
 )
+
+
+def density_at(pdf, m, r0):
+    """The KDE density at one transformed point."""
+    return float(pdf.evaluate([m], [r0])[0])
+
+
+def scalar_density(pdf, m, r0):
+    """Oracle: the KDE at one transformed point, summed over the samples
+    alone, as the per-point evaluation the blocked one replaced."""
+    h_m, h_r = pdf.bandwidth
+    zm = (m - pdf.sample_m) / h_m
+    zr = (r0 - pdf.sample_r0) / h_r
+    kern = np.exp(-0.5 * (zm * zm + zr * zr))
+    return float(np.sum(pdf.weights * kern) / (2.0 * math.pi * h_m * h_r))
 
 
 def samples_at(points, weights=None):
@@ -27,7 +44,7 @@ def samples_at(points, weights=None):
 class TestFitOnsetPdf:
     def test_single_gaussian_peak_value(self):
         pdf = fit_onset_pdf(samples_at([(0.0, 0.0)]), bandwidth=(1.0, 1.0))
-        assert pdf.evaluate(0.0, 0.0) == pytest.approx(1.0 / (2.0 * math.pi),
+        assert density_at(pdf, 0.0, 0.0) == pytest.approx(1.0 / (2.0 * math.pi),
                                                        rel=1e-12)
 
     def test_symmetric_samples_symmetric_density(self):
@@ -35,8 +52,8 @@ class TestFitOnsetPdf:
         pdf = fit_onset_pdf(samples_at([(1.0, 4.0), (1.0, 0.0)]),
                             bandwidth=(0.7, 0.9))
         for m, r in [(0.5, 1.3), (2.0, 0.4), (1.0, 3.0)]:
-            assert pdf.evaluate(m, 2.0 + r) == pytest.approx(
-                pdf.evaluate(m, 2.0 - r), abs=1e-12)
+            assert density_at(pdf, m, 2.0 + r) == pytest.approx(
+                density_at(pdf, m, 2.0 - r), abs=1e-12)
 
     def test_grid_mass_near_one(self):
         rng = np.random.default_rng(21)
@@ -110,7 +127,7 @@ class TestHdr:
         level = 1.0 - math.exp(-0.5)
         t = hdr_thresholds(pdf, [level])[0]
         # the threshold should sit at the density of the 1-sigma circle
-        rim = pdf.evaluate(1.0, 0.0)
+        rim = density_at(pdf, 1.0, 0.0)
         assert t == pytest.approx(rim, rel=0.05)
         # and the mass above the threshold should match the disk mass
         mass = float(np.sum(pdf.density[pdf.density >= t]) * pdf.cell_area)
@@ -148,7 +165,7 @@ class TestClassify:
         t_high, t_risky, t_low = pdf.thresholds
         # radius at which the density equals the risky threshold exactly
         r = math.sqrt(-2.0 * math.log(t_risky * 2.0 * math.pi))
-        d = pdf.evaluate(r, 0.0)
+        d = density_at(pdf, r, 0.0)
         assert d == pytest.approx(t_risky, rel=1e-9)
         # nudge inside fp error: evaluate() at the exact radius may land a
         # hair under; reconstruct the exact threshold point instead
@@ -161,7 +178,7 @@ class TestClassify:
     def test_off_grid_uses_kde_formula(self):
         pdf = self.make_pdf()
         # far outside the grid extent, density is tiny but well-defined
-        far = pdf.evaluate(50.0, 0.0)
+        far = density_at(pdf, 50.0, 0.0)
         assert far >= 0.0
         assert classify(pdf, (50.0, 0.0)) is RiskLevel.GREEN
 
@@ -252,6 +269,44 @@ def test_contiguous_high_window_through_centroid(default_cfg, default_params):
     # pointwise oracle agreement
     for i in range(0, 365, 30):
         assert risk.levels[i] is classify(pdf, (traj.m[i], traj.r0[i]))
+
+
+@pytest.mark.parametrize("transform", ["identity", "log1p_m"])
+def test_classify_days_equals_classify(world, pipeline_trajectories,
+                                       transform, monkeypatch):
+    """The blocked KDE gives, day for day, the density of the per-point
+    formula and the level that point gets alone: on the fixture's
+    target-year trajectory and on random points spread around and far
+    beyond the samples."""
+    monkeypatch.setattr("spillcast.onset.CLASSIFY_BLOCK", 100)
+    cases = world.cases.year_slices()
+    train = {y: pipeline_trajectories[y] for y in (2019, 2020, 2021)}
+    samples, _ = collect_onset_samples(train, {y: cases[y] for y in train},
+                                       transform=transform)
+    bandwidth = (0.5, 80.0) if transform == "log1p_m" else (150.0, 80.0)
+    pdf = fit_onset_pdf(samples, bandwidth=bandwidth, transform=transform)
+    traj = pipeline_trajectories[2022]
+    rng = np.random.default_rng(11)
+    m_hi, r0_hi = 3.0 * traj.m.max(), 3.0 * traj.r0.max()
+    points = [(traj.m, traj.r0),
+              (rng.uniform(0.0, m_hi, 500), rng.uniform(0.0, r0_hi, 500))]
+    seen = set()
+    for m, r0 in points:
+        density, levels = classify_days(pdf, m, r0)
+        assert len(density) == len(levels) == len(m)
+        for i in range(len(m)):
+            point = (float(m[i]), float(r0[i]))
+            want = scalar_density(pdf, *apply_transform(transform, *point))
+            assert density[i] == want
+            ladder = zip((RiskLevel.HIGH, RiskLevel.RISKY, RiskLevel.LOW),
+                         pdf.thresholds)
+            assert levels[i] is next(
+                (lvl for lvl, t in ladder if want >= t), RiskLevel.GREEN)
+            assert levels[i] is classify(pdf, point)
+        seen.update(levels)
+    assert seen == set(RiskLevel)
+    assert forecast_onset(pdf, traj).levels == classify_days(
+        pdf, traj.m, traj.r0)[1]
 
 
 def test_risk_series_csv(tmp_path, world, pipeline_trajectories):
