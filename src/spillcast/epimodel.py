@@ -43,7 +43,6 @@ import operator
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +54,6 @@ from .r0 import R0Inputs, r0
 from .thermal import eval_thermal, eval_thermal_array
 
 BLOWUP_LIMIT = 1e12
-_DAY = timedelta(days=1)
 
 COMPARTMENTS = (
     "H_S", "H_E", "H_I", "H_R",
@@ -278,21 +276,23 @@ def _k_array(k_series, n: int) -> np.ndarray:
     return k_arr
 
 
-def _span_rates(params: ModelParams, weather: WeatherSeries, lo: int,
-                hi: int) -> np.ndarray:
-    """The thermal rates of days [lo, hi) as an (n, 16) array, one row per
-    day in ``_RATE_KEYS`` order."""
-    temps = weather.temp_mean[lo:hi]
-    return np.column_stack([eval_thermal_array(params.rates[key], temps)
+def _thermal_rates(params: ModelParams, weather: WeatherSeries) -> np.ndarray:
+    """The thermal rates of every weather day as an (n, 16) array, one row
+    per day in ``_RATE_KEYS`` order.  ``eval_thermal_array`` works element
+    by element, so a row does not depend on the days around it."""
+    return np.column_stack([eval_thermal_array(params.rates[key],
+                                               weather.temp_mean)
                             for key in _RATE_KEYS])
 
 
-def _advance(params: ModelParams, weather: WeatherSeries, k_arr, y: list,
-             steps_per_day: int, lo: int, hi: int, out: tuple) -> tuple:
+def _advance(params: ModelParams, weather: WeatherSeries, rates, k_arr,
+             y: list, steps_per_day: int, lo: int, hi: int,
+             out: tuple) -> tuple:
     """Integrate days [lo, hi) from the 16-entry state ``y`` (the last
     entry is the cumulative-infection accumulator), writing day i into row
-    i of ``out`` = (states, m, r0, new_infections).  Returns the state
-    after day hi - 1 and the number of clamped values.
+    i of ``out`` = (states, m, r0, new_infections).  ``rates`` holds the
+    ``_thermal_rates`` of the whole weather span.  Returns the state after
+    day hi - 1 and the number of clamped values.
 
     The state lives in local floats and the four RK4 stages are written
     out with ``half = 0.5 * h`` and ``sixth = h / 6.0``, the factors that
@@ -306,12 +306,12 @@ def _advance(params: ModelParams, weather: WeatherSeries, k_arr, y: list,
     sixth = h / 6.0
     clamps = 0
 
-    span_rates = _span_rates(params, weather, lo, hi).tolist()
-    for i, rates, k_cap in zip(range(lo, hi), span_rates, k_arr[lo:hi].tolist()):
+    for i, day_rates, k_cap in zip(range(lo, hi), rates[lo:hi].tolist(),
+                                   k_arr[lo:hi].tolist()):
         states[i] = y[:15]
         m_prof[i] = y[6] + y[7] + y[8]
-        r0_daily[i] = r0(_r0_inputs(rates, y[6], y[11]))
-        rhs = _day_rhs(rates, k_cap)
+        r0_daily[i] = r0(_r0_inputs(day_rates, y[6], y[11]))
+        rhs = _day_rhs(day_rates, k_cap)
 
         (h_s, h_e, h_i, h_r, e_m, a_m, m_s, m_e, m_i,
          e_b, f_b, b_s, b_e, b_i, b_r, cum) = y
@@ -486,31 +486,33 @@ _KERNEL_ERRORS = {
 }
 
 
-def _advance_days(params: ModelParams, weather: WeatherSeries, k_arr,
+def _advance_days(params: ModelParams, weather: WeatherSeries, rates, k_arr,
                   y: list, steps_per_day: int, lo: int, hi: int,
                   out: tuple) -> tuple:
     """``_advance`` through the compiled loop when it is available: the same
     arguments, states, clamp count and errors, raised on the same day."""
     advance = _load_kernel()
     if advance is None:
-        return _advance(params, weather, k_arr, y, steps_per_day, lo, hi, out)
+        return _advance(params, weather, rates, k_arr, y, steps_per_day, lo,
+                        hi, out)
     n = hi - lo
     h = 1.0 / steps_per_day
     state = np.array(y, dtype=float)
-    rates = _span_rates(params, weather, lo, hi)
+    span_rates = rates[lo:hi]
     k_span = np.ascontiguousarray(k_arr[lo:hi], dtype=float)
     rows = [a[lo:hi] for a in out]              # states, m, r0, new cases
     # the loop reads and writes n rows of each array through raw pointers
-    if (state.shape != (16,) or rates.shape != (n, 16)
+    if (state.shape != (16,) or span_rates.shape != (n, 16)
             or rows[0].shape != (n, 15)
             or any(a.shape != (n,) for a in (k_span, *rows[1:]))):
         raise ValueError(f"arrays do not fit the {n}-day span")
     counts = np.zeros(2, dtype=np.int64)        # clamps, failing day
     status = advance(n, operator.index(steps_per_day), h, 0.5 * h, h / 6.0,
-                     params.rho, BLOWUP_LIMIT, rates, k_span, state, *rows,
-                     counts[:1], counts[1:])
+                     params.rho, BLOWUP_LIMIT, span_rates, k_span, state,
+                     *rows, counts[:1], counts[1:])
     if status == _UNDERFLOW:
-        return _advance(params, weather, k_arr, y, steps_per_day, lo, hi, out)
+        return _advance(params, weather, rates, k_arr, y, steps_per_day, lo,
+                        hi, out)
     if status:
         raise _KERNEL_ERRORS[status](weather.dates[lo + int(counts[1])])
     return state.tolist(), int(counts[0])
@@ -548,19 +550,20 @@ def _seed_pulse(y, seed_birds: float) -> list:
     return seeded.as_list() + [0.0]
 
 
-def _run_trajectory(params: ModelParams, run: Run, k_arr,
+def _run_trajectory(params: ModelParams, run: Run, rates, k_arr,
                     steps_per_day: int) -> Trajectory:
-    """Advance to the pulse day, pulse, then advance to the end."""
+    """Advance to the pulse day, pulse, then advance to the end; ``rates``
+    are the ``_thermal_rates`` of the run's weather."""
     n = len(run.weather)
     out = (np.empty((n, 15)), np.empty(n), np.empty(n), np.empty(n))
     y, clamps, lo = run.init.as_list() + [0.0], 0, 0
     if run.seed_day is not None and n:
         lo = min(max(int(run.seed_day), 0), n - 1)
-        y, clamps = _advance_days(params, run.weather, k_arr, y,
+        y, clamps = _advance_days(params, run.weather, rates, k_arr, y,
                                   steps_per_day, 0, lo, out)
         y = _seed_pulse(y, run.seed_birds)
-    y, count = _advance_days(params, run.weather, k_arr, y, steps_per_day,
-                             lo, n, out)
+    y, count = _advance_days(params, run.weather, rates, k_arr, y,
+                             steps_per_day, lo, n, out)
     states, m_prof, r0_daily, new_inf = out
     return Trajectory(
         dates=run.weather.dates,
@@ -589,7 +592,8 @@ def simulate(params: ModelParams, weather: WeatherSeries, k_series,
     at zero.  A non-finite end state raises NonFiniteInput.
     """
     k_arr = _k_array(k_series, len(weather))
-    return _run_trajectory(params, Run(weather, k_series, init), k_arr,
+    return _run_trajectory(params, Run(weather, k_series, init),
+                           _thermal_rates(params, weather), k_arr,
                            steps_per_day)
 
 
@@ -601,20 +605,39 @@ def simulate_runs(params: ModelParams, runs, steps_per_day: int = 24) -> list:
     from the pulsed state).  Every run's K is checked before any run is
     simulated.  Errors are those of ``simulate``: LengthMismatch,
     NonFiniteInput (K <= 0 or non-finite, non-finite end state), BlowUp.
+
+    Consecutive runs on the same WeatherSeries object (the K levels of one
+    year) share one array of thermal rates; only the latest is kept.
     """
     runs = list(runs)
     k_arrs = [_k_array(run.k_series, len(run.weather)) for run in runs]
-    return [_run_trajectory(params, run, k_arr, steps_per_day)
-            for run, k_arr in zip(runs, k_arrs)]
+    trajectories, rates, rates_of = [], None, None
+    for run, k_arr in zip(runs, k_arrs):
+        if run.weather is not rates_of:
+            rates, rates_of = _thermal_rates(params, run.weather), run.weather
+        trajectories.append(_run_trajectory(params, run, rates, k_arr,
+                                            steps_per_day))
+    return trajectories
 
 
 def weekly_expected_cases(traj: Trajectory, week_starts) -> np.ndarray:
     """Expected reported cases summed over each week starting at the given
-    dates; days outside the trajectory contribute zero."""
-    by_date = dict(zip(traj.dates, traj.new_infections))
+    dates; days outside the trajectory contribute zero.
+
+    A week's days are found by their offset from the trajectory's first
+    date, and its seven values are added left to right from 0.0, day
+    column by day column, as ``sum`` over them would add them."""
+    n = len(traj)
     totals = np.zeros(len(week_starts))
-    for j, start in enumerate(week_starts):
-        totals[j] = sum(by_date.get(start + _DAY * d, 0.0) for d in range(7))
+    if not n:
+        return totals
+    first = traj.dates[0]
+    days = (np.array([(start - first).days for start in week_starts],
+                     dtype=np.int64)[:, None] + np.arange(7))
+    inside = (days >= 0) & (days < n)
+    daily = np.where(inside, traj.new_infections[np.clip(days, 0, n - 1)], 0.0)
+    for d in range(7):
+        totals = totals + daily[:, d]
     return totals
 
 

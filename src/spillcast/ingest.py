@@ -60,9 +60,13 @@ class WeatherSeries:
         n = len(self.dates)
         if not (len(self.temp_mean) == len(self.humidity) == len(self.precip) == n):
             raise ValueError("column lengths differ")
-        for i in range(1, n):
-            if (self.dates[i] - self.dates[i - 1]).days != 1:
-                raise ValueError(f"dates not contiguous at {self.dates[i]}")
+        if n > 1:
+            ordinals = np.fromiter(map(date.toordinal, self.dates),
+                                   dtype=np.int64, count=n)
+            bad = np.flatnonzero(np.diff(ordinals) != 1)
+            if bad.size:
+                raise ValueError(
+                    f"dates not contiguous at {self.dates[int(bad[0]) + 1]}")
         if n and (np.any(self.humidity < 0) or np.any(self.humidity > 100)):
             raise RangeViolation("humidity", "outside [0, 100]")
         if n and np.any(self.precip < 0):
@@ -94,12 +98,8 @@ class WeatherSeries:
 
     def year_slices(self) -> dict[int, "WeatherSeries"]:
         """Split into calendar-year subseries (keyed by year)."""
-        out = {}
-        years = [d.year for d in self.dates]
-        for year in sorted(set(years)):
-            idx = [i for i, y in enumerate(years) if y == year]
-            out[year] = self.slice(idx[0], idx[-1] + 1)
-        return out
+        return {year: self.slice(lo, hi)
+                for year, lo, hi in _year_bounds(self.dates, 1)}
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,34 @@ class CaseSeries:
 
     def year_slices(self) -> dict[int, "CaseSeries"]:
         out = {}
-        years = [d.year for d in self.week_starts]
-        for year in sorted(set(years)):
-            idx = [i for i, y in enumerate(years) if y == year]
-            keep = set(self.week_starts[idx[0]:idx[-1] + 1])
+        for year, lo, hi in _year_bounds(self.week_starts, 7):
+            keep = set(self.week_starts[lo:hi])
             out[year] = CaseSeries(
-                self.week_starts[idx[0]:idx[-1] + 1],
-                self.counts[idx[0]:idx[-1] + 1].copy(),
+                self.week_starts[lo:hi],
+                self.counts[lo:hi].copy(),
                 tuple(d for d in self.filled if d in keep),
             )
         return out
+
+
+def _year_bounds(dates, step: int):
+    """(year, lo, hi) for each calendar year of ``dates``, which run
+    ``step`` days apart: entries [lo, hi) fall in that year.  Entry i is
+    ``dates[0]`` plus ``step * i`` days, so a year's bounds follow from its
+    first day's offset alone (rounded up to the next entry)."""
+    if not dates:
+        return []
+    first, last = dates[0], dates[-1]
+    bounds = []
+    lo = 0
+    for year in range(first.year, last.year + 1):
+        if year == last.year:
+            hi = len(dates)
+        else:
+            hi = -(-(date(year + 1, 1, 1) - first).days // step)
+        bounds.append((year, lo, hi))
+        lo = hi
+    return bounds
 
 
 def _parse_float(text, field_name, lineno):

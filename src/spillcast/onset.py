@@ -45,6 +45,10 @@ class RiskLevel(enum.IntEnum):
         return cls[label.upper()]
 
 
+# RiskLevel members indexed by their value (GREEN = 0 up to HIGH = 3)
+_LEVEL_OF_CODE = tuple(RiskLevel)
+
+
 @dataclass(frozen=True)
 class OnsetSample:
     m: float
@@ -247,7 +251,7 @@ def classify_days(pdf: OnsetPdf, m, r0) -> tuple:
                        density >= t_low],
                       [RiskLevel.HIGH, RiskLevel.RISKY, RiskLevel.LOW],
                       RiskLevel.GREEN)
-    return density, tuple(map(RiskLevel, codes.tolist()))
+    return density, tuple(map(_LEVEL_OF_CODE.__getitem__, codes.tolist()))
 
 
 def classify(pdf: OnsetPdf, point) -> RiskLevel:

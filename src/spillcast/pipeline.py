@@ -24,6 +24,7 @@ import numpy as np
 from . import weathercast
 from .config import Config
 from .epimodel import ModelParams, default_init_state, simulate
+from .errors import LengthMismatch
 from .ingest import WeatherSeries
 from .onset import OnsetPdf, RiskSeries, classify_days
 
@@ -58,6 +59,19 @@ def splice(actual: WeatherSeries, fcst: WeatherSeries) -> WeatherSeries:
     )
 
 
+def _k_by_index(ks, dates) -> np.ndarray:
+    """The K of each of the contiguous ``dates``, taken from ``ks`` by the
+    offset of ``dates[0]``: the series must hold every one of those days,
+    in order, from there on.  Otherwise LengthMismatch names the first
+    simulated day that is not where that offset puts it."""
+    lo = (dates[0] - ks.dates[0]).days if len(dates) and len(ks) else 0
+    if lo >= 0 and tuple(ks.dates[lo:lo + len(dates)]) == tuple(dates):
+        return np.asarray(ks.values[lo:lo + len(dates)], dtype=float)
+    first = next(d for i, d in enumerate(dates, start=lo)
+                 if not 0 <= i < len(ks) or ks.dates[i] != d)
+    raise LengthMismatch(f"K series does not cover the simulated day {first}")
+
+
 def forecast_points(weather: WeatherSeries, mode: str, lead: int,
                     params: ModelParams, cfg: Config,
                     forecast_start: date | None = None,
@@ -81,7 +95,8 @@ def forecast_points(weather: WeatherSeries, mode: str, lead: int,
     ``k_series`` supplies the carrying capacity: a fixed KSeries, a
     callable mapping the simulated WeatherSeries to one day by day (e.g.
     the fitted precipitation-bin planes), or None for the configured
-    constant.
+    constant.  A simulated day the series does not cover raises
+    LengthMismatch, and a K <= 0 raises NonFiniteInput.
     """
     if forecast_start is None:
         forecast_start = date(weather.dates[-1].year, 1, 1)
@@ -99,10 +114,7 @@ def forecast_points(weather: WeatherSeries, mode: str, lead: int,
         if k_series is None:
             return np.full(len(spliced), cfg.k_default)
         ks = k_series(spliced) if callable(k_series) else k_series
-        lookup = dict(zip(ks.dates, ks.values))
-        return np.array(
-            [max(lookup.get(d, cfg.k_default), 1e-6) for d in spliced.dates]
-        )
+        return _k_by_index(ks, spliced.dates)
 
     w_weights = (cfg.w_temp, cfg.w_humidity, cfg.w_precip)
 

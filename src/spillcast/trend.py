@@ -32,8 +32,8 @@ def annual_indicators(levels) -> tuple:
     levels = list(levels)
     if not levels:
         raise EmptyYear("no risk levels")
-    n_high = sum(1 for lv in levels if lv is RiskLevel.HIGH)
-    n_risk = sum(1 for lv in levels if lv is not RiskLevel.GREEN)
+    n_high = levels.count(RiskLevel.HIGH)
+    n_risk = len(levels) - levels.count(RiskLevel.GREEN)
     r_year = n_high / len(levels)
     r_relative = n_high / n_risk if n_risk else 0.0
     return r_year, r_relative
@@ -132,10 +132,10 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
     trends for both.
 
     ``k_predictor`` maps a year's WeatherSeries to its carrying-capacity
-    series (typically the fitted precipitation-bin planes).  Every year
-    starts from the default initial state; the years go to
-    ``simulate_runs`` together, bit-identical to simulating each year
-    alone.
+    series (typically the fitted precipitation-bin planes); a K <= 0
+    raises NonFiniteInput.  Every year starts from the default initial
+    state; the years go to ``simulate_runs`` together, bit-identical to
+    simulating each year alone.
     """
     by_year = archive.year_slices()
     years = sorted(by_year)
@@ -143,12 +143,8 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
         raise TooFewYears(f"need at least 10 years of weather, got {len(years)}")
 
     init = default_init_state(cfg)
-    runs = []
-    for year in years:
-        wx = by_year[year]
-        k_series = k_predictor(wx)
-        k_values = np.maximum(np.asarray(k_series.values, dtype=float), 1e-6)
-        runs.append(Run(wx, k_values, init))
+    runs = [Run(by_year[year], k_predictor(by_year[year]).values, init)
+            for year in years]
     r_year, r_relative = [], []
     for traj in simulate_runs(params, runs, steps_per_day=cfg.steps_per_day):
         risk = forecast_onset(pdf, traj)

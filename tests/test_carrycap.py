@@ -352,3 +352,26 @@ def test_load_k_rejects_or_returns_finite(tmp_path_factory, values):
         return
     assert np.all(np.isfinite(series.values))
     assert np.all(series.values >= 0)
+
+
+def test_calibrate_k_computes_rates_once_per_year(world, monkeypatch):
+    """The K levels of a year share one rate array: 16 curve evaluations
+    per complete year, not 16 per year x level x pulse half."""
+    from spillcast import epimodel
+    from spillcast.thermal import eval_thermal_array
+
+    calls = []
+
+    def counting(curve, temps):
+        calls.append(len(temps))
+        return eval_thermal_array(curve, temps)
+
+    monkeypatch.setattr(epimodel, "eval_thermal_array", counting)
+    cfg = world.cfg
+    history = world.weather.slice(0, world.weather.dates.index(date(2022, 1, 1)))
+    calibrate_K(history, world.cases, ModelParams.from_config(cfg),
+                [2500.0, 5000.0, 7500.0], default_init_state(cfg),
+                steps_per_day=cfg.steps_per_day)
+    years = (2019, 2020, 2021)
+    assert len(calls) == len(epimodel._RATE_KEYS) * len(years)
+    assert sum(calls) == len(epimodel._RATE_KEYS) * len(history)

@@ -31,7 +31,7 @@ from spillcast.epimodel import (
 )
 from spillcast.ingest import WeatherSeries
 from spillcast.r0 import r0
-from spillcast.thermal import ThermalCurve
+from spillcast.thermal import ThermalCurve, eval_thermal_array
 
 from tests.conftest import constant_weather, sinusoid_weather
 
@@ -651,3 +651,80 @@ class TestSimulateRuns:
         for loop in DAY_LOOPS:
             with day_loop(loop), pytest.raises(errors.NonFiniteInput):
                 simulate_runs(default_params, runs)
+
+
+def _weekly_expected_cases_oracle(traj, week_starts):
+    """The original date-keyed sum: days outside the trajectory add 0.0,
+    the rest add left to right as ``sum`` does."""
+    by_date = dict(zip(traj.dates, traj.new_infections))
+    totals = np.zeros(len(week_starts))
+    for j, start in enumerate(week_starts):
+        totals[j] = sum(by_date.get(start + timedelta(days=d), 0.0)
+                        for d in range(7))
+    return totals
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       offsets=st.lists(st.integers(-60, 60), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_weekly_expected_cases_equals_the_date_sum(seed, n, offsets):
+    """Weeks before, straddling and after the trajectory, bit for bit;
+    daily values of mixed magnitude make any regrouped sum differ."""
+    rng = np.random.default_rng(seed)
+    wx = constant_weather(n, start=date(2021, 2, 20))
+    daily = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 17, n)
+    traj = Trajectory(dates=wx.dates, states=np.zeros((n, 15)),
+                      m=np.zeros(n), r0=np.zeros(n), new_infections=daily,
+                      weather=wx)
+    weeks = [wx.dates[0] + timedelta(days=o) for o in offsets]
+    got = weekly_expected_cases(traj, weeks)
+    assert got.tobytes() == _weekly_expected_cases_oracle(traj, weeks).tobytes()
+
+
+def test_weekly_expected_cases_keeps_the_left_to_right_order():
+    """1e16 + 1 + 1 rounds back to 1e16 twice left to right; a pairwise
+    or compensated sum would give 1e16 + 2."""
+    wx = constant_weather(7, start=date(2021, 6, 7))
+    daily = np.array([1e16, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    traj = Trajectory(dates=wx.dates, states=np.zeros((7, 15)), m=np.zeros(7),
+                      r0=np.zeros(7), new_infections=daily, weather=wx)
+    assert weekly_expected_cases(traj, [wx.dates[0]])[0] == 1e16
+
+
+class TestThermalRatesPerWeather:
+    """The thermal rates are computed once per weather span: once for both
+    halves of a seeded run, once for consecutive runs on one weather."""
+
+    @pytest.fixture
+    def rate_calls(self, monkeypatch):
+        calls = []
+
+        def counting(curve, temps):
+            calls.append(len(temps))
+            return eval_thermal_array(curve, temps)
+
+        monkeypatch.setattr(epimodel, "eval_thermal_array", counting)
+        return calls
+
+    def test_runs_on_one_weather_share_one_rate_array(
+            self, default_cfg, default_params, rate_calls):
+        init = default_init_state(default_cfg)
+        wx = sinusoid_weather(60)
+        runs = [Run(wx, k, init, seed_day=20) for k in (2000.0, 5000.0, 9000.0)]
+        simulate_runs(default_params, runs)
+        assert rate_calls == [60] * len(epimodel._RATE_KEYS)
+
+    @pytest.mark.parametrize("loop", DAY_LOOPS)
+    def test_shared_and_interleaved_weather_bit_identical(
+            self, default_cfg, default_params, loop):
+        """Runs A, A, B, A: each equals its own run alone in Python."""
+        init = default_init_state(default_cfg)
+        a, b = sinusoid_weather(50), sinusoid_weather(40, base=22.0)
+        runs = [Run(a, 3000.0, init, seed_day=10), Run(a, 8000.0, init),
+                Run(b, 5000.0, init, seed_day=5), Run(a, 5000.0, init, 30)]
+        with day_loop("python"):
+            want = [simulate_runs(default_params, [run])[0] for run in runs]
+        with day_loop(loop):
+            got = simulate_runs(default_params, runs)
+        for g, w in zip(got, want):
+            assert_same_trajectory(g, w)

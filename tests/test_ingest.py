@@ -209,3 +209,101 @@ def test_load_weather_rejects_or_returns_finite(tmp_path_factory, rows):
         return
     for column in (series.temp_mean, series.humidity, series.precip):
         assert np.all(np.isfinite(column))
+
+
+# --- the per-year split and the contiguity check against their first forms ---
+
+def _year_slices_oracle(dates, cut):
+    """The original O(years x days) split: scan every date once per year;
+    ``cut(lo, hi, keep)`` builds the subseries of indices [lo, hi)."""
+    out = {}
+    years = [d.year for d in dates]
+    for year in sorted(set(years)):
+        idx = [i for i, y in enumerate(years) if y == year]
+        out[year] = cut(idx[0], idx[-1] + 1, set(dates[idx[0]:idx[-1] + 1]))
+    return out
+
+
+def _weather_year_slices_oracle(wx):
+    return _year_slices_oracle(wx.dates, lambda lo, hi, keep: (
+        wx.dates[lo:hi], wx.temp_mean[lo:hi], wx.humidity[lo:hi],
+        wx.precip[lo:hi], tuple(d for d in wx.interpolated if d in keep)))
+
+
+def _case_year_slices_oracle(cs):
+    return _year_slices_oracle(cs.week_starts, lambda lo, hi, keep: (
+        cs.week_starts[lo:hi], cs.counts[lo:hi],
+        tuple(d for d in cs.filled if d in keep)))
+
+
+def _contiguity_oracle(dates):
+    """The original per-date check: the message it raised, or None."""
+    for i in range(1, len(dates)):
+        if (dates[i] - dates[i - 1]).days != 1:
+            return f"dates not contiguous at {dates[i]}"
+    return None
+
+
+SLICE_STARTS = st.one_of(
+    st.sampled_from([date(2019, 1, 1), date(2020, 2, 29), date(2021, 7, 2),
+                     date(2020, 12, 31), date(2023, 12, 25)]),
+    st.dates(min_value=date(1990, 1, 1), max_value=date(2040, 12, 31)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=SLICE_STARTS, n=st.integers(1, 1200), data=st.data())
+def test_weather_year_slices_equal_the_scan(start, n, data):
+    """Keys, their order, columns and each year's interpolated dates equal
+    the per-year scan, from single days to several partial years."""
+    dates = tuple(start + timedelta(days=i) for i in range(n))
+    flagged = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                 min_size=1, max_size=20).map(sorted))
+    rng = np.random.default_rng(n)
+    wx = WeatherSeries(dates, rng.normal(15.0, 8.0, n),
+                       rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 9.0, n),
+                       tuple(dates[i] for i in flagged))
+    got = wx.year_slices()
+    want = _weather_year_slices_oracle(wx)
+    assert list(got) == list(want)
+    for year, part in got.items():
+        dates_w, temp, hum, prec, interp = want[year]
+        assert part.dates == dates_w and part.interpolated == interp
+        for a, b in ((part.temp_mean, temp), (part.humidity, hum),
+                     (part.precip, prec)):
+            assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=SLICE_STARTS, n=st.integers(1, 200), data=st.data())
+def test_case_year_slices_equal_the_scan(start, n, data):
+    """Keys, their order, counts and each year's filled weeks equal the
+    per-year scan."""
+    weeks = tuple(start + timedelta(days=7 * i) for i in range(n))
+    filled = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                min_size=1, max_size=20).map(sorted))
+    counts = np.random.default_rng(n).integers(0, 50, n)
+    cs = CaseSeries(weeks, counts, tuple(weeks[i] for i in filled))
+    got = cs.year_slices()
+    want = _case_year_slices_oracle(cs)
+    assert list(got) == list(want)
+    for year, part in got.items():
+        weeks_w, counts_w, filled_w = want[year]
+        assert part.week_starts == weeks_w and part.filled == filled_w
+        assert np.array_equal(part.counts, counts_w)
+
+
+@pytest.mark.parametrize("dates", [
+    (date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 4)),     # a gap
+    (date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 2),
+     date(2020, 1, 3)),                                           # duplicate
+    (date(2020, 1, 3), date(2020, 1, 4), date(2020, 1, 2)),     # backwards
+    (date(2020, 1, 1), date(2019, 12, 31)),                     # at once
+])
+def test_contiguity_error_names_the_first_bad_date(dates):
+    n = len(dates)
+    want = _contiguity_oracle(dates)
+    assert want is not None
+    with pytest.raises(ValueError) as info:
+        WeatherSeries(dates, np.zeros(n), np.full(n, 50.0), np.zeros(n))
+    assert str(info.value) == want

@@ -149,9 +149,11 @@ def test_compiled_loop_fills_only_its_span(default_params):
     y = epimodel.default_init_state(Config()).as_list() + [0.0]
     got, want = ((np.full((12, 15), -1.0), np.full(12, -1.0),
                   np.full(12, -1.0), np.full(12, -1.0)) for _ in range(2))
-    end_c = epimodel._advance_days(default_params, wx, k_arr, y, 3, 4, 9,
-                                   got)
-    end_py = epimodel._advance(default_params, wx, k_arr, y, 3, 4, 9, want)
+    rates = epimodel._thermal_rates(default_params, wx)
+    end_c = epimodel._advance_days(default_params, wx, rates, k_arr, y, 3, 4,
+                                   9, got)
+    end_py = epimodel._advance(default_params, wx, rates, k_arr, y, 3, 4, 9,
+                               want)
     assert end_c == end_py
     for g, w in zip(got, want):
         assert np.array_equal(g, w)

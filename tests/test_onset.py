@@ -332,3 +332,23 @@ def test_risk_series_csv(tmp_path, world, pipeline_trajectories):
     grid_lines = grid_path.read_text().splitlines()
     assert grid_lines[0] == "m,r0,density"
     assert len(grid_lines) == 1 + pdf.density.size
+
+
+def test_classify_days_returns_the_enum_members(world, pipeline_trajectories):
+    """Each level is the very RiskLevel member its code names."""
+    cases = world.cases.year_slices()
+    train = {y: pipeline_trajectories[y] for y in (2019, 2020, 2021)}
+    samples, _ = collect_onset_samples(train, {y: cases[y] for y in train})
+    pdf = fit_onset_pdf(samples, bandwidth=(150.0, 80.0))
+    traj = pipeline_trajectories[2022]
+    rng = np.random.default_rng(5)
+    m = np.concatenate([traj.m, rng.uniform(0.0, 3.0 * traj.m.max(), 300)])
+    r0 = np.concatenate([traj.r0, rng.uniform(0.0, 3.0 * traj.r0.max(), 300)])
+    density, levels = classify_days(pdf, m, r0)
+    t_high, t_risky, t_low = pdf.thresholds
+    codes = np.select([density >= t_high, density >= t_risky, density >= t_low],
+                      [3, 2, 1], 0)
+    assert type(levels) is tuple and len(levels) == len(m)
+    for level, code in zip(levels, codes.tolist()):
+        assert level is RiskLevel(code)
+    assert set(levels) == set(RiskLevel)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from datetime import date
+from datetime import date, timedelta
 
 from spillcast import errors, pipeline, weathercast
 from spillcast.carrycap import KSeries
@@ -107,8 +107,7 @@ def restart_short_term(weather, lead, params, cfg, forecast_start=None,
         else:
             ks = k_series(spliced) if callable(k_series) else k_series
             lookup = dict(zip(ks.dates, ks.values))
-            k = np.array([max(lookup.get(d, cfg.k_default), 1e-6)
-                          for d in spliced.dates])
+            k = np.array([lookup[d] for d in spliced.dates])
         traj = simulate(params, spliced, k, init,
                         steps_per_day=cfg.steps_per_day)
         w = weather_feature(spliced, (cfg.w_temp, cfg.w_humidity,
@@ -123,10 +122,10 @@ def restart_short_term(weather, lead, params, cfg, forecast_start=None,
 
 
 def _fixed_k(weather):
-    """A KSeries over the target year that leaves March uncovered, so the
-    configured default fills in for those days."""
-    dates = tuple(d for d in weather.dates
-                  if d.year == weather.dates[-1].year and d.month != 3)
+    """A KSeries that covers the whole target year with a varying K."""
+    year = weather.dates[-1].year
+    dates = tuple(date(year, 1, 1) + timedelta(days=i)
+                  for i in range((date(year + 1, 1, 1) - date(year, 1, 1)).days))
     doy = np.array([d.timetuple().tm_yday for d in dates], dtype=float)
     return KSeries(dates, 4000.0 + 1500.0 * np.sin(doy / 30.0))
 
@@ -180,6 +179,57 @@ class TestShortTermCheckpoint:
         assert len(points) == 365
         assert len(days) == 27  # one simulation per window
         assert sum(days) <= 2 * 366
+
+
+class TestKAlignment:
+    """forecast_points takes K by index from the given series: a simulated
+    day it does not cover, or a K <= 0, is an error, not a silent fill."""
+
+    @staticmethod
+    def _points(world, k_series, mode="short_term"):
+        cfg = world.cfg
+        weather = world.weather.slice(
+            0, world.weather.dates.index(date(2022, 1, 20)) + 1)
+        return forecast_points(weather, mode, 7, ModelParams.from_config(cfg),
+                               cfg, k_series=k_series)
+
+    @pytest.mark.parametrize("missing", [date(2022, 1, 1), date(2022, 1, 9),
+                                         date(2022, 1, 20)])
+    @pytest.mark.parametrize("as_callable", [False, True])
+    def test_uncovered_day_raises_naming_it(self, world, missing,
+                                            as_callable):
+        full = _fixed_k(world.weather)
+        keep = [i for i, d in enumerate(full.dates) if d != missing]
+        ks = KSeries(tuple(full.dates[i] for i in keep), full.values[keep])
+        arg = (lambda wx: ks) if as_callable else ks
+        with pytest.raises(errors.LengthMismatch, match=str(missing)):
+            self._points(world, arg)
+
+    def test_series_ending_before_the_year_raises(self, world):
+        cfg = world.cfg
+        wx = world.weather
+        end = wx.dates.index(date(2021, 12, 31)) + 1
+        ks = KSeries(wx.dates[:end], np.full(end, cfg.k_default))
+        with pytest.raises(errors.LengthMismatch, match="2022-01-01"):
+            self._points(world, ks, mode="long_term")
+
+    def test_k_zero_raises_non_finite_input(self, world):
+        ks = _fixed_k(world.weather)
+        values = ks.values.copy()
+        values[5] = 0.0
+        with pytest.raises(errors.NonFiniteInput):
+            self._points(world, KSeries(ks.dates, values))
+
+    def test_longer_series_is_sliced_to_the_span(self, world):
+        """A K series reaching before and after the simulated span gives
+        the points of the series cut to the target year."""
+        ks = _fixed_k(world.weather)
+        wx = world.weather
+        lo = wx.dates.index(date(2021, 6, 1))
+        extra = KSeries(wx.dates[lo:] + (date(2023, 1, 1),),
+                        np.concatenate([np.full(len(wx) - lo - len(ks), 7.0e3),
+                                        ks.values, [9.0e3]]))
+        assert self._points(world, extra) == self._points(world, ks)
 
 
 class TestPredictOnsetRisk:

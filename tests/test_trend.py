@@ -197,3 +197,34 @@ class TestTrendReport:
         archive = seasonal_weather(2000, 5)
         with pytest.raises(errors.TooFewYears):
             trend_report(archive, pdf, params, constant_k, cfg)
+
+
+def test_trend_report_rejects_a_k_predictor_giving_k_0(world,
+                                                       pdf_and_predictor):
+    """K = 0 from the predictor is an input error, not floored at 1e-6
+    (a KSeries cannot hold a negative K)."""
+    from spillcast.carrycap import KSeries
+    from spillcast.epimodel import ModelParams
+    from spillcast.synth import seasonal_weather
+    pdf, _ = pdf_and_predictor
+    archive = seasonal_weather(2000, 10, noise_sigma=0.2, seed=8)
+
+    def bad(wx):
+        values = np.full(len(wx), world.k_star)
+        values[200] = 0.0
+        return KSeries(wx.dates, values)
+
+    with pytest.raises(errors.NonFiniteInput):
+        trend_report(archive, pdf, ModelParams.from_config(world.cfg), bad,
+                     world.cfg)
+
+
+def test_annual_indicators_equal_the_identity_counts():
+    """Counting by ``list.count`` gives the identity-test counts."""
+    rng = np.random.default_rng(9)
+    for n in (1, 7, 365):
+        levels = [RiskLevel(int(v)) for v in rng.integers(0, 4, n)]
+        n_high = sum(1 for lv in levels if lv is RiskLevel.HIGH)
+        n_risk = sum(1 for lv in levels if lv is not RiskLevel.GREEN)
+        assert annual_indicators(levels) == (
+            n_high / n, n_high / n_risk if n_risk else 0.0)
