@@ -39,6 +39,7 @@ from .epimodel import (
     save_trajectory,
 )
 from .errors import InputError, LengthMismatch, NumericalError
+from .evaluate import bayesian_predictive, nb_one_step, score_run
 from .ingest import load_cases, load_weather
 from .onset import collect_onset_samples, fit_onset_pdf, save_risk_series
 from .pipeline import predict_onset_risk, weather_feature
@@ -339,9 +340,6 @@ def _weekly_predictions(severity_csv, week_starts):
 
 
 def cmd_evaluate(args) -> int:
-    # evaluate and trend load scipy; importing them here keeps it off the
-    # start-up path of every other command
-    from .evaluate import bayesian_predictive, nb_one_step, score_run
     cfg = load_cfg(args)
     cases = load_cases(args.cases)
     target_year = args.target_year or cases.week_starts[-1].year
@@ -389,6 +387,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_trend(args) -> int:
+    # trend loads scipy; importing it here keeps it off the start-up path
+    # of every other command
     from .trend import trend_report
     cfg = load_cfg(args)
     params = ModelParams.from_config(cfg)

@@ -146,6 +146,10 @@ class WeekMismatch(InputError):
     pass
 
 
+class NoConvergence(NumericalError):
+    pass
+
+
 # --- trend ----------------------------------------------------------------
 
 class EmptyYear(InputError):

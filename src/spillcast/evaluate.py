@@ -13,11 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
 
-from .errors import TooFewObservations, UnnormalizedDist, WeekMismatch
+from .errors import (
+    NoConvergence,
+    TooFewObservations,
+    UnnormalizedDist,
+    WeekMismatch,
+)
 from .ingest import CaseSeries
+from .special import lgam
 
 DEFAULT_FLOOR = -10.0
 DEFAULT_X_CAP = 100
@@ -100,9 +104,9 @@ class NegBinModel:
             mu = self.poisson_mean
             if mu == 0.0:
                 return np.where(k == 0, 0.0, -np.inf)
-            return k * math.log(mu) - mu - gammaln(k + 1)
+            return k * math.log(mu) - mu - _lgam_each(k + 1)
         return (
-            gammaln(k + self.r) - gammaln(self.r) - gammaln(k + 1)
+            _lgam_each(k + self.r) - lgam(self.r) - _lgam_each(k + 1)
             + self.r * math.log(self.p) + k * math.log1p(-self.p)
         )
 
@@ -115,12 +119,128 @@ class NegBinModel:
         return self.r * (1.0 - self.p) / self.p
 
 
+def _lgam_each(values: np.ndarray) -> np.ndarray:
+    """Elementwise lgam, evaluated once per distinct value."""
+    distinct, index = np.unique(values, return_inverse=True)
+    lg = np.array([lgam(v) for v in distinct.tolist()])
+    return lg[index.reshape(np.shape(values))]   # numpy < 2: flat inverse
+
+
 def negbin_loglik(counts, r: float, p: float) -> float:
     counts = np.asarray(counts, dtype=float)
-    return float(np.sum(
-        gammaln(counts + r) - gammaln(r) - gammaln(counts + 1)
-        + r * math.log(p) + counts * math.log1p(-p)
-    ))
+    return _NegBinProfile(counts).loglik(r, p)
+
+
+class _NegBinProfile:
+    """NB log-likelihood of one count sample at varying (r, p).
+
+    lgam(counts + 1) is computed once, and lgam(counts + r) once per
+    distinct count; each element keeps the value an elementwise
+    evaluation gives, so the sum is unchanged."""
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+        distinct, index = np.unique(counts, return_inverse=True)
+        self._distinct = distinct.tolist()
+        self._index = index.reshape(counts.shape)
+        self._lgam_counts1 = self._lgam_shifted(1.0)
+
+    def _lgam_shifted(self, shift: float) -> np.ndarray:
+        return np.array([lgam(c + shift) for c in self._distinct])[self._index]
+
+    def loglik(self, r: float, p: float) -> float:
+        return float(np.sum(
+            self._lgam_shifted(r) - lgam(r) - self._lgam_counts1
+            + r * math.log(p) + self.counts * math.log1p(-p)
+        ))
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAXITER = 500
+
+
+def _bounded_minimize(func, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of func on [lo, hi] by Brent's bounded search.
+
+    A port of scipy.optimize's ``_minimize_scalar_bounded`` step for step,
+    so it returns the same double as ``minimize_scalar(func, bounds=(lo,
+    hi), method="bounded", options={"xatol": xatol}).x``.  Where scipy
+    would report failure, this raises NoConvergence: on a non-finite
+    objective value, and after its 500 evaluations.
+    """
+    def evaluate(x):
+        fx = func(x)
+        if not math.isfinite(fx):
+            raise NoConvergence(f"objective is {fx} at {x!r}")
+        return fx
+
+    a, b = lo, hi
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = evaluate(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabolic fit through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = evaluate(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= _MAXITER:
+            raise NoConvergence(
+                f"bounded search did not converge in {_MAXITER} evaluations")
+    return xf
 
 
 def fit_negbin(history, min_obs: int = 8) -> NegBinModel:
@@ -142,15 +262,15 @@ def fit_negbin(history, min_obs: int = 8) -> NegBinModel:
     if var <= mean or mean == 0.0:
         return NegBinModel(poisson_mean=mean)
 
+    profile = _NegBinProfile(counts)
+
     def neg_profile(log_r):
         r = math.exp(log_r)
         p = r / (r + mean)
-        return -negbin_loglik(counts, r, p)
+        return -profile.loglik(r, p)
 
-    res = minimize_scalar(neg_profile, bounds=(math.log(1e-3), math.log(1e6)),
-                          method="bounded",
-                          options={"xatol": 1e-10})
-    r = math.exp(res.x)
+    r = math.exp(_bounded_minimize(neg_profile, math.log(1e-3),
+                                   math.log(1e6), xatol=1e-10))
     return NegBinModel(r=r, p=r / (r + mean))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from datetime import date, timedelta
 
 import numpy as np
@@ -30,6 +31,7 @@ from .onset import (
     padded_cell_centers,
 )
 from .pipeline import forecast_points, weather_feature
+from .special import lgam
 
 MIN_KERNEL_WEIGHT = 1e-12
 AUTO_SIGMA_FRACTION = 0.05
@@ -93,7 +95,7 @@ class Grid2D:
     def shape(self) -> tuple:
         return (len(self.m_centers), len(self.w_centers))
 
-    @property
+    @cached_property
     def extent(self) -> tuple:
         dm = self.m_centers[1] - self.m_centers[0]
         dw = self.w_centers[1] - self.w_centers[0]
@@ -172,45 +174,36 @@ def poisson_pmf(x: int, lam: float) -> float:
     if lam == 0.0:
         return 1.0 if x == 0 else 0.0
     if x > 20:
-        # log x! from the Stirling series that scipy's gammaln uses here
-        log_pmf = x * math.log(lam) - lam - _lgamma_stirling(float(x + 1))
+        log_pmf = x * math.log(lam) - lam - lgam(float(x + 1))
         return float(math.exp(log_pmf))
     return float(math.exp(-lam) * lam**x / math.factorial(x))
 
 
-# log sqrt(2 pi) and the Stirling-series coefficients of cephes lgam
-_LOG_SQRT_2PI = 0.91893853320467274178
-_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
-             7.93650340457716943945E-4, -2.77777777730099687205E-3,
-             8.33333333333331927722E-2)
+def _poisson_pmf_grids(xs, lam: np.ndarray):
+    """Yield poisson_pmf(x, cell) over the rate grid for each x in xs.
 
-
-def _lgamma_stirling(x: float) -> float:
-    """log Gamma(x) for x >= 13: the Stirling branch of cephes ``lgam``,
-    operation for operation, so it equals scipy.special.gammaln there
-    (math.lgamma differs in the last bit, e.g. at 23 and 27, which would
-    move posteriors) without loading scipy."""
-    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p
-                     - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    series = _STIRLING[0]
-    for coef in _STIRLING[1:]:
-        series = series * p + coef
-    return q + series / x
-
-
-def _poisson_pmf_grid(x: int, lam: np.ndarray) -> np.ndarray:
-    # routed through the scalar pmf so grid posteriors and any pointwise
-    # recomputation agree bit-for-bit
-    flat = lam.reshape(-1)
-    out = np.fromiter((poisson_pmf(x, float(v)) for v in flat),
-                      dtype=float, count=flat.size)
-    return out.reshape(lam.shape)
+    Each cell's exp(-lam) and log(lam), and each x's x! or lgam(x + 1),
+    are computed once; every value is the same double poisson_pmf
+    returns, so grid posteriors and pointwise recomputation agree
+    bit-for-bit."""
+    if np.any(lam < 0):
+        raise ValueError("negative rate")
+    flat = lam.reshape(-1).tolist()
+    zero = lam == 0.0
+    exp_neg = [math.exp(-v) for v in flat]
+    log_lam = [math.log(v) if v != 0.0 else 0.0 for v in flat]
+    for x in xs:
+        if x < 0:
+            raise ValueError("negative count")
+        if x > 20:
+            lg = lgam(float(x + 1))
+            vals = [math.exp(x * ll - v - lg) for ll, v in zip(log_lam, flat)]
+        else:
+            fact = float(math.factorial(x))
+            vals = [e * v**x / fact for e, v in zip(exp_neg, flat)]
+        out = np.array(vals).reshape(lam.shape)
+        out[zero] = 1.0 if x == 0 else 0.0
+        yield out
 
 
 @dataclass(frozen=True)
@@ -296,7 +289,11 @@ def posterior(x: int, prior: PriorGrid, surface: RateSurface) -> PosteriorGrid:
     unnormalized product is retained for candidate comparison."""
     if prior.grid.shape != surface.grid.shape:
         raise ValueError("prior and rate surface grids differ")
-    raw = prior.density * _poisson_pmf_grid(x, surface.lam)
+    return _posterior(x, prior, next(_poisson_pmf_grids((x,), surface.lam)))
+
+
+def _posterior(x: int, prior: PriorGrid, likelihood: np.ndarray) -> PosteriorGrid:
+    raw = prior.density * likelihood
     mass = float(np.sum(raw) * prior.grid.cell_area)
     if mass <= 0.0:
         raise ZeroEvidence(f"likelihood of x={x} annihilates the prior")
@@ -310,10 +307,13 @@ def build_posteriors(prior: PriorGrid, surface: RateSurface,
 
     Candidates whose likelihood annihilates the prior everywhere are
     dropped (they can never win the MPP argmax)."""
+    if prior.grid.shape != surface.grid.shape:
+        raise ValueError("prior and rate surface grids differ")
+    xs = range(1, x_max + 1)
     out = []
-    for x in range(1, x_max + 1):
+    for x, likelihood in zip(xs, _poisson_pmf_grids(xs, surface.lam)):
         try:
-            out.append(posterior(x, prior, surface))
+            out.append(_posterior(x, prior, likelihood))
         except ZeroEvidence:
             continue
     if not out:

@@ -346,8 +346,8 @@ def test_non_finite_weather_exit_2(tmp_path, fixture_dir, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    """Start-up stays scipy-free: only evaluate and trend need it, and
-    they are imported by their own commands."""
+    """Start-up stays scipy-free: only trend needs it, and it is imported
+    by its own command."""
     src = str(Path(spillcast.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -359,10 +359,11 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_severity_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,
-                                         severity_model):
-    """estimate-severity and predict-severity run without scipy: the
-    log-space Poisson pmf uses its own log-gamma."""
+def test_season_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,
+                                       severity_model):
+    """estimate-severity, predict-severity and evaluate run without scipy:
+    the Poisson pmf and the NB fit use the lgam port, and the NB profile
+    search is a port of scipy's bounded Brent."""
     src = str(Path(spillcast.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -374,7 +375,12 @@ def test_severity_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,
         "predict": ["predict-severity", *data, "--cases", fixture_dir["cases"],
                     "--model", severity_model, "--mode", "short",
                     "--onset-model", onset_model],
+        "evaluate": ["evaluate", "--cases", fixture_dir["cases"],
+                     "--config", fixture_dir["config"], "--model", "both",
+                     "--severity-csv", str(tmp_path / "predict" / "severity.csv")],
     }
+    outputs = {"estimate": "severity.csv", "predict": "severity.csv",
+               "evaluate": "scores.csv"}
     probe = ("import sys; from spillcast.cli import main; "
              "code = main(sys.argv[1:]); "
              "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -384,7 +390,7 @@ def test_severity_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,
             [sys.executable, "-c", probe, *argv, "--out", str(out)],
             env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "0 []", name
-        assert (out / "severity.csv").exists()
+        assert (out / outputs[name]).exists()
 
 
 class TestKFileRule:

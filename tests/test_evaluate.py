@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from datetime import date, timedelta
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from spillcast import errors
 from spillcast.evaluate import (
     NegBinModel,
+    _bounded_minimize,
     PredictiveDist,
     bayesian_predictive,
     fit_negbin,
@@ -145,6 +149,91 @@ class TestNegBin:
             for k in counts
         )
         assert negbin_loglik(counts, r, p) == pytest.approx(direct, rel=1e-12)
+
+
+class TestBoundedSearch:
+    """The Brent port against scipy's bounded search as the oracle."""
+
+    def test_nan_objective_raises(self):
+        with pytest.raises(errors.NoConvergence):
+            _bounded_minimize(lambda x: math.nan, 0.0, 1.0, xatol=1e-10)
+
+    def test_objective_turning_infinite_raises(self):
+        # finite at the first (golden) point, infinite past x = 0.5
+        with pytest.raises(errors.NoConvergence):
+            _bounded_minimize(lambda x: -x if x < 0.5 else math.inf, 0.0, 1.0,
+                              xatol=1e-10)
+
+    def test_maxiter_raises(self):
+        # a minimum at 0 with xatol = 0 leaves a tolerance that shrinks
+        # with the bracket, so the search never stops on its own
+        res = minimize_scalar(abs, bounds=(-1.0, 1.0), method="bounded",
+                              options={"xatol": 0.0})
+        assert res.status == 1 and res.nfev == 500
+        with pytest.raises(errors.NoConvergence, match="500"):
+            _bounded_minimize(abs, -1.0, 1.0, xatol=0.0)
+
+    def test_fit_with_nan_profile_raises(self):
+        # lgam overflows past 2.6e305, so the profile is inf - inf = nan;
+        # the scipy fit ignored its failed status and kept r at its first
+        # golden point
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(errors.NoConvergence):
+            fit_negbin([0, 1e306] * 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(0.1, 10.0),
+           st.floats(-60.0, 0.0), st.floats(0.01, 60.0),
+           st.sampled_from([1e-10, 1e-5, 1e-2]))
+    def test_equals_scipy_on_smooth_objectives(self, center, scale, lo,
+                                                width, xatol):
+        def f(x):
+            z = (x - center) / scale
+            return z * z - math.cos(3.0 * z)
+        want = minimize_scalar(f, bounds=(lo, lo + width), method="bounded",
+                               options={"xatol": xatol}).x
+        assert _bounded_minimize(f, lo, lo + width, xatol=xatol) == want
+
+    @staticmethod
+    def scipy_fit_r(counts):
+        """The NB profile fit as it was written against scipy."""
+        counts = np.asarray(counts, dtype=float)
+        mean = float(np.mean(counts))
+
+        def neg_profile(log_r):
+            r = math.exp(log_r)
+            p = r / (r + mean)
+            return -float(np.sum(
+                gammaln(counts + r) - gammaln(r) - gammaln(counts + 1)
+                + r * math.log(p) + counts * math.log1p(-p)))
+
+        res = minimize_scalar(neg_profile,
+                              bounds=(math.log(1e-3), math.log(1e6)),
+                              method="bounded", options={"xatol": 1e-10})
+        assert res.success
+        return math.exp(res.x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 400),
+           st.floats(0.05, 50.0), st.floats(0.1, 30.0))
+    def test_fitted_r_equals_scipy(self, seed, n, shape, scale):
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(rng.gamma(shape, scale, n))
+        if np.var(counts, ddof=1) <= np.mean(counts) or np.mean(counts) == 0:
+            return
+        assert fit_negbin(counts).r == self.scipy_fit_r(counts)
+
+    def test_fitted_r_equals_scipy_on_fixed_windows(self):
+        rng = np.random.default_rng(11)
+        fits = 0
+        for n in (8, 12, 26, 52, 104, 260, 520):
+            for shape in (0.2, 1.0, 5.0):
+                counts = rng.poisson(rng.gamma(shape, 4.0, n))
+                if np.var(counts, ddof=1) <= np.mean(counts):
+                    continue
+                assert fit_negbin(counts).r == self.scipy_fit_r(counts)
+                fits += 1
+        assert fits >= 15
 
 
 class TestNbOneStep:

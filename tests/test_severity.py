@@ -29,6 +29,7 @@ from spillcast.severity import (
     save_severity,
 )
 from spillcast.pipeline import weather_feature
+from spillcast.special import lgam
 
 from tests.conftest import constant_weather, sinusoid_weather
 
@@ -65,8 +66,24 @@ class TestPoissonPmf:
         args = np.concatenate([np.arange(22.0, 300001.0),
                                np.unique(np.logspace(5.5, 12.0, 2000).round())])
         want = gammaln(args).tolist()
-        got = [severity._lgamma_stirling(a) for a in args.tolist()]
+        got = [lgam(a) for a in args.tolist()]
         assert got == want
+
+    def test_grid_equals_scalar_pmf_cellwise(self):
+        rng = np.random.default_rng(8)
+        lam = rng.gamma(1.0, 20.0, (16, 16))
+        lam[:3, :5] = 0.0
+        lam[5, 5] = -0.0
+        xs = [0, 1, 2, 7, 20, 21, 22, 60, 150]
+        for x, grid in zip(xs, severity._poisson_pmf_grids(xs, lam)):
+            want = [[poisson_pmf(x, float(v)) for v in row] for row in lam]
+            assert grid.tolist() == want, x
+
+    def test_grid_rejects_negative_rate(self):
+        lam = np.ones((4, 4))
+        lam[2, 1] = -1e-9
+        with pytest.raises(ValueError, match="negative rate"):
+            next(severity._poisson_pmf_grids([3], lam))
 
     def test_log_space_branch_is_scipys_formula(self):
         for x in (21, 22, 26, 99, 1000, 5000):
