@@ -10,10 +10,12 @@ in-memory model behavior.
 from __future__ import annotations
 
 import configparser
-import csv
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MissingFile, ParseError
+from .ingest import parse_float, parse_int, read_table, write_table
 from .onset import OnsetPdf, OnsetSample, fit_onset_pdf
 from .severity import RateSurface, SeveritySample, fit_rate_surface
 
@@ -25,6 +27,8 @@ ONSET_GRID = "onset_grid.csv"
 SEVERITY_HEADER = "severity_model.ini"
 SEVERITY_SAMPLES = "severity_samples.csv"
 SEVERITY_GRID = "rate_surface.csv"
+ONSET_SAMPLE_HEADER = ["m", "r0", "weight"]
+SEVERITY_SAMPLE_HEADER = ["m", "w", "x"]
 
 
 def save_onset_model(pdf: OnsetPdf, directory) -> None:
@@ -44,19 +48,11 @@ def save_onset_model(pdf: OnsetPdf, directory) -> None:
     with open(directory / ONSET_HEADER, "w") as fh:
         header.write(fh)
 
-    with open(directory / ONSET_SAMPLES, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "r0", "weight"])
-        for m, r, w in zip(pdf.sample_m, pdf.sample_r0, pdf.weights):
-            writer.writerow([repr(float(m)), repr(float(r)), repr(float(w))])
-
-    with open(directory / ONSET_GRID, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "r0", "density"])
-        for i, m in enumerate(pdf.m_grid):
-            for j, r in enumerate(pdf.r0_grid):
-                writer.writerow([repr(float(m)), repr(float(r)),
-                                 repr(float(pdf.density[i, j]))])
+    write_table(directory / ONSET_SAMPLES, ONSET_SAMPLE_HEADER,
+                [pdf.sample_m, pdf.sample_r0, pdf.weights])
+    m, r0 = np.meshgrid(pdf.m_grid, pdf.r0_grid, indexing="ij")
+    write_table(directory / ONSET_GRID, ["m", "r0", "density"],
+                [m.ravel(), r0.ravel(), pdf.density.ravel()])
 
 
 def load_onset_model(directory) -> OnsetPdf:
@@ -75,12 +71,10 @@ def load_onset_model(directory) -> OnsetPdf:
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad onset model header: {exc}") from None
 
-    rows = []
-    with open(directory / ONSET_SAMPLES, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
+    rows = [tuple(parse_float(text, name, lineno)
+                  for text, name in zip(fields, ONSET_SAMPLE_HEADER))
+            for lineno, fields in read_table(directory / ONSET_SAMPLES,
+                                             ONSET_SAMPLE_HEADER)]
     if not rows:
         raise ParseError("onset model has no samples")
     # weights were stored normalized; rescale so the smallest is >= 1
@@ -104,19 +98,13 @@ def save_severity_model(surface: RateSurface, directory) -> None:
     with open(directory / SEVERITY_HEADER, "w") as fh:
         header.write(fh)
 
-    with open(directory / SEVERITY_SAMPLES, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "w", "x"])
-        for m, w, x in zip(surface.sample_m, surface.sample_w, surface.sample_x):
-            writer.writerow([repr(float(m)), repr(float(w)), int(x)])
-
-    with open(directory / SEVERITY_GRID, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "w", "lambda"])
-        for i, m in enumerate(surface.grid.m_centers):
-            for j, w in enumerate(surface.grid.w_centers):
-                writer.writerow([repr(float(m)), repr(float(w)),
-                                 repr(float(surface.lam[i, j]))])
+    write_table(directory / SEVERITY_SAMPLES, SEVERITY_SAMPLE_HEADER,
+                [surface.sample_m, surface.sample_w,
+                 surface.sample_x.astype(int)])
+    m, w = np.meshgrid(surface.grid.m_centers, surface.grid.w_centers,
+                       indexing="ij")
+    write_table(directory / SEVERITY_GRID, ["m", "w", "lambda"],
+                [m.ravel(), w.ravel(), surface.lam.ravel()])
 
 
 def load_severity_model(directory) -> RateSurface:
@@ -133,12 +121,10 @@ def load_severity_model(directory) -> RateSurface:
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad severity model header: {exc}") from None
 
-    samples = []
-    with open(directory / SEVERITY_SAMPLES, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            samples.append(SeveritySample(m=float(row[0]), w=float(row[1]),
-                                          x=int(row[2])))
+    samples = [SeveritySample(m=parse_float(fields[0], "m", lineno),
+                              w=parse_float(fields[1], "w", lineno),
+                              x=parse_int(fields[2], "x", lineno))
+               for lineno, fields in read_table(directory / SEVERITY_SAMPLES,
+                                                SEVERITY_SAMPLE_HEADER)]
     return fit_rate_surface(samples, bandwidths=bandwidths,
                             grid_size=grid_size)

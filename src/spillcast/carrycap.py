@@ -10,11 +10,8 @@ precipitation-bin planes K = a*T + b*H + c fitted to history
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from pathlib import Path
 
 import numpy as np
 
@@ -31,11 +28,19 @@ from .errors import (
     DegenerateBin,
     EmptyHistory,
     InsufficientData,
-    MissingFile,
     NoUsableBin,
     ParseError,
 )
-from .ingest import CaseSeries, WeatherSeries
+from .ingest import (
+    CaseSeries,
+    WeatherSeries,
+    parse_date,
+    parse_float,
+    read_table,
+    write_table,
+)
+
+K_HEADER = ["date", "K"]
 
 
 @dataclass(frozen=True)
@@ -236,36 +241,14 @@ def predict_K_plane(model: PlaneModel, forecast: WeatherSeries) -> KSeries:
 
 
 def save_k(series: KSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "K"])
-        for d, v in zip(series.dates, series.values):
-            writer.writerow([d.isoformat(), repr(float(v))])
+    write_table(path, K_HEADER, [series.dates, series.values])
 
 
 def load_k(path) -> KSeries:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
     dates, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "K"]:
-            raise ParseError("expected header date,K", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", lineno)
-            try:
-                dates.append(date.fromisoformat(row[0].strip()))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            # float() accepts nan and inf; nan passes the K > 0 check
-            if not math.isfinite(values[-1]):
-                raise ParseError(f"non-finite K value {row[1]!r}", lineno)
-            if values[-1] < 0.0:
-                raise ParseError(f"negative K value {row[1]!r}", lineno)
+    for lineno, fields in read_table(path, K_HEADER):
+        dates.append(parse_date(fields[0], lineno))
+        values.append(parse_float(fields[1], "K", lineno))
+        if values[-1] < 0.0:
+            raise ParseError(f"negative K value {fields[1]!r}", lineno)
     return KSeries(tuple(dates), np.array(values))

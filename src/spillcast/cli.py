@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +40,19 @@ from .epimodel import (
 )
 from .errors import InputError, LengthMismatch, NumericalError
 from .evaluate import bayesian_predictive, nb_one_step, score_run
-from .ingest import load_cases, load_weather
+from .ingest import (
+    load_cases,
+    load_weather,
+    parse_date,
+    parse_int,
+    read_table,
+    write_table,
+)
 from .onset import collect_onset_samples, fit_onset_pdf, save_risk_series
 from .pipeline import predict_onset_risk, weather_feature
 from .severity import (
     PRIOR_KINDS,
+    SEVERITY_HEADER,
     collect_severity_samples,
     curve_posteriors,
     estimate_severity,
@@ -322,17 +330,9 @@ def cmd_predict_severity(args) -> int:
 
 def _weekly_predictions(severity_csv, week_starts):
     """Sum daily predicted cases into the observed weekly grid."""
-    import csv as csvmod
-    daily = {}
-    with open(severity_csv, newline="") as fh:
-        reader = csvmod.reader(fh)
-        header = next(reader)
-        if header[:1] != ["date"] or "predicted_cases" not in header:
-            raise InputError("not a severity forecast CSV")
-        col = header.index("predicted_cases")
-        for row in reader:
-            daily[date.fromisoformat(row[0])] = int(row[col])
-    from datetime import timedelta
+    daily = {parse_date(fields[0], lineno):
+             parse_int(fields[3], "predicted_cases", lineno)
+             for lineno, fields in read_table(severity_csv, SEVERITY_HEADER)}
     return [
         sum(daily.get(w + timedelta(days=i), 0) for i in range(7))
         for w in week_starts
@@ -371,12 +371,9 @@ def cmd_evaluate(args) -> int:
         summary[model] = {"TS": report.ts, "ZS": report.zs, "NZS": report.nzs}
 
     out = out_dir(args)
-    import csv as csvmod
-    with open(out / "scores.csv", "w", newline="") as fh:
-        writer = csvmod.writer(fh)
-        writer.writerow(["week", "observed", "model", "prob_observed", "score"])
-        for week, obs, model, prob, s in rows:
-            writer.writerow([week.isoformat(), obs, model, repr(prob), repr(s)])
+    write_table(out / "scores.csv",
+                ["week", "observed", "model", "prob_observed", "score"],
+                zip(*rows))
     with open(out / "scores.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -409,13 +406,8 @@ def cmd_trend(args) -> int:
     k = k_map("plane" if args.cases else "const", None, cfg, params, weather, cases)
     report = trend_report(weather, pdf, params, k, cfg)
     out = out_dir(args)
-    import csv as csvmod
-    with open(out / "trend.csv", "w", newline="") as fh:
-        writer = csvmod.writer(fh)
-        writer.writerow(["year", "r_year", "r_relative"])
-        for year, ry, rr in zip(report.years, report.r_year,
-                                report.r_relative):
-            writer.writerow([year, repr(float(ry)), repr(float(rr))])
+    write_table(out / "trend.csv", ["year", "r_year", "r_relative"],
+                [report.years, report.r_year, report.r_relative])
     summary = {}
     for name, res in (("r_year", report.trend_r_year),
                       ("r_relative", report.trend_r_relative)):

@@ -35,7 +35,6 @@ same floats bit for bit and raise the same errors on the same day.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import functools
 import math
@@ -49,7 +48,7 @@ import numpy as np
 
 from .config import Config
 from .errors import BlowUp, LengthMismatch, NonFiniteInput, ZeroDenominator
-from .ingest import WeatherSeries
+from .ingest import WeatherSeries, write_table
 from .r0 import R0Inputs, r0
 from .thermal import eval_thermal, eval_thermal_array
 
@@ -655,12 +654,6 @@ def seeded_year_trajectory(params: ModelParams, weather_year: WeatherSeries,
 def save_trajectory(traj: Trajectory, path) -> None:
     """Trajectory CSV: date, M, R0, expected new reported cases, then one
     column per compartment."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "M", "R0", "H_new_cases", *COMPARTMENTS])
-        for i, d in enumerate(traj.dates):
-            writer.writerow(
-                [d.isoformat(), repr(float(traj.m[i])), repr(float(traj.r0[i])),
-                 repr(float(traj.new_infections[i]))]
-                + [repr(float(v)) for v in traj.states[i]]
-            )
+    write_table(path, ["date", "M", "R0", "H_new_cases", *COMPARTMENTS],
+                [traj.dates, traj.m, traj.r0, traj.new_infections,
+                 *traj.states.T])

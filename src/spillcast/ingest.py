@@ -1,7 +1,14 @@
-"""Loading and validation of weather series and weekly case series.
+"""Loading and validation of weather series and weekly case series, and
+the one CSV reader and writer of the package.
 
 Both series are immutable after construction and are kept columnar
 (numpy arrays) for the forecasting and simulation code downstream.
+
+Every CSV table the package writes or reads goes through
+``write_table`` and ``read_table``: a header row, then ``\r\n``-terminated
+rows with floats as their ``repr`` (exact on a round trip) and dates in
+ISO form.  Each value is parsed by ``parse_float``, ``parse_int`` or
+``parse_date``, so a bad or non-finite value names its line.
 """
 
 from __future__ import annotations
@@ -168,7 +175,43 @@ def _year_bounds(dates, step: int):
     return bounds
 
 
-def _parse_float(text, field_name, lineno):
+def write_table(path, header, columns, footer=()) -> None:
+    """Write a CSV table: ``header``, then one row per index of the equally
+    long ``columns`` (numpy arrays or sequences), then each ``footer`` line
+    as is, ``\n``-terminated."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cols))
+        for line in footer:
+            fh.write(line + "\n")
+
+
+def read_table(path, header):
+    """Yield ``(lineno, fields)`` for each data row of the CSV table at
+    ``path``, whose first line must be ``header``.  Blank lines are
+    skipped; every other row must have one field per header column."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingFile(str(path))
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ParseError("empty file", 1)
+        if [h.strip() for h in first] != list(header):
+            raise ParseError(f"expected header {','.join(header)}", 1)
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                                 reader.line_num)
+            yield reader.line_num, row
+
+
+def parse_float(text, field_name, lineno):
     try:
         value = float(text)
     except ValueError:
@@ -179,7 +222,14 @@ def _parse_float(text, field_name, lineno):
     return value
 
 
-def _parse_date(text, lineno):
+def parse_int(text, field_name, lineno):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {field_name} value {text!r}", lineno) from None
+
+
+def parse_date(text, lineno):
     try:
         return date.fromisoformat(text.strip())
     except ValueError:
@@ -193,35 +243,19 @@ def load_weather(path) -> WeatherSeries:
     consecutive missing days are filled by linear interpolation between
     the flanking records and flagged; longer gaps raise GapTooLong.
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
-
     rows: list[tuple[date, float, float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
-        if [h.strip() for h in header] != WEATHER_HEADER:
-            raise ParseError(f"expected header {','.join(WEATHER_HEADER)}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", lineno)
-            d = _parse_date(row[0], lineno)
-            temp = _parse_float(row[1], "temp_mean", lineno)
-            hum = _parse_float(row[2], "humidity", lineno)
-            prec = _parse_float(row[3], "precip", lineno)
-            if not (0.0 <= hum <= 100.0):
-                raise RangeViolation("humidity", f"{hum} outside [0, 100]", lineno)
-            if prec < 0.0:
-                raise RangeViolation("precip", f"{prec} < 0", lineno)
-            if rows and d <= rows[-1][0]:
-                raise ParseError(f"dates not strictly increasing at {d}", lineno)
-            rows.append((d, temp, hum, prec))
+    for lineno, fields in read_table(path, WEATHER_HEADER):
+        d = parse_date(fields[0], lineno)
+        temp = parse_float(fields[1], "temp_mean", lineno)
+        hum = parse_float(fields[2], "humidity", lineno)
+        prec = parse_float(fields[3], "precip", lineno)
+        if not (0.0 <= hum <= 100.0):
+            raise RangeViolation("humidity", f"{hum} outside [0, 100]", lineno)
+        if prec < 0.0:
+            raise RangeViolation("precip", f"{prec} < 0", lineno)
+        if rows and d <= rows[-1][0]:
+            raise ParseError(f"dates not strictly increasing at {d}", lineno)
+        rows.append((d, temp, hum, prec))
 
     if not rows:
         raise ParseError("no data rows", 2)
@@ -257,26 +291,10 @@ def load_weather(path) -> WeatherSeries:
     )
 
 
-def save_weather(series: WeatherSeries, path, sources=None) -> None:
-    """Write a weather CSV in the ingest schema.
-
-    ``sources``, if given, adds a trailing ``source`` column (one label
-    per row; used by forecast export).
-    """
-    header = WEATHER_HEADER + (["source"] if sources is not None else [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, d in enumerate(series.dates):
-            row = [
-                d.isoformat(),
-                repr(float(series.temp_mean[i])),
-                repr(float(series.humidity[i])),
-                repr(float(series.precip[i])),
-            ]
-            if sources is not None:
-                row.append(sources[i])
-            writer.writerow(row)
+def save_weather(series: WeatherSeries, path) -> None:
+    """Write a weather CSV in the ingest schema."""
+    write_table(path, WEATHER_HEADER, [series.dates, series.temp_mean,
+                                       series.humidity, series.precip])
 
 
 def load_cases(path) -> CaseSeries:
@@ -286,38 +304,19 @@ def load_cases(path) -> CaseSeries:
     zero-filled and flagged.  Rows whose spacing is not a whole number
     of weeks raise NonWeeklySpacing.
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
-
     rows: list[tuple[date, int]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
-        if [h.strip() for h in header] != CASE_HEADER:
-            raise ParseError(f"expected header {','.join(CASE_HEADER)}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", lineno)
-            d = _parse_date(row[0], lineno)
-            try:
-                count = int(row[1])
-            except ValueError:
-                raise ParseError(f"bad count {row[1]!r}", lineno) from None
-            if count < 0:
-                raise NegativeCount(f"count {count} at {d}")
-            if rows:
-                spacing = (d - rows[-1][0]).days
-                if spacing <= 0 or spacing % 7 != 0:
-                    raise NonWeeklySpacing(
-                        f"weeks {rows[-1][0]} and {d} are {spacing} days apart"
-                    )
-            rows.append((d, count))
+    for lineno, fields in read_table(path, CASE_HEADER):
+        d = parse_date(fields[0], lineno)
+        count = parse_int(fields[1], "count", lineno)
+        if count < 0:
+            raise NegativeCount(f"count {count} at {d}")
+        if rows:
+            spacing = (d - rows[-1][0]).days
+            if spacing <= 0 or spacing % 7 != 0:
+                raise NonWeeklySpacing(
+                    f"weeks {rows[-1][0]} and {d} are {spacing} days apart"
+                )
+        rows.append((d, count))
 
     if not rows:
         raise ParseError("no data rows", 2)
@@ -342,8 +341,4 @@ def load_cases(path) -> CaseSeries:
 
 
 def save_cases(series: CaseSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CASE_HEADER)
-        for d, c in zip(series.week_starts, series.counts):
-            writer.writerow([d.isoformat(), int(c)])
+    write_table(path, CASE_HEADER, [series.week_starts, series.counts])

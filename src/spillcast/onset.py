@@ -9,7 +9,6 @@ mass levels split the plane into four risk classes, High down to Green.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from .epimodel import Trajectory
 from .errors import TooFewSamples, ZeroBandwidth
-from .ingest import CaseSeries
+from .ingest import write_table
 
 DEFAULT_LEVELS = (0.88, 0.90, 0.95)
 GRID_PAD_BANDWIDTHS = 3.0
@@ -289,24 +288,9 @@ def save_risk_series(series: RiskSeries, path) -> None:
     """Risk CSV ``date,M,R0,risk_level`` plus one summary footer row per
     level (``# count_<level>``)."""
     counts = series.counts()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "M", "R0", "risk_level"])
-        for i, d in enumerate(series.dates):
-            writer.writerow(
-                [d.isoformat(), repr(float(series.m[i])),
-                 repr(float(series.r0[i])), series.levels[i].label]
-            )
-        for lvl in (RiskLevel.HIGH, RiskLevel.RISKY, RiskLevel.LOW, RiskLevel.GREEN):
-            fh.write(f"# count_{lvl.label} = {counts[lvl]}\n")
-
-
-def save_pdf_grid(pdf: OnsetPdf, path) -> None:
-    """Density grid CSV ``m,r0,density`` for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "r0", "density"])
-        for i, m in enumerate(pdf.m_grid):
-            for j, r in enumerate(pdf.r0_grid):
-                writer.writerow([repr(float(m)), repr(float(r)),
-                                 repr(float(pdf.density[i, j]))])
+    write_table(path, ["date", "M", "R0", "risk_level"],
+                [series.dates, series.m, series.r0,
+                 [lvl.label for lvl in series.levels]],
+                footer=[f"# count_{lvl.label} = {counts[lvl]}"
+                        for lvl in (RiskLevel.HIGH, RiskLevel.RISKY,
+                                    RiskLevel.LOW, RiskLevel.GREEN)])

@@ -11,7 +11,6 @@ posterior assigns the highest density to the observed coordinate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +21,7 @@ import numpy as np
 from .config import Config
 from .epimodel import ModelParams, Trajectory
 from .errors import EmptyCurve, TooFewSamples, ZeroEvidence
-from .ingest import CaseSeries, WeatherSeries
+from .ingest import CaseSeries, WeatherSeries, write_table
 from .onset import (
     OnsetPdf,
     RiskLevel,
@@ -38,6 +37,7 @@ AUTO_SIGMA_FRACTION = 0.05
 # configured prior name -> build_prior kind
 PRIOR_KINDS = {"uniform": "uniform_box", "gaussian": "gaussian_ridge",
                "band": "uniform_band"}
+SEVERITY_HEADER = ["date", "M", "W", "predicted_cases"]
 
 
 @dataclass(frozen=True)
@@ -441,21 +441,5 @@ def predict_severity(weather: WeatherSeries, cases: CaseSeries, mode: str,
 
 def save_severity(forecast: SeverityForecast, path) -> None:
     """Severity CSV ``date,M,W,predicted_cases``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "M", "W", "predicted_cases"])
-        for i, d in enumerate(forecast.dates):
-            writer.writerow([d.isoformat(), repr(float(forecast.m[i])),
-                             repr(float(forecast.w[i])), int(forecast.predicted[i])])
-
-
-def save_posteriors(posteriors, path) -> None:
-    """Posterior export CSV ``x,m,w,density``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "m", "w", "density"])
-        for post in posteriors:
-            for i, m in enumerate(post.grid.m_centers):
-                for j, w in enumerate(post.grid.w_centers):
-                    writer.writerow([post.x, repr(float(m)), repr(float(w)),
-                                     repr(float(post.density[i, j]))])
+    write_table(path, SEVERITY_HEADER, [forecast.dates, forecast.m, forecast.w,
+                                        forecast.predicted])

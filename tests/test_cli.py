@@ -230,6 +230,16 @@ class TestEvaluate:
                      "--model", "nb", "--out", str(out)])
         assert code == 0
 
+    def test_bayes_needs_severity_header(self, tmp_path, fixture_dir, capsys):
+        severity = tmp_path / "severity.csv"
+        severity.write_text("date,predicted_cases\n2022-06-01,3\n")
+        code = main(["evaluate", "--cases", fixture_dir["cases"],
+                     "--severity-csv", str(severity), "--model", "bayes",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert ("line 1: expected header date,M,W,predicted_cases"
+                in capsys.readouterr().err)
+
     def test_bayes_without_csv_exit_2(self, tmp_path, fixture_dir, capsys):
         code = main(["evaluate", "--cases", fixture_dir["cases"],
                      "--model", "bayes", "--out", str(tmp_path / "out")])
@@ -343,6 +353,49 @@ def test_non_finite_weather_exit_2(tmp_path, fixture_dir, capsys):
     assert code == 2
     assert "line 101" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+def _corrupt_model(model_dir, tmp_path, samples, line):
+    """Copy a model artifact and set the first field of ``line`` of its
+    samples file to ``nan``."""
+    import shutil
+    model = tmp_path / "model"
+    shutil.copytree(model_dir, model)
+    path = model / samples
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[0] = "nan"
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return str(model)
+
+
+def test_non_finite_onset_sample_exit_2(tmp_path, fixture_dir, onset_model,
+                                        capsys):
+    # a nan sample used to run to exit 0 and call every day green
+    model = _corrupt_model(onset_model, tmp_path, "onset_samples.csv", 2)
+    out = tmp_path / "out"
+    code = main(["predict-onset", "--weather", fixture_dir["weather"],
+                 "--model", model, "--config", fixture_dir["config"],
+                 "--mode", "long", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2" in err and "internal failure" not in err
+    assert not (out / "risk.csv").exists()
+
+
+def test_non_finite_severity_sample_exit_2(tmp_path, fixture_dir,
+                                           severity_model, capsys):
+    # a nan sample used to end in an internal failure (exit 3)
+    model = _corrupt_model(severity_model, tmp_path, "severity_samples.csv", 3)
+    out = tmp_path / "out"
+    code = main(["estimate-severity", "--weather", fixture_dir["weather"],
+                 "--model", model, "--config", fixture_dir["config"],
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 3" in err and "internal failure" not in err
+    assert not (out / "severity.csv").exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -15,7 +15,6 @@ from spillcast.onset import (
     fit_onset_pdf,
     forecast_onset,
     hdr_thresholds,
-    save_pdf_grid,
     save_risk_series,
 )
 
@@ -326,12 +325,6 @@ def test_risk_series_csv(tmp_path, world, pipeline_trajectories):
     body = lines[1:-4]
     assert len(body) == len(risk)
     assert body[0].split(",")[-1] in ("green", "low", "risky", "high")
-
-    grid_path = tmp_path / "pdf.csv"
-    save_pdf_grid(pdf, grid_path)
-    grid_lines = grid_path.read_text().splitlines()
-    assert grid_lines[0] == "m,r0,density"
-    assert len(grid_lines) == 1 + pdf.density.size
 
 
 def test_classify_days_returns_the_enum_members(world, pipeline_trajectories):

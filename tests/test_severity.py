@@ -25,7 +25,6 @@ from spillcast.severity import (
     poisson_pmf,
     posterior,
     predict_severity,
-    save_posteriors,
     save_severity,
 )
 from spillcast.pipeline import weather_feature
@@ -489,8 +488,3 @@ class TestPredictSeverity:
         lines = sev_path.read_text().splitlines()
         assert lines[0] == "date,M,W,predicted_cases"
         assert len(lines) == 1 + len(result)
-
-        post_path = tmp_path / "posteriors.csv"
-        save_posteriors(posteriors, post_path)
-        header = post_path.read_text().splitlines()[0]
-        assert header == "x,m,w,density"

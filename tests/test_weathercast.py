@@ -163,19 +163,3 @@ class TestForecastWeather:
         fcst = forecast_weather(history, "short_term", 14)
         assert np.all(fcst.humidity > 0.0) and np.all(fcst.humidity < 100.0)
         assert np.all(fcst.precip > 0.0)
-
-
-def test_forecast_export_with_source_column(tmp_path):
-    from spillcast.ingest import save_weather
-    from spillcast.pipeline import splice
-    history = constant_weather(40, temp=20.0)
-    fcst = forecast_weather(history, "short_term", 10)
-    combined = splice(history, fcst)
-    sources = ["observed"] * len(history) + ["forecast"] * len(fcst)
-    path = tmp_path / "forecast.csv"
-    save_weather(combined, path, sources=sources)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "date,temp_mean,humidity,precip,source"
-    assert lines[1].endswith(",observed")
-    assert lines[-1].endswith(",forecast")
-    assert len(lines) == 1 + 50
