@@ -71,10 +71,14 @@ def load_onset_model(directory) -> OnsetPdf:
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad onset model header: {exc}") from None
 
-    rows = [tuple(parse_float(text, name, lineno)
-                  for text, name in zip(fields, ONSET_SAMPLE_HEADER))
-            for lineno, fields in read_table(directory / ONSET_SAMPLES,
-                                             ONSET_SAMPLE_HEADER)]
+    rows = []
+    for lineno, fields in read_table(directory / ONSET_SAMPLES,
+                                     ONSET_SAMPLE_HEADER):
+        m, r0, w = (parse_float(text, name, lineno)
+                    for text, name in zip(fields, ONSET_SAMPLE_HEADER))
+        if w <= 0:
+            raise ParseError(f"weight {w!r} must be > 0", lineno)
+        rows.append((m, r0, w))
     if not rows:
         raise ParseError("onset model has no samples")
     # weights were stored normalized; rescale so the smallest is >= 1

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import InvariantViolation, MissingFile, ParseError, UnknownKey
@@ -97,6 +98,10 @@ class Config:
         self.validate()
 
     def validate(self):
+        for key, kind in _TYPES.items():
+            value = getattr(self, key)
+            if kind == "float" and not math.isfinite(value):
+                raise InvariantViolation(key, f"{value} is not finite")
         if not 0.0 < self.rho <= 1.0:
             raise InvariantViolation("rho", f"{self.rho} not in (0, 1]")
         levels = self.contour_levels
@@ -144,69 +149,25 @@ class Config:
             raise InvariantViolation("prior", f"unknown prior {self.prior!r}")
 
 
-# key -> (section, parser)
-_INT_KEYS = {
-    "steps_per_day",
-    "onset_grid",
-    "severity_grid",
-    "ar_order_long",
-    "short_lead",
-    "x_max",
-    "x_cap",
-    "nb_min_obs",
-}
-_STR_KEYS = {"feature_transform", "prior"}
-_SECTION_KEYS = {
-    "model": (
-        "rho",
-        "n_humans",
-        "n_birds",
-        "init_adult_mosquitoes",
-        "init_aquatic",
-        "init_infected_birds",
-        "k_default",
-        "steps_per_day",
-    ),
-    "kde": (
-        "onset_bandwidth_m",
-        "onset_bandwidth_r0",
-        "severity_bandwidth_m",
-        "severity_bandwidth_w",
-        "onset_grid",
-        "severity_grid",
-        "contour_levels",
-        "feature_transform",
-    ),
-    "forecast": (
-        "ar_order_long",
-        "short_lead",
-        "ar_ridge",
-        "x_max",
-        "prior",
-        "prior_sigma",
-        "band_halfwidth",
-        "w_temp",
-        "w_humidity",
-        "w_precip",
-    ),
-    "score": ("score_floor", "x_cap", "sharpen_sigma", "nb_min_obs"),
-}
+# Every INI key is a Config field and its type is the field's annotation:
+# "int", "float", "str" or "tuple".  Each section holds the fields from its
+# first one, named here, up to the next section's first field.
+_TYPES = {f.name: f.type for f in fields(Config) if f.name != "rates"}
+_FIRST_FIELD = {"model": "rho", "kde": "onset_bandwidth_m",
+                "forecast": "ar_order_long", "score": "score_floor"}
+_KEYS = list(_TYPES)
+_BOUNDS = [_KEYS.index(key) for key in _FIRST_FIELD.values()] + [len(_KEYS)]
+_SECTIONS = {section: _KEYS[lo:hi] for section, lo, hi
+             in zip(_FIRST_FIELD, _BOUNDS, _BOUNDS[1:])}
+_PARSE = {"int": int, "float": float, "str": str.strip,
+          "tuple": lambda raw: tuple(float(p) for p in raw.split(","))}
 # INI spelling "floor" maps to the attribute score_floor
 _ALIASES = {("score", "floor"): "score_floor"}
 
 
 def _coerce(key, raw):
-    if key == "contour_levels":
-        try:
-            return tuple(float(p) for p in raw.split(","))
-        except ValueError:
-            raise InvariantViolation(key, f"bad levels {raw!r}") from None
-    if key in _STR_KEYS:
-        return raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return _PARSE[_TYPES[key]](raw)
     except ValueError:
         raise InvariantViolation(key, f"bad value {raw!r}") from None
 
@@ -228,11 +189,11 @@ def parse_config(text: str) -> Config:
                     raise UnknownKey(f"[thermal] {key}")
                 rates[key] = ThermalCurve.parse(raw)
             continue
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise UnknownKey(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             attr = _ALIASES.get((section, key), key)
-            if attr not in _SECTION_KEYS[section]:
+            if attr not in _SECTIONS[section]:
                 raise UnknownKey(f"[{section}] {key}")
             kwargs[attr] = _coerce(attr, raw)
     return Config(rates=rates, **kwargs)
@@ -252,14 +213,12 @@ def dump_config(cfg: Config) -> str:
     out.write("[thermal]\n")
     for key, curve in cfg.rates.items():
         out.write(f"{key} = {curve.spec()}\n")
-    for section, keys in _SECTION_KEYS.items():
+    for section, keys in _SECTIONS.items():
         out.write(f"\n[{section}]\n")
         for attr in keys:
-            value = getattr(cfg, attr)
             name = "floor" if attr == "score_floor" else attr
-            if attr == "contour_levels":
-                value = ",".join(repr(v) for v in value)
-            elif isinstance(value, float):
-                value = repr(value)
+            value = getattr(cfg, attr)      # a float formats as its repr
+            if _TYPES[attr] == "tuple":
+                value = ",".join(map(repr, value))
             out.write(f"{name} = {value}\n")
     return out.getvalue()

@@ -46,10 +46,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config
+from .config import DEFAULT_THERMAL, Config
 from .errors import BlowUp, LengthMismatch, NonFiniteInput, ZeroDenominator
 from .ingest import WeatherSeries, write_table
-from .r0 import R0Inputs, r0
+from .r0 import DENOMINATOR_UNDERFLOW, R0Inputs, r0
 from .thermal import eval_thermal, eval_thermal_array
 
 BLOWUP_LIMIT = 1e12
@@ -61,13 +61,7 @@ COMPARTMENTS = (
 )
 
 # thermal-rate keys in the order consumed by the RHS
-_RATE_KEYS = (
-    "egg_laying", "aquatic_dev", "aquatic_mort", "adult_mort", "pdr",
-    "beta_b_to_m", "beta_m_to_b", "beta_m_to_h",
-    "bird_egg_laying", "bird_maturation", "bird_mort",
-    "bird_incubation", "bird_recovery", "bird_wnd_mort",
-    "human_incubation", "human_recovery",
-)
+_RATE_KEYS = tuple(DEFAULT_THERMAL)
 
 
 @dataclass(frozen=True)
@@ -474,13 +468,11 @@ def kernel() -> str:
     return "python" if _load_kernel() is None else "c"
 
 
-# spillcast_advance's error codes; code 3 (an R0 denominator underflowed
-# to zero) re-runs the span in Python, which raises its own
-# ZeroDivisionError on that day
-_UNDERFLOW = 3
+# spillcast_advance's error codes, raised as r0 raises them
 _KERNEL_ERRORS = {
     1: lambda day: ZeroDenominator("bird component denominator is zero"),
     2: lambda day: ZeroDenominator("mosquito mortality must be > 0"),
+    3: lambda day: ZeroDenominator(DENOMINATOR_UNDERFLOW),
     4: lambda day: BlowUp(f"compartment exceeded {BLOWUP_LIMIT:g} on {day}"),
 }
 
@@ -509,9 +501,6 @@ def _advance_days(params: ModelParams, weather: WeatherSeries, rates, k_arr,
     status = advance(n, operator.index(steps_per_day), h, 0.5 * h, h / 6.0,
                      params.rho, BLOWUP_LIMIT, span_rates, k_span, state,
                      *rows, counts[:1], counts[1:])
-    if status == _UNDERFLOW:
-        return _advance(params, weather, rates, k_arr, y, steps_per_day, lo,
-                        hi, out)
     if status:
         raise _KERNEL_ERRORS[status](weather.dates[lo + int(counts[1])])
     return state.tolist(), int(counts[0])

@@ -39,10 +39,6 @@ class RiskLevel(enum.IntEnum):
     def label(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_label(cls, label: str) -> "RiskLevel":
-        return cls[label.upper()]
-
 
 # RiskLevel members indexed by their value (GREEN = 0 up to HIGH = 3)
 _LEVEL_OF_CODE = tuple(RiskLevel)
@@ -71,7 +67,6 @@ def apply_transform(transform: str, m, r0):
 
 
 def collect_onset_samples(trajectories: dict, cases: dict,
-                          scope: str = "first_spillover_only",
                           transform: str = "identity"):
     """One sample per year at the first nonzero case week.
 
@@ -79,8 +74,6 @@ def collect_onset_samples(trajectories: dict, cases: dict,
     The sample sits on the week's midpoint day (start + 3); years without
     cases yield no sample and are returned as flagged.
     """
-    if scope != "first_spillover_only":
-        raise ValueError(f"unknown scope {scope!r}")
     samples, skipped = [], []
     for year in sorted(cases):
         series = cases[year]

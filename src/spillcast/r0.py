@@ -13,6 +13,16 @@ from dataclasses import dataclass
 
 from .errors import ZeroDenominator
 
+# both components raise this when their positive denominator factors
+# multiply to 0.0
+DENOMINATOR_UNDERFLOW = "R0 denominator underflowed to zero"
+
+
+def _divide(numerator: float, denominator: float) -> float:
+    if denominator == 0.0:
+        raise ZeroDenominator(DENOMINATOR_UNDERFLOW)
+    return numerator / denominator
+
 
 @dataclass(frozen=True)
 class R0Inputs:
@@ -53,7 +63,7 @@ def r0_bird(inputs: R0Inputs) -> float:
         if numerator == 0.0:
             return 0.0
         raise ZeroDenominator("bird component denominator is zero")
-    return numerator / (d1 * d2)
+    return _divide(numerator, d1 * d2)
 
 
 def r0_mosquito(inputs: R0Inputs) -> float:
@@ -65,7 +75,7 @@ def r0_mosquito(inputs: R0Inputs) -> float:
         if numerator == 0.0:
             return 0.0
         raise ZeroDenominator("mosquito mortality must be > 0")
-    return numerator / (inputs.mu_m * (inputs.pdr + inputs.mu_m))
+    return _divide(numerator, inputs.mu_m * (inputs.pdr + inputs.mu_m))
 
 
 def r0(inputs: R0Inputs) -> float:

@@ -363,13 +363,25 @@ class SeverityForecast:
         return len(self.dates)
 
 
-def _green_days(onset_pdf: OnsetPdf | None, m, r0) -> list:
-    """Per point, whether the onset density classifies it Green; all False
-    without a density."""
+def _mpp_days(dates, m, w, r0, posteriors,
+              onset_pdf: OnsetPdf | None) -> SeverityForecast:
+    """MPP count of every day's (m, w) point, or 0 on a day the onset
+    density (when given) classifies Green from its (m, r0)."""
     if onset_pdf is None:
-        return [False] * len(m)
-    _, levels = classify_days(onset_pdf, m, r0)
-    return [lvl is RiskLevel.GREEN for lvl in levels]
+        green = [False] * len(dates)
+    else:
+        green = [lvl is RiskLevel.GREEN
+                 for lvl in classify_days(onset_pdf, m, r0)[1]]
+    predicted = np.zeros(len(dates), dtype=int)
+    off_grid = []
+    for i, day in enumerate(dates):
+        if green[i]:
+            continue
+        predicted[i], outside = mpp_predict((m[i], w[i]), posteriors)
+        if outside:
+            off_grid.append(day)
+    return SeverityForecast(dates=dates, m=m, w=w, predicted=predicted,
+                            off_grid=tuple(off_grid))
 
 
 def estimate_severity(traj: Trajectory, posteriors,
@@ -379,20 +391,9 @@ def estimate_severity(traj: Trajectory, posteriors,
 
     With an onset density supplied, days it classifies Green report 0.
     """
-    n = len(traj)
-    w_series = weather_feature(traj.weather, w_weights)
-    green = _green_days(onset_pdf, traj.m, traj.r0)
-    predicted = np.zeros(n, dtype=int)
-    off_grid = []
-    for i in range(n):
-        if green[i]:
-            continue
-        x, outside = mpp_predict((traj.m[i], w_series[i]), posteriors)
-        predicted[i] = x
-        if outside:
-            off_grid.append(traj.dates[i])
-    return SeverityForecast(dates=traj.dates, m=traj.m.copy(), w=w_series,
-                            predicted=predicted, off_grid=tuple(off_grid))
+    return _mpp_days(traj.dates, traj.m.copy(),
+                     weather_feature(traj.weather, w_weights), traj.r0,
+                     posteriors, onset_pdf)
 
 
 def predict_severity(weather: WeatherSeries, cases: CaseSeries, mode: str,
@@ -415,28 +416,11 @@ def predict_severity(weather: WeatherSeries, cases: CaseSeries, mode: str,
                                 np.array([], dtype=int))
     points = forecast_points(weather, mode, lead, params, cfg,
                              forecast_start=forecast_start, k_series=k_series)
-
     posteriors = curve_posteriors([(p.m, p.w) for p in points], surface, cfg)
-
-    green = _green_days(onset_pdf, [p.m for p in points],
-                        [p.r0 for p in points])
-    predicted = np.zeros(len(points), dtype=int)
-    off_grid = []
-    for idx, p in enumerate(points):
-        if green[idx]:
-            x, outside = 0, False
-        else:
-            x, outside = mpp_predict((p.m, p.w), posteriors)
-        predicted[idx] = x
-        if outside:
-            off_grid.append(p.date)
-    return SeverityForecast(
-        dates=tuple(p.date for p in points),
-        m=np.array([p.m for p in points]),
-        w=np.array([p.w for p in points]),
-        predicted=predicted,
-        off_grid=tuple(off_grid),
-    )
+    return _mpp_days(tuple(p.date for p in points),
+                     np.array([p.m for p in points]),
+                     np.array([p.w for p in points]), [p.r0 for p in points],
+                     posteriors, onset_pdf)
 
 
 def save_severity(forecast: SeverityForecast, path) -> None:

@@ -42,6 +42,19 @@ def test_onset_weights_survive_normalization(tmp_path, onset_pdf):
     assert np.allclose(again.weights, onset_pdf.weights, rtol=1e-12)
 
 
+
+@pytest.mark.parametrize("weight", ["0.0", "-0.25"])
+def test_onset_weight_not_positive_raises_with_line(tmp_path, onset_pdf,
+                                                    weight):
+    # a 0.0 weight used to end in a ZeroDivisionError from the rescaling
+    save_onset_model(onset_pdf, tmp_path)
+    path = tmp_path / "onset_samples.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:2] + [weight])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(errors.ParseError, match="line 3"):
+        load_onset_model(tmp_path)
+
 def test_severity_round_trip(tmp_path):
     samples = [SeveritySample(5500.0, 24.0, 2), SeveritySample(5900.0, 26.0, 7),
                SeveritySample(5700.0, 25.0, 4)]

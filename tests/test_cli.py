@@ -355,16 +355,17 @@ def test_non_finite_weather_exit_2(tmp_path, fixture_dir, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
-def _corrupt_model(model_dir, tmp_path, samples, line):
-    """Copy a model artifact and set the first field of ``line`` of its
-    samples file to ``nan``."""
+def _corrupt_model(model_dir, tmp_path, samples, line, field=0,
+                   value="nan"):
+    """Copy a model artifact and set one field of ``line`` of its samples
+    file to ``value``."""
     import shutil
     model = tmp_path / "model"
     shutil.copytree(model_dir, model)
     path = model / samples
     lines = path.read_text().splitlines()
     fields = lines[line - 1].split(",")
-    fields[0] = "nan"
+    fields[field] = value
     lines[line - 1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     return str(model)
@@ -396,6 +397,69 @@ def test_non_finite_severity_sample_exit_2(tmp_path, fixture_dir,
     assert code == 2
     assert "line 3" in err and "internal failure" not in err
     assert not (out / "severity.csv").exists()
+
+
+def test_zero_onset_weight_exit_2(tmp_path, fixture_dir, onset_model,
+                                  capsys):
+    # a 0.0 weight used to end in "internal failure: float division by
+    # zero" (exit 3)
+    model = _corrupt_model(onset_model, tmp_path, "onset_samples.csv", 2,
+                           field=2, value="0.0")
+    out = tmp_path / "out"
+    code = main(["predict-onset", "--weather", fixture_dir["weather"],
+                 "--model", model, "--config", fixture_dir["config"],
+                 "--mode", "long", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2" in err and "weight" in err
+    assert not (out / "risk.csv").exists()
+
+
+def _config_with(tmp_path, fixture_dir, values):
+    """A copy of the fixture config with the keys of ``values`` reset."""
+    lines = Path(fixture_dir["config"]).read_text().splitlines()
+    for i, line in enumerate(lines):
+        key = line.split(" = ")[0]
+        if key in values:
+            lines[i] = f"{key} = {values.pop(key)}"
+    assert not values, f"keys not in the fixture config: {values}"
+    path = tmp_path / "config.ini"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, key, value, output", [
+    # each used to run without complaint: fit-severity to exit 0 with 4096
+    # nan rows in rate_surface.csv, fit-onset to exit 0 with
+    # thresholds = nan,nan,nan, simulate to exit 3
+    ("fit-severity", "w_temp", "nan", "rate_surface.csv"),
+    ("fit-onset", "onset_bandwidth_m", "inf", "onset_model.ini"),
+    ("simulate", "k_default", "nan", "trajectory.csv"),
+])
+def test_non_finite_config_float_exit_2(tmp_path, fixture_dir, capsys,
+                                        command, key, value, output):
+    config = _config_with(tmp_path, fixture_dir, {key: value})
+    out = tmp_path / "out"
+    code = main([command, "--weather", fixture_dir["weather"],
+                 "--cases", fixture_dir["cases"], "--config", config,
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {key}: " in err and "finite" in err
+    assert not (out / output).exists()
+
+
+def test_underflowed_r0_denominator_exit_3(tmp_path, fixture_dir, capsys):
+    # bird rates whose R0 denominator underflows to 0.0 used to print
+    # "internal failure: float division by zero"
+    rate = "constant,1e-170"
+    config = _config_with(tmp_path, fixture_dir, {
+        "bird_mort": rate, "bird_incubation": rate, "bird_recovery": rate,
+        "bird_wnd_mort": rate})
+    code = main(["simulate", "--weather", fixture_dir["weather"],
+                 "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "numerical failure: " in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

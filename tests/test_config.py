@@ -1,3 +1,6 @@
+import configparser
+from dataclasses import fields
+
 import pytest
 
 from spillcast import errors
@@ -77,3 +80,51 @@ def test_dump_round_trip():
     )
     again = parse_config(dump_config(cfg))
     assert again == cfg
+
+
+FLOAT_KEYS = [f.name for f in fields(Config) if f.type == "float"]
+INI_FIELDS = [f for f in fields(Config) if f.name != "rates"]
+
+
+def _dumped_keys(cfg):
+    """(section, attribute) of every key ``dump_config(cfg)`` writes
+    outside [thermal], in the order written."""
+    ini = configparser.ConfigParser()
+    ini.read_string(dump_config(cfg))
+    return [(s, "score_floor" if key == "floor" else key)
+            for s in ini.sections() if s != "thermal" for key in ini[s]]
+
+
+def _other_value(f):
+    """A valid value for field ``f`` that differs from its default."""
+    if f.type == "float":
+        return f.default / 2 if f.default else 0.5
+    if f.type == "int":
+        return f.default * 2
+    return {"contour_levels": (0.5, 0.6, 0.7), "feature_transform": "log1p_m",
+            "prior": "gaussian"}[f.name]
+
+
+def test_dump_writes_every_field_once_in_field_order():
+    assert [key for _, key in _dumped_keys(Config())] == [
+        f.name for f in INI_FIELDS]
+
+
+@pytest.mark.parametrize("f", INI_FIELDS, ids=lambda f: f.name)
+def test_every_field_round_trips(f):
+    cfg = Config(**{f.name: _other_value(f)})
+    assert cfg != Config()
+    assert parse_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(key, value):
+    with pytest.raises(errors.InvariantViolation) as exc:
+        Config(**{key: float(value)})
+    assert exc.value.key == key
+    section = dict((k, s) for s, k in _dumped_keys(Config()))[key]
+    name = "floor" if key == "score_floor" else key
+    with pytest.raises(errors.InvariantViolation) as exc:
+        parse_config(f"[{section}]\n{name} = {value}\n")
+    assert exc.value.key == key

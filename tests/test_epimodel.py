@@ -402,18 +402,18 @@ class TestSimulateOracle:
 
     def test_underflowed_r0_denominator_raises_as_python(self):
         """Bird rates so small that r0's (delta_b + mu_b) * (lambda_b +
-        mu_wnd_b + mu_b) underflows to zero: both loops raise Python's
-        ZeroDivisionError on the first day."""
+        mu_wnd_b + mu_b) underflows to zero: both loops raise r0's
+        ZeroDenominator on the first day."""
         params = ModelParams.from_config(Config(rates={
             key: "constant,1e-170" for key in (
                 "bird_mort", "bird_incubation", "bird_recovery",
                 "bird_wnd_mort")}))
         wx = constant_weather(3)
         init = default_init_state(Config())
-        with pytest.raises(ZeroDivisionError) as want:
+        with pytest.raises(errors.ZeroDenominator) as want:
             reference_simulate(params, wx, 5000.0, init, steps_per_day=2)
         for loop in DAY_LOOPS:
-            with day_loop(loop), pytest.raises(ZeroDivisionError) as got:
+            with day_loop(loop), pytest.raises(errors.ZeroDenominator) as got:
                 simulate(params, wx, 5000.0, init, steps_per_day=2)
             assert str(got.value) == str(want.value), loop
 

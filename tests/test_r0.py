@@ -94,6 +94,23 @@ class TestGeometricMean:
                              pdr=1.0, mu_m=1.0, m_s=1.0, b_s=1.0))
 
 
+    @pytest.mark.parametrize("numerator_zero", [False, True])
+    def test_underflowed_denominator_raises(self, numerator_zero):
+        """Positive factors whose product underflows to 0.0, in
+        (delta_b + mu_b) * (lambda_b + mu_wnd_b + mu_b) and in
+        mu_m * (pdr + mu_m): both components used to end in a bare
+        ZeroDivisionError, even over a zero numerator."""
+        zero = dict(m_s=0.0, b_s=0.0) if numerator_zero else {}
+        bird = inputs(delta_b=1e-170, mu_b=1e-170, lambda_b=1e-170,
+                      mu_wnd_b=1e-170, **zero)
+        mosquito = inputs(mu_m=1e-170, pdr=1e-170, **zero)
+        messages = []
+        for component, rates in ((r0_bird, bird), (r0_mosquito, mosquito)):
+            with pytest.raises(ZeroDenominator) as exc:
+                component(rates)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
 class TestExposedSurvival:
     @pytest.mark.parametrize("progress,death,expected", [
         (1.0, 1.0, 0.5),
