@@ -17,19 +17,27 @@ across the day.
 
 ``simulate`` integrates one run; ``simulate_runs`` is the year-runner for
 sets of independent runs (K grid x years, the years of an archive), each
-with its own weather, K, start state and optional seed pulse, simulated
-one after another.  Both advance days through ``spillcast_advance`` in
-``_rk4.c``, a C port of the day loop that the first simulation of a
-process compiles and caches in ``__pycache__``.  It keeps the operation
-order of ``_advance``, the straight-line Python loop, which is the oracle
-and the fallback when no C compiler is available (``kernel()`` tells
-which is in use).  ``_advance`` holds the state in local floats, writes
-the four RK4 stages out and evaluates the right-hand side through
-``_day_rhs``, a function of the compartments built once per day from that
-day's rates and K; the same rates give the day's R0.  Either loop keeps
-every guard (force-of-infection and recruitment guards, negative clamp
-and its count, r0's zero-denominator rule, BlowUp), so the two give the
-same floats bit for bit and raise the same errors on the same day.
+with its own weather, K, start state and optional seed pulse.  Both
+advance days through ``spillcast_advance`` in ``_rk4.c``, a C port of the
+day loop that the first simulation of a process compiles and caches in
+``__pycache__``.  It keeps the operation order of ``_advance``, the
+straight-line Python loop, which is the oracle and the fallback when no C
+compiler is available (``kernel()`` tells which is in use).  ``_advance``
+holds the state in local floats, writes the four RK4 stages out and
+evaluates the right-hand side through ``_day_rhs``, a function of the
+compartments built once per day from that day's rates and K; the same
+rates give the day's R0.  Either loop keeps every guard (force-of-infection
+and recruitment guards, negative clamp and its count, r0's
+zero-denominator rule, BlowUp), so the two give the same floats bit for
+bit and raise the same errors on the same day.
+
+The compiled loop runs up to four runs side by side, one per lane of a
+vector (256-bit with AVX2, else two 128-bit pairs), each lane with its own
+rates, K, state, outputs and clamp count; a single run takes a one-lane
+copy of the same source.  ``simulate_runs`` sends its runs there four at a
+time, grouped by length and pulse day.  If any lane fails, it simulates
+the runs again one at a time, so the error raised is always that of the
+first failing run, as without lanes.
 """
 
 from __future__ import annotations
@@ -47,7 +55,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_THERMAL, Config
-from .errors import BlowUp, LengthMismatch, NonFiniteInput, ZeroDenominator
+from .errors import (
+    BlowUp,
+    LengthMismatch,
+    NonFiniteInput,
+    NumericalError,
+    ZeroDenominator,
+)
 from .ingest import WeatherSeries, write_table
 from .r0 import DENOMINATOR_UNDERFLOW, R0Inputs, r0
 from .thermal import eval_thermal, eval_thermal_array
@@ -273,9 +287,26 @@ def _thermal_rates(params: ModelParams, weather: WeatherSeries) -> np.ndarray:
     """The thermal rates of every weather day as an (n, 16) array, one row
     per day in ``_RATE_KEYS`` order.  ``eval_thermal_array`` works element
     by element, so a row does not depend on the days around it."""
-    return np.column_stack([eval_thermal_array(params.rates[key],
-                                               weather.temp_mean)
+    return _rate_rows(params, weather.temp_mean)
+
+
+def _rate_rows(params: ModelParams, temps) -> np.ndarray:
+    return np.column_stack([eval_thermal_array(params.rates[key], temps)
                             for key in _RATE_KEYS])
+
+
+def _shared_rates(params: ModelParams, runs: list) -> tuple:
+    """The thermal rates of a set of runs: one (n, 16) array over the days
+    of each distinct WeatherSeries object in turn, and each run's first
+    row in it.  Runs on one weather object share its rows."""
+    first, temps, total = {}, [], 0
+    for run in runs:
+        if id(run.weather) not in first:
+            first[id(run.weather)] = total
+            temps.append(run.weather.temp_mean)
+            total += len(run.weather)
+    return (_rate_rows(params, np.concatenate(temps)),
+            [first[id(run.weather)] for run in runs])
 
 
 def _advance(params: ModelParams, weather: WeatherSeries, rates, k_arr,
@@ -380,6 +411,10 @@ _KERNEL_DIR = Path(__file__).with_name("__pycache__")
 # -ffp-contract=off: no fused multiply-add, so every operation rounds as
 # Python's does; -ffast-math and -march=native stay out for the same reason
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# the build without the AVX2 lanes, tried when a build with them fails
+_NO_AVX2 = "-DSPILLCAST_NO_AVX2"
+# runs per spillcast_advance call (MAX_LANES in _rk4.c)
+_LANES = 4
 _BUILD_TIMEOUT_S = 60.0
 
 
@@ -422,15 +457,16 @@ def _load_kernel():
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     advance.restype = ctypes.c_int
-    advance.argtypes = (ctypes.c_int64, ctypes.c_int64, *[ctypes.c_double] * 5,
+    advance.argtypes = (*[ctypes.c_int64] * 3, *[ctypes.c_double] * 5,
                         *[f64] * 7, i64, i64)
     return advance
 
 
 def _build_kernel(path: Path) -> bool:
     """Compile ``_KERNEL_SOURCE`` to ``path`` with the first of
-    ``_compilers()`` that builds it; False, with nothing printed and
-    nothing left behind, if each is missing, fails or times out, or the
+    ``_compilers()`` that builds it, with the AVX2 lanes or, should that
+    fail, without them; False, with nothing printed and nothing left
+    behind, if each compiler is missing, fails or times out, or the
     directory is not writable."""
     import subprocess
 
@@ -441,18 +477,19 @@ def _build_kernel(path: Path) -> bool:
                                    dir=path.parent)
         os.close(fd)
         for compiler in _compilers():
-            try:
-                done = subprocess.run(
-                    [*compiler, *_KERNEL_FLAGS, "-o", tmp,
-                     str(_KERNEL_SOURCE)],
-                    stdin=subprocess.DEVNULL, capture_output=True,
-                    timeout=_BUILD_TIMEOUT_S)
-            except (OSError, subprocess.SubprocessError):
-                continue
-            if done.returncode == 0:
-                os.replace(tmp, path)
-                tmp = None
-                return True
+            for extra in ((), (_NO_AVX2,)):
+                try:
+                    done = subprocess.run(
+                        [*compiler, *_KERNEL_FLAGS, *extra, "-o", tmp,
+                         str(_KERNEL_SOURCE)],
+                        stdin=subprocess.DEVNULL, capture_output=True,
+                        timeout=_BUILD_TIMEOUT_S)
+                except (OSError, subprocess.SubprocessError):
+                    break
+                if done.returncode == 0:
+                    os.replace(tmp, path)
+                    tmp = None
+                    return True
         return False
     except OSError:
         return False
@@ -477,6 +514,35 @@ _KERNEL_ERRORS = {
 }
 
 
+def _kernel_advance(advance, params: ModelParams, steps_per_day: int, n: int,
+                    rates, rate_rows: list, k_arr, rows: list, out: tuple,
+                    y) -> tuple:
+    """One ``spillcast_advance`` call: n days of ``len(rows)`` runs side by
+    side.  Run l takes its rates from rows ``rate_rows[l]`` on of ``rates``
+    and its K from, and writes its outputs to, rows ``rows[l]`` on of
+    ``k_arr`` and ``out`` = (states, m, r0, new_infections); ``y`` holds
+    the (lanes, 16) states and is updated in place.  Returns the status,
+    the failing day's index and the clamp count of each run."""
+    lanes = len(rows)
+    states, m_prof, r0_daily, new_inf = out
+    # the loop reads and writes n rows from each start through raw pointers
+    if not (1 <= lanes <= _LANES and len(rate_rows) == lanes
+            and y.shape == (lanes, 16) and rates.shape[1:] == (16,)
+            and states.shape[1:] == (15,)
+            and k_arr.ndim == m_prof.ndim == r0_daily.ndim == new_inf.ndim == 1
+            and min(*rate_rows, *rows, n) >= 0
+            and max(rate_rows) + n <= len(rates)
+            and max(rows) + n <= min(len(k_arr), len(states), len(m_prof),
+                                     len(r0_daily), len(new_inf))):
+        raise ValueError(f"arrays do not fit {lanes} runs of {n} days")
+    h = 1.0 / steps_per_day
+    counts = np.zeros(lanes + 2, dtype=np.int64)  # clamps, failing lane, day
+    status = advance(lanes, n, operator.index(steps_per_day), h, 0.5 * h,
+                     h / 6.0, params.rho, BLOWUP_LIMIT, rates, k_arr, *out, y,
+                     np.array(rate_rows + rows, dtype=np.int64), counts)
+    return status, int(counts[-1]), counts[:lanes]
+
+
 def _advance_days(params: ModelParams, weather: WeatherSeries, rates, k_arr,
                   y: list, steps_per_day: int, lo: int, hi: int,
                   out: tuple) -> tuple:
@@ -486,24 +552,13 @@ def _advance_days(params: ModelParams, weather: WeatherSeries, rates, k_arr,
     if advance is None:
         return _advance(params, weather, rates, k_arr, y, steps_per_day, lo,
                         hi, out)
-    n = hi - lo
-    h = 1.0 / steps_per_day
-    state = np.array(y, dtype=float)
-    span_rates = rates[lo:hi]
-    k_span = np.ascontiguousarray(k_arr[lo:hi], dtype=float)
-    rows = [a[lo:hi] for a in out]              # states, m, r0, new cases
-    # the loop reads and writes n rows of each array through raw pointers
-    if (state.shape != (16,) or span_rates.shape != (n, 16)
-            or rows[0].shape != (n, 15)
-            or any(a.shape != (n,) for a in (k_span, *rows[1:]))):
-        raise ValueError(f"arrays do not fit the {n}-day span")
-    counts = np.zeros(2, dtype=np.int64)        # clamps, failing day
-    status = advance(n, operator.index(steps_per_day), h, 0.5 * h, h / 6.0,
-                     params.rho, BLOWUP_LIMIT, span_rates, k_span, state,
-                     *rows, counts[:1], counts[1:])
+    state = np.array([y], dtype=float)
+    status, day, clamps = _kernel_advance(
+        advance, params, steps_per_day, hi - lo, rates, [lo],
+        np.ascontiguousarray(k_arr, dtype=float), [lo], out, state)
     if status:
-        raise _KERNEL_ERRORS[status](weather.dates[lo + int(counts[1])])
-    return state.tolist(), int(counts[0])
+        raise _KERNEL_ERRORS[status](weather.dates[lo + day])
+    return state[0].tolist(), int(clamps[0])
 
 
 # --- runs ----------------------------------------------------------------------
@@ -538,20 +593,28 @@ def _seed_pulse(y, seed_birds: float) -> list:
     return seeded.as_list() + [0.0]
 
 
+def _pulse_day(run: Run):
+    """The day the run's pulse falls on, a seed day outside the span moved
+    to its nearest day; None for an unseeded run or an empty span."""
+    n = len(run.weather)
+    if run.seed_day is None or not n:
+        return None
+    return min(max(int(run.seed_day), 0), n - 1)
+
+
 def _run_trajectory(params: ModelParams, run: Run, rates, k_arr,
                     steps_per_day: int) -> Trajectory:
     """Advance to the pulse day, pulse, then advance to the end; ``rates``
     are the ``_thermal_rates`` of the run's weather."""
     n = len(run.weather)
     out = (np.empty((n, 15)), np.empty(n), np.empty(n), np.empty(n))
-    y, clamps, lo = run.init.as_list() + [0.0], 0, 0
-    if run.seed_day is not None and n:
-        lo = min(max(int(run.seed_day), 0), n - 1)
+    y, clamps, lo = run.init.as_list() + [0.0], 0, _pulse_day(run)
+    if lo is not None:
         y, clamps = _advance_days(params, run.weather, rates, k_arr, y,
                                   steps_per_day, 0, lo, out)
         y = _seed_pulse(y, run.seed_birds)
     y, count = _advance_days(params, run.weather, rates, k_arr, y,
-                             steps_per_day, lo, n, out)
+                             steps_per_day, lo or 0, n, out)
     states, m_prof, r0_daily, new_inf = out
     return Trajectory(
         dates=run.weather.dates,
@@ -591,21 +654,91 @@ def simulate_runs(params: ModelParams, runs, steps_per_day: int = 24) -> list:
     Each trajectory equals, bit for bit, ``simulate`` on that run alone
     (for a seeded run: ``simulate`` up to the pulse, then ``simulate``
     from the pulsed state).  Every run's K is checked before any run is
-    simulated.  Errors are those of ``simulate``: LengthMismatch,
-    NonFiniteInput (K <= 0 or non-finite, non-finite end state), BlowUp.
+    simulated.  Errors are those of ``simulate`` for the first run that
+    fails: LengthMismatch, NonFiniteInput (K <= 0 or non-finite,
+    non-finite end state), ZeroDenominator, BlowUp.
 
-    Consecutive runs on the same WeatherSeries object (the K levels of one
-    year) share one array of thermal rates; only the latest is kept.
+    The thermal rates of every distinct WeatherSeries object are evaluated
+    once for the call, and runs on one object share them.  With the
+    compiled loop, runs of equal length and equal pulse day advance up to
+    four at a time in its lanes (``_simulate_lanes``); if any lane fails,
+    the runs are simulated again one at a time, which raises the error of
+    the first failing run.
     """
     runs = list(runs)
+    if not runs:
+        return []
     k_arrs = [_k_array(run.k_series, len(run.weather)) for run in runs]
-    trajectories, rates, rates_of = [], None, None
-    for run, k_arr in zip(runs, k_arrs):
-        if run.weather is not rates_of:
-            rates, rates_of = _thermal_rates(params, run.weather), run.weather
-        trajectories.append(_run_trajectory(params, run, rates, k_arr,
-                                            steps_per_day))
-    return trajectories
+    rates, rate_starts = _shared_rates(params, runs)
+    advance = _load_kernel()
+    if advance is not None and len(runs) > 1:
+        with contextlib.suppress(NumericalError):
+            return _simulate_lanes(advance, params, runs, rates, rate_starts,
+                                   k_arrs, steps_per_day)
+    return [_run_trajectory(params, run, rates[start:start + len(run.weather)],
+                            k_arr, steps_per_day)
+            for run, start, k_arr in zip(runs, rate_starts, k_arrs)]
+
+
+def _simulate_lanes(advance, params: ModelParams, runs: list, rates,
+                    rate_starts: list, k_arrs: list,
+                    steps_per_day: int) -> list:
+    """``simulate_runs`` in the lanes of the compiled loop.
+
+    The runs' K and outputs are concatenated into arrays of the call, each
+    run owning the rows from its offset on; its Trajectory holds views of
+    them.  Runs are grouped by length and clamped pulse day, and each
+    group goes to the loop four runs at a time: to the pulse day, then
+    ``_seed_pulse`` run by run, then to the end.  Any failure of the loop
+    or of a pulse raises NumericalError."""
+    sizes = [len(run.weather) for run in runs]
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    total = sum(sizes)
+    out = (np.empty((total, 15)), np.empty(total), np.empty(total),
+           np.empty(total))
+    k_all = np.concatenate(k_arrs)
+    ys = np.array([run.init.as_list() + [0.0] for run in runs])
+    clamps = np.zeros(len(runs), dtype=np.int64)
+
+    def advance_lanes(lanes, y, lo, hi):
+        if hi > lo:
+            status, _, count = _kernel_advance(
+                advance, params, steps_per_day, hi - lo, rates,
+                [rate_starts[i] + lo for i in lanes], k_all,
+                [starts[i] + lo for i in lanes], out, y)
+            if status:
+                raise NumericalError("a run failed in the lanes")
+            clamps[lanes] += count
+
+    groups = {}
+    for i, (run, n) in enumerate(zip(runs, sizes)):
+        groups.setdefault((n, _pulse_day(run)), []).append(i)
+    for (n, pulse), members in groups.items():
+        for first in range(0, len(members), _LANES):
+            lanes = members[first:first + _LANES]
+            y = ys[lanes]
+            if pulse is not None:
+                advance_lanes(lanes, y, 0, pulse)
+                for j, i in enumerate(lanes):
+                    y[j] = _seed_pulse(y[j].tolist(), runs[i].seed_birds)
+            advance_lanes(lanes, y, pulse or 0, n)
+            ys[lanes] = y
+
+    states, m_prof, r0_daily, new_inf = out
+    return [
+        Trajectory(
+            dates=run.weather.dates,
+            states=states[start:start + n],
+            m=m_prof[start:start + n],
+            r0=r0_daily[start:start + n],
+            new_infections=new_inf[start:start + n],
+            weather=run.weather,
+            clamp_count=int(count),
+            end_state=CompartmentState.from_values(y[:15]),
+        )
+        for run, start, n, count, y in zip(runs, starts, sizes, clamps,
+                                           ys.tolist())
+    ]
 
 
 def weekly_expected_cases(traj: Trajectory, week_starts) -> np.ndarray:

@@ -122,6 +122,11 @@ class ZeroBandwidth(InputError):
     pass
 
 
+class NonFiniteFit(NumericalError):
+    """A fitted onset density, its thresholds or a severity rate surface
+    is not finite (a bandwidth or feature weight too large for doubles)."""
+
+
 # --- severity -------------------------------------------------------------
 
 class EmptyCurve(InputError):

@@ -17,7 +17,7 @@ from datetime import timedelta
 import numpy as np
 
 from .epimodel import Trajectory
-from .errors import TooFewSamples, ZeroBandwidth
+from .errors import NonFiniteFit, TooFewSamples, ZeroBandwidth
 from .ingest import write_table
 
 DEFAULT_LEVELS = (0.88, 0.90, 0.95)
@@ -197,6 +197,10 @@ def fit_onset_pdf(samples, bandwidth=None, grid_size: int = 128,
         levels=tuple(levels), thresholds=(), transform=transform,
     )
     thresholds = hdr_thresholds(pdf, levels)
+    if not all(np.isfinite(a).all()
+               for a in (m_grid, r0_grid, density, thresholds)):
+        raise NonFiniteFit(f"non-finite onset density with bandwidth "
+                           f"({h_m:g}, {h_r:g})")
     object.__setattr__(pdf, "thresholds", tuple(thresholds))
     return pdf
 

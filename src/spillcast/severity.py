@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import Config
 from .epimodel import ModelParams, Trajectory
-from .errors import EmptyCurve, TooFewSamples, ZeroEvidence
+from .errors import EmptyCurve, NonFiniteFit, TooFewSamples, ZeroEvidence
 from .ingest import CaseSeries, WeatherSeries, write_table
 from .onset import (
     OnsetPdf,
@@ -160,6 +160,10 @@ def fit_rate_surface(samples, bandwidths=None, grid_size: int = 64) -> RateSurfa
     weight = np.einsum("ik,jk->ij", km, kw)
     weighted_x = np.einsum("ik,k,jk->ij", km, sx, kw)
     lam = np.where(weight >= MIN_KERNEL_WEIGHT, weighted_x / np.maximum(weight, 1e-300), 0.0)
+    if not all(np.isfinite(a).all()
+               for a in (grid.m_centers, grid.w_centers, lam)):
+        raise NonFiniteFit(f"non-finite rate surface with bandwidth "
+                           f"({h_m:g}, {h_w:g})")
     return RateSurface(grid=grid, lam=lam, bandwidth=(h_m, h_w),
                        sample_m=sm, sample_w=sw, sample_x=sx)
 

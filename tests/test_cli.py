@@ -449,6 +449,26 @@ def test_non_finite_config_float_exit_2(tmp_path, fixture_dir, capsys,
     assert not (out / output).exists()
 
 
+@pytest.mark.parametrize("command, key, output", [
+    # finite but huge: fit-onset used to exit 0 with thresholds = nan,nan,nan
+    # (the density underflows to 0 everywhere), fit-severity with all 4096
+    # rate_surface.csv rows nan (1e308 * feature overflows to inf)
+    ("fit-onset", "onset_bandwidth_m", "onset_model.ini"),
+    ("fit-severity", "w_temp", "rate_surface.csv"),
+])
+def test_huge_config_float_exit_3(tmp_path, fixture_dir, capsys, command,
+                                  key, output):
+    config = _config_with(tmp_path, fixture_dir, {key: "1e308"})
+    out = tmp_path / "out"
+    code = main([command, "--weather", fixture_dir["weather"],
+                 "--cases", fixture_dir["cases"], "--config", config,
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "numerical failure: " in err and "non-finite" in err
+    assert not (out / output).exists()
+
+
 def test_underflowed_r0_denominator_exit_3(tmp_path, fixture_dir, capsys):
     # bird rates whose R0 denominator underflows to 0.0 used to print
     # "internal failure: float division by zero"

@@ -653,6 +653,155 @@ class TestSimulateRuns:
                 simulate_runs(default_params, runs)
 
 
+# mosquitoes that multiply slowly enough to pass BLOWUP_LIMIT months in:
+# from 1e7 adults about day 110, from 1e3 adults about day 196
+SLOW_BLOWUP = ModelParams.from_config(Config(rates={
+    "egg_laying": "constant,0.5", "aquatic_dev": "constant,0.2",
+    "aquatic_mort": "constant,0.05", "adult_mort": "constant,0.05"}))
+
+
+def _mosquitoes(adults):
+    return replace(default_init_state(Config()), A_M=0.0, M_S=adults)
+
+
+class TestLaneErrors:
+    """A batch whose runs fail on different days raises what the runs one
+    at a time raise: the error of the first failing run, however the
+    compiled loop groups them into lanes."""
+
+    # (run lengths, adults of runs 1 and 3): runs 1 and 3 blow up; run 1
+    # first in all four runs (one group) or after run 3 in a group that
+    # goes to the loop first (two groups); or run 3 first in its lanes
+    LAYOUTS = {
+        "one group": ((366, 366, 366, 366), (1e7, 1e3)),
+        "two groups": ((366, 365, 365, 366), (1e7, 1e3)),
+        "later lane first": ((366, 366, 366, 366), (1e3, 1e7)),
+    }
+
+    @pytest.mark.parametrize("loop", DAY_LOOPS)
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_first_failing_run_named(self, layout, loop):
+        sizes, (adults_1, adults_3) = self.LAYOUTS[layout]
+        inits = [_mosquitoes(0.0), _mosquitoes(adults_1), _mosquitoes(0.0),
+                 _mosquitoes(adults_3)]
+        runs = [Run(constant_weather(n, temp=25.0), 1e15, init)
+                for n, init in zip(sizes, inits)]
+        days = {}
+        for j in (1, 3):
+            with pytest.raises(errors.BlowUp) as alone:
+                simulate(SLOW_BLOWUP, runs[j].weather, 1e15, runs[j].init,
+                         steps_per_day=2)
+            days[j] = str(alone.value)
+        # the lanes would meet the other run's blow-up first
+        assert (days[1] < days[3]) == (adults_1 > adults_3)
+        with day_loop(loop), pytest.raises(errors.BlowUp) as got:
+            simulate_runs(SLOW_BLOWUP, runs, steps_per_day=2)
+        assert str(got.value) == days[1]
+
+    @pytest.mark.parametrize("loop", DAY_LOOPS)
+    def test_failed_pulse_before_an_earlier_runs_error(self, loop):
+        """Runs 0 and 2 share their lanes, which reach the pulse before run
+        1 goes to the loop; run 2's state is NaN by then, but run 1's
+        BlowUp comes first in run order and is raised."""
+        # birds laying 1e300 eggs a day overflow to NaN without ever
+        # passing BLOWUP_LIMIT; with no birds nothing happens
+        params = ModelParams(rates={
+            **SLOW_BLOWUP.rates,
+            "bird_egg_laying": ThermalCurve.constant(1e300)})
+        wx = constant_weather(366, temp=25.0)
+        runs = [Run(wx.slice(0, 100), 1e15, CompartmentState(H_S=1e3),
+                    seed_day=50),
+                Run(wx, 1e15, _mosquitoes(1e7)),
+                Run(wx.slice(0, 100), 1e15, CompartmentState(H_S=1e3, B_S=1.0),
+                    seed_day=50)]
+        with pytest.raises(errors.NonFiniteInput):
+            _alone(params, runs[2], 2)
+        with pytest.raises(errors.BlowUp) as want:
+            _alone(params, runs[1], 2)
+        with day_loop(loop), pytest.raises(errors.BlowUp) as got:
+            simulate_runs(params, runs, steps_per_day=2)
+        assert str(got.value) == str(want.value)
+
+
+@st.composite
+def lane_calls(draw):
+    """1-9 runs of 0, 1, 365 or 366 days on weather objects that are
+    shared or not, unseeded or seeded on day 0, mid-span or past the end,
+    with scalar or per-day K and default, random, bird-free, human-free
+    or mosquito-free start states."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # one or two lengths and pulse days per call, so that runs share lanes
+    lengths = draw(st.lists(st.sampled_from((0, 1, 365, 366)), min_size=1,
+                            max_size=2, unique=True))
+    pulses = draw(st.lists(st.sampled_from((None, 0, "mid", "past")),
+                           min_size=1, max_size=2, unique=True))
+    weathers, runs = {}, []
+    for _ in range(draw(st.integers(1, 9))):
+        n = draw(st.sampled_from(lengths))
+        if n not in weathers or not draw(st.booleans()):
+            start = date(2021, 1, 1) + timedelta(days=int(rng.integers(0, 365)))
+            weathers[n] = WeatherSeries(
+                tuple(start + timedelta(days=i) for i in range(n)),
+                rng.uniform(-5.0, 38.0, n), rng.uniform(0.0, 100.0, n),
+                rng.uniform(0.0, 10.0, n))
+        k = (float(rng.uniform(100.0, 20000.0)) if draw(st.booleans())
+             else rng.uniform(100.0, 20000.0, n))
+        kind = draw(st.sampled_from(("default", "random", "no_birds",
+                                     "no_humans", "no_mosquitoes")))
+        values = dict(zip(COMPARTMENTS, rng.uniform(0.0, 3000.0, 15)))
+        if kind == "default":
+            values = default_init_state(Config()).__dict__
+        elif kind == "no_birds":
+            values.update(E_B=0.0, F_B=0.0, B_S=0.0, B_E=0.0, B_I=0.0, B_R=0.0)
+        elif kind == "no_humans":
+            values.update(H_S=0.0, H_E=0.0, H_I=0.0, H_R=0.0)
+        elif kind == "no_mosquitoes":
+            values.update(E_M=0.0, A_M=0.0, M_S=0.0, M_E=0.0, M_I=0.0)
+        seed_day = {None: None, 0: 0, "mid": n // 2, "past": n + 1}[
+            draw(st.sampled_from(pulses))]
+        runs.append(Run(weathers[n], k, CompartmentState(**values), seed_day,
+                        float(rng.uniform(0.0, 50.0))))
+    return runs
+
+
+def _alone(params, run, steps):
+    """``run`` simulated alone with ``simulate``, split at the pulse."""
+    if run.seed_day is None or not len(run.weather):
+        return simulate(params, run.weather, run.k_series, run.init,
+                        steps_per_day=steps)
+    return split_seeded_reference(params, run.weather, run.k_series, run.init,
+                                  run.seed_day, run.seed_birds, steps)
+
+
+@given(runs=lane_calls(), rates=st.sampled_from(sorted(ORACLE_PARAMS)),
+       steps=st.sampled_from((1, 2)))
+@settings(max_examples=100, deadline=None)
+def test_lanes_equal_runs_alone(runs, rates, steps):
+    """simulate_runs, lanes and all, against ``simulate`` on each run
+    alone: the same arrays, clamp counts and end states, or the first
+    failing run's error type and message."""
+    params = ORACLE_PARAMS[rates]
+    want, error = [], None
+    for run in runs:
+        try:
+            want.append(_alone(params, run, steps))
+        except errors.SpillcastError as exc:
+            error = exc
+            break
+    for loop in DAY_LOOPS:
+        with day_loop(loop):
+            if error is not None:
+                with pytest.raises(errors.SpillcastError) as got:
+                    simulate_runs(params, runs, steps_per_day=steps)
+                assert type(got.value) is type(error), loop
+                assert str(got.value) == str(error), loop
+                continue
+            got = simulate_runs(params, runs, steps_per_day=steps)
+        assert len(got) == len(runs)
+        for g, w in zip(got, want):
+            assert_same_trajectory(g, w)
+
+
 def _weekly_expected_cases_oracle(traj, week_starts):
     """The original date-keyed sum: days outside the trajectory add 0.0,
     the rest add left to right as ``sum`` does."""

@@ -17,10 +17,11 @@ from tests.conftest import sinusoid_weather
 SRC = Path(epimodel.__file__).resolve().parents[1]
 ROOT = SRC.parent
 
-# Simulates the fixture's first year, seeded and unseeded, in a process
-# that caches the library in the directory given as argv[1] ("" keeps the
-# package's own) and, with argv[2] == "missing-cc", has no compiler; prints
-# the day loop in use and the trajectories' bytes as hex.
+# Simulates the fixture's first year at five K levels, three unseeded and
+# two seeded (so the compiled loop runs them in lanes of three and two), in
+# a process that caches the library in the directory given as argv[1] (""
+# keeps the package's own) and, with argv[2] == "missing-cc", has no
+# compiler; prints the day loop in use and the trajectories' bytes as hex.
 PROBE = """
 import sys
 from pathlib import Path
@@ -34,7 +35,9 @@ cfg = synth.default_config()
 wx = synth.seasonal_weather(2019, 1, seed=3)
 params = e.ModelParams.from_config(cfg)
 init = e.default_init_state(cfg)
-runs = [e.Run(wx, cfg.k_default, init), e.Run(wx, 900.0, init, seed_day=90)]
+runs = [e.Run(wx, cfg.k_default, init), e.Run(wx, 900.0, init, seed_day=90),
+        e.Run(wx, 2.0 * cfg.k_default, init), e.Run(wx, 1800.0, init, 90),
+        e.Run(wx, 0.5 * cfg.k_default, init)]
 out = []
 for t in e.simulate_runs(params, runs, steps_per_day=cfg.steps_per_day):
     out += [t.states.tobytes(), t.m.tobytes(), t.r0.tobytes(),
@@ -89,6 +92,62 @@ def test_concurrent_builds_into_an_empty_directory(tmp_path):
     assert results[0][0] == "c"
     assert [p.name for p in tmp_path.iterdir()] == [
         epimodel._kernel_path().name]
+
+
+def build(lib, *extra):
+    """Compile the package's ``_rk4.c`` to ``lib`` as the loader does, with
+    ``extra`` flags added."""
+    compiler = next(cmd for cmd in epimodel._compilers()
+                    if shutil.which(cmd[0]))
+    subprocess.run([*compiler, *epimodel._KERNEL_FLAGS, *extra, "-o",
+                    str(lib), str(epimodel._KERNEL_SOURCE)], check=True,
+                   capture_output=True)
+
+
+def lane_width(lib):
+    """How many lanes the library advances a call of four runs in."""
+    import ctypes
+    width = ctypes.CDLL(str(lib)).spillcast_width
+    width.restype, width.argtypes = ctypes.c_int, ()
+    return width()
+
+
+def cpu_has_avx2():
+    try:
+        return " avx2 " in Path("/proc/cpuinfo").read_text().replace("\n", " ")
+    except OSError:
+        return None
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+def test_build_without_avx2_lanes_gives_the_same_bytes(tmp_path):
+    """The build without the 4-lane AVX2 body, which CPUs without AVX2 and
+    other architectures run, advances lanes in pairs and gives the bytes
+    of the build the loader makes here."""
+    build(tmp_path / epimodel._kernel_path().name, epimodel._NO_AVX2)
+    assert lane_width(tmp_path / epimodel._kernel_path().name) == 2
+    pairs = finish(probe(tmp_path))
+    assert pairs[0] == "c"
+    assert finish(probe()) == pairs
+    if cpu_has_avx2():
+        assert lane_width(epimodel._kernel_path()) == 4
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+def test_build_retries_without_avx2_lanes(tmp_path, monkeypatch):
+    """A compiler that rejects the AVX2 body still gives a compiled loop:
+    the build is retried without it."""
+    real = next(cmd for cmd in epimodel._compilers() if shutil.which(cmd[0]))
+    fussy = tmp_path / "fussy-cc"
+    fussy.write_text(
+        "#!/bin/sh\n"
+        f'case " $* " in *" {epimodel._NO_AVX2} "*) exec {real[0]} "$@";; esac\n'
+        "exit 1\n")
+    fussy.chmod(0o755)
+    monkeypatch.setattr(epimodel, "_compilers", lambda: [[str(fussy)]])
+    lib = tmp_path / "cache" / "lib.so"
+    assert epimodel._build_kernel(lib)
+    assert lane_width(lib) == 2
 
 
 def test_failed_build_falls_back_silently(tmp_path):
