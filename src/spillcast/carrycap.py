@@ -236,7 +236,8 @@ def predict_K_plane(model: PlaneModel, forecast: WeatherSeries) -> KSeries:
     a, bb, c = model.coeffs[np.where(fallback, nearest, b)].T
     k = a * forecast.temp_mean + bb * forecast.humidity + c
     clamped = k < 0.0
-    flagged = tuple(d for d, f in zip(forecast.dates, fallback | clamped) if f)
+    flagged = tuple(map(forecast.dates.__getitem__,
+                        np.flatnonzero(fallback | clamped).tolist()))
     return KSeries(forecast.dates, np.where(clamped, 0.0, k), flagged)
 
 

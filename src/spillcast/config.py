@@ -102,6 +102,10 @@ class Config:
             value = getattr(self, key)
             if kind == "float" and not math.isfinite(value):
                 raise InvariantViolation(key, f"{value} is not finite")
+        for key in _SQUARED:
+            value = getattr(self, key)
+            if not math.isfinite(value * value):
+                raise InvariantViolation(key, f"{value} has no finite square")
         if not 0.0 < self.rho <= 1.0:
             raise InvariantViolation("rho", f"{self.rho} not in (0, 1]")
         levels = self.contour_levels
@@ -148,6 +152,12 @@ class Config:
         if self.prior not in ("uniform", "gaussian", "band"):
             raise InvariantViolation("prior", f"unknown prior {self.prior!r}")
 
+
+# the bandwidths, prior widths and feature weights the fits square, in
+# Python (where an overflow raises) or in numpy (where it warns)
+_SQUARED = ("onset_bandwidth_m", "onset_bandwidth_r0", "severity_bandwidth_m",
+            "severity_bandwidth_w", "prior_sigma", "band_halfwidth",
+            "w_temp", "w_humidity", "w_precip")
 
 # Every INI key is a Config field and its type is the field's annotation:
 # "int", "float", "str" or "tuple".  Each section holds the fields from its

@@ -35,9 +35,10 @@ The compiled loop runs up to four runs side by side, one per lane of a
 vector (256-bit with AVX2, else two 128-bit pairs), each lane with its own
 rates, K, state, outputs and clamp count; a single run takes a one-lane
 copy of the same source.  ``simulate_runs`` sends its runs there four at a
-time, grouped by length and pulse day.  If any lane fails, it simulates
-the runs again one at a time, so the error raised is always that of the
-first failing run, as without lanes.
+time, grouped by length and pulse day, and spreads these chunks over the
+usable CPUs.  If any lane fails, it simulates the runs again one at a
+time, so the error raised is always that of the first failing run, as
+without lanes or threads.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import math
 import operator
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -661,9 +663,13 @@ def simulate_runs(params: ModelParams, runs, steps_per_day: int = 24) -> list:
     The thermal rates of every distinct WeatherSeries object are evaluated
     once for the call, and runs on one object share them.  With the
     compiled loop, runs of equal length and equal pulse day advance up to
-    four at a time in its lanes (``_simulate_lanes``); if any lane fails,
-    the runs are simulated again one at a time, which raises the error of
-    the first failing run.
+    four at a time in its lanes (``_simulate_lanes``), and these chunks
+    run on one thread per usable CPU, at most one per chunk; ctypes
+    releases the GIL inside the loop.  A chunk writes only its own runs'
+    rows, so neither the outputs nor the errors depend on the number of
+    CPUs.  If any lane fails, no further chunk starts, every thread is
+    joined, and the runs are simulated again one at a time on the calling
+    thread, which raises the error of the first failing run.
     """
     runs = list(runs)
     if not runs:
@@ -688,9 +694,11 @@ def _simulate_lanes(advance, params: ModelParams, runs: list, rates,
     The runs' K and outputs are concatenated into arrays of the call, each
     run owning the rows from its offset on; its Trajectory holds views of
     them.  Runs are grouped by length and clamped pulse day, and each
-    group goes to the loop four runs at a time: to the pulse day, then
-    ``_seed_pulse`` run by run, then to the end.  Any failure of the loop
-    or of a pulse raises NumericalError."""
+    group is cut into chunks of up to four runs.  A chunk goes to the
+    loop to the pulse day, then through ``_seed_pulse`` run by run, then
+    to the end; it reads and writes only its own runs' rows, so the
+    chunks run on ``_run_chunks``' threads in any order with the same
+    bytes.  Any failure of the loop or of a pulse raises NumericalError."""
     sizes = [len(run.weather) for run in runs]
     starts = np.cumsum([0, *sizes[:-1]]).tolist()
     total = sum(sizes)
@@ -710,19 +718,22 @@ def _simulate_lanes(advance, params: ModelParams, runs: list, rates,
                 raise NumericalError("a run failed in the lanes")
             clamps[lanes] += count
 
+    def run_chunk(chunk):
+        n, pulse, lanes = chunk
+        y = ys[lanes]
+        if pulse is not None:
+            advance_lanes(lanes, y, 0, pulse)
+            for j, i in enumerate(lanes):
+                y[j] = _seed_pulse(y[j].tolist(), runs[i].seed_birds)
+        advance_lanes(lanes, y, pulse or 0, n)
+        ys[lanes] = y
+
     groups = {}
     for i, (run, n) in enumerate(zip(runs, sizes)):
         groups.setdefault((n, _pulse_day(run)), []).append(i)
-    for (n, pulse), members in groups.items():
-        for first in range(0, len(members), _LANES):
-            lanes = members[first:first + _LANES]
-            y = ys[lanes]
-            if pulse is not None:
-                advance_lanes(lanes, y, 0, pulse)
-                for j, i in enumerate(lanes):
-                    y[j] = _seed_pulse(y[j].tolist(), runs[i].seed_birds)
-            advance_lanes(lanes, y, pulse or 0, n)
-            ys[lanes] = y
+    _run_chunks(run_chunk, [(n, pulse, members[first:first + _LANES])
+                            for (n, pulse), members in groups.items()
+                            for first in range(0, len(members), _LANES)])
 
     states, m_prof, r0_daily, new_inf = out
     return [
@@ -739,6 +750,59 @@ def _simulate_lanes(advance, params: ModelParams, runs: list, rates,
         for run, start, n, count, y in zip(runs, starts, sizes, clamps,
                                            ys.tolist())
     ]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(run_chunk, chunks: list) -> None:
+    """``run_chunk`` on each chunk, on one thread per usable CPU but no
+    more threads than chunks, the calling thread among them.  The compiled
+    loop runs without the GIL, so the threads' loops overlap.
+
+    Threads take the chunks in list order.  Once a chunk raises, no chunk
+    starts; every thread is joined, also when the caller is interrupted,
+    and the first exception caught is raised."""
+    workers = min(_usable_cpus(), len(chunks))
+    if workers <= 1:
+        for chunk in chunks:
+            run_chunk(chunk)
+        return
+    todo = iter(chunks)
+    lock = threading.Lock()
+    stop = threading.Event()
+    failures = []
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                chunk = next(todo, None)
+            if chunk is None:
+                return
+            try:
+                run_chunk(chunk)
+            except BaseException as exc:
+                failures.append(exc)
+                stop.set()
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
 
 
 def weekly_expected_cases(traj: Trajectory, week_starts) -> np.ndarray:

@@ -19,7 +19,7 @@ from .config import Config
 from .epimodel import ModelParams, Run, default_init_state, simulate_runs
 from .errors import EmptyYear, TooFewResiduals, TooFewYears, ZeroVariance
 from .ingest import WeatherSeries
-from .onset import OnsetPdf, RiskLevel, forecast_onset
+from .onset import OnsetPdf, RiskLevel, classify_days
 
 
 def annual_indicators(levels) -> tuple:
@@ -135,7 +135,9 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
     series (typically the fitted precipitation-bin planes); a K <= 0
     raises NonFiniteInput.  Every year starts from the default initial
     state; the years go to ``simulate_runs`` together, bit-identical to
-    simulating each year alone.
+    simulating each year alone, and all their days are classified in one
+    ``classify_days`` call, bit-identical to ``forecast_onset`` year by
+    year.
     """
     by_year = archive.year_slices()
     years = sorted(by_year)
@@ -145,10 +147,14 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
     init = default_init_state(cfg)
     runs = [Run(by_year[year], k_predictor(by_year[year]).values, init)
             for year in years]
+    trajs = simulate_runs(params, runs, steps_per_day=cfg.steps_per_day)
+    # a day's density does not depend on the days classified with it
+    _, levels = classify_days(pdf, np.concatenate([t.m for t in trajs]),
+                              np.concatenate([t.r0 for t in trajs]))
+    ends = np.cumsum([len(t) for t in trajs]).tolist()
     r_year, r_relative = [], []
-    for traj in simulate_runs(params, runs, steps_per_day=cfg.steps_per_day):
-        risk = forecast_onset(pdf, traj)
-        ry, rr = annual_indicators(risk.levels)
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        ry, rr = annual_indicators(levels[lo:hi])
         r_year.append(ry)
         r_relative.append(rr)
 

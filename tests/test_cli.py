@@ -275,6 +275,61 @@ class TestTrend:
             assert 0.0 <= res["p_value"] <= 1.0
 
 
+def _cpus():
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return []
+
+
+@pytest.mark.skipif(len(_cpus()) < 2 or not hasattr(os, "sched_setaffinity"),
+                    reason="needs sched_setaffinity and two usable CPUs")
+def test_trend_outputs_do_not_depend_on_the_cpus(tmp_path):
+    """``trend --cases`` calibrates K over a 12-year archive and simulates
+    every year: in a process restricted to one CPU (one thread) and in one
+    with every usable CPU (the lane chunks on several threads) its outputs
+    are the same bytes."""
+    from spillcast.synth import generate_world
+    world = generate_world(n_years=12, warming_per_year=0.05)
+    paths = {k: str(v) for k, v in write_fixture(tmp_path / "world",
+                                                 world).items()}
+    model = tmp_path / "model"
+    assert main(["fit-onset", "--weather", paths["weather"],
+                 "--cases", paths["cases"], "--config", paths["config"],
+                 "--out", str(model)]) == 0
+    src = str(Path(spillcast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def one_cpu():
+        os.sched_setaffinity(0, {_cpus()[0]})
+
+    probe = subprocess.run(
+        [sys.executable, "-c", "import os; print(len(os.sched_getaffinity(0)))"],
+        preexec_fn=one_cpu, capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "1"
+    outs = {}
+    for name, preexec in (("one", one_cpu), ("all", None)):
+        outs[name] = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "spillcast.cli", "trend",
+             "--weather", paths["weather"], "--cases", paths["cases"],
+             "--config", paths["config"], "--model", str(model),
+             "--out", str(outs[name])],
+            env=env, preexec_fn=preexec, capture_output=True, check=True)
+    files = sorted(p.name for p in outs["one"].iterdir())
+    assert files == sorted(p.name for p in outs["all"].iterdir())
+    assert {"trend.csv", "trend.json", "manifest.json"} <= set(files)
+    for name in files:
+        one, every = ((outs[k] / name).read_bytes() for k in ("one", "all"))
+        if name == "manifest.json":
+            one, every = (json.loads(b) for b in (one, every))
+            one.pop("created_at")
+            every.pop("created_at")
+        assert one == every, name
+
+
 class TestDeterminism:
     def test_identical_rerun_byte_identical(self, tmp_path, fixture_dir):
         outs = []
@@ -452,11 +507,13 @@ def test_non_finite_config_float_exit_2(tmp_path, fixture_dir, capsys,
 @pytest.mark.parametrize("command, key, output", [
     # finite but huge: fit-onset used to exit 0 with thresholds = nan,nan,nan
     # (the density underflows to 0 everywhere), fit-severity with all 4096
-    # rate_surface.csv rows nan (1e308 * feature overflows to inf)
+    # rate_surface.csv rows nan (1e308 * feature overflows to inf); then
+    # both exited 3 after numpy overflow warnings
     ("fit-onset", "onset_bandwidth_m", "onset_model.ini"),
     ("fit-severity", "w_temp", "rate_surface.csv"),
 ])
-def test_huge_config_float_exit_3(tmp_path, fixture_dir, capsys, command,
+@pytest.mark.filterwarnings("error")
+def test_huge_config_float_exit_2(tmp_path, fixture_dir, capsys, command,
                                   key, output):
     config = _config_with(tmp_path, fixture_dir, {key: "1e308"})
     out = tmp_path / "out"
@@ -464,9 +521,25 @@ def test_huge_config_float_exit_3(tmp_path, fixture_dir, capsys, command,
                  "--cases", fixture_dir["cases"], "--config", config,
                  "--out", str(out)])
     err = capsys.readouterr().err
-    assert code == 3, err
-    assert "numerical failure: " in err and "non-finite" in err
+    assert code == 2, err
+    assert err.startswith(f"error: {key}: ") and "square" in err
     assert not (out / output).exists()
+
+
+def test_huge_band_halfwidth_exit_2(tmp_path, fixture_dir, severity_model,
+                                    capsys):
+    # used to print "internal failure: (34, 'Numerical result out of
+    # range')" and exit 3: halfwidth**2 raised OverflowError
+    config = _config_with(tmp_path, fixture_dir, {"prior": "band",
+                                                  "band_halfwidth": "1e308"})
+    out = tmp_path / "out"
+    code = main(["estimate-severity", "--weather", fixture_dir["weather"],
+                 "--model", severity_model, "--config", config,
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: band_halfwidth: ") and "square" in err
+    assert not (out / "severity.csv").exists()
 
 
 def test_underflowed_r0_denominator_exit_3(tmp_path, fixture_dir, capsys):

@@ -128,3 +128,19 @@ def test_non_finite_float_rejected(key, value):
     with pytest.raises(errors.InvariantViolation) as exc:
         parse_config(f"[{section}]\n{name} = {value}\n")
     assert exc.value.key == key
+
+
+SQUARED_KEYS = ("onset_bandwidth_m", "onset_bandwidth_r0",
+                "severity_bandwidth_m", "severity_bandwidth_w", "prior_sigma",
+                "band_halfwidth", "w_temp", "w_humidity", "w_precip")
+
+
+@pytest.mark.parametrize("value", [1e155, -1e155, 1e308])
+@pytest.mark.parametrize("key", SQUARED_KEYS)
+def test_float_without_finite_square_rejected(key, value):
+    """The fits square these values; a square that overflows raised
+    OverflowError (Python) or warned and gave NaN output (numpy)."""
+    with pytest.raises(errors.InvariantViolation) as exc:
+        Config(**{key: value})
+    assert exc.value.key == key and "square" in str(exc.value)
+    assert getattr(Config(**{key: 1e154}), key) == 1e154

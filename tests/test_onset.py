@@ -41,6 +41,12 @@ def samples_at(points, weights=None):
 
 
 class TestFitOnsetPdf:
+    def test_huge_bandwidth_raises_non_finite_fit(self):
+        # the grid spans +-3 bandwidths: 3e308 overflows to inf
+        with np.errstate(all="ignore"), pytest.raises(errors.NonFiniteFit):
+            fit_onset_pdf(samples_at([(1.0, 1.0), (2.0, 3.0)]),
+                          bandwidth=(1e308, 1.0))
+
     def test_single_gaussian_peak_value(self):
         pdf = fit_onset_pdf(samples_at([(0.0, 0.0)]), bandwidth=(1.0, 1.0))
         assert density_at(pdf, 0.0, 0.0) == pytest.approx(1.0 / (2.0 * math.pi),

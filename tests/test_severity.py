@@ -97,6 +97,13 @@ class TestPoissonPmf:
 
 
 class TestFitRateSurface:
+    def test_huge_feature_raises_non_finite_fit(self):
+        # W features that overflowed to inf, as a 1e308 weight made them
+        samples = [SeveritySample(1.0, float("inf"), 3),
+                   SeveritySample(2.0, float("inf"), 4)]
+        with np.errstate(all="ignore"), pytest.raises(errors.NonFiniteFit):
+            fit_rate_surface(samples, bandwidths=(1.0, 1.0))
+
     def test_constant_counts_give_constant_lambda(self):
         samples = [SeveritySample(m, w, 5) for m, w in
                    [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5), (0.5, 2.0)]]

@@ -219,6 +219,33 @@ def test_trend_report_rejects_a_k_predictor_giving_k_0(world,
                      world.cfg)
 
 
+def test_trend_report_equals_years_classified_one_by_one(world,
+                                                         pdf_and_predictor):
+    """The archive is classified in one call, across block boundaries of
+    OnsetPdf.evaluate; each year's indicators equal, bit for bit, those of
+    forecast_onset on that year simulated alone."""
+    from spillcast.epimodel import ModelParams, default_init_state, simulate
+    from spillcast.onset import forecast_onset
+    from spillcast.synth import seasonal_weather
+    pdf, constant_k = pdf_and_predictor
+    cfg = world.cfg
+    params = ModelParams.from_config(cfg)
+    archive = seasonal_weather(1994, 30, warming_per_year=0.05,
+                               temp_base=16.2, noise_sigma=0.35, seed=60)
+    report = trend_report(archive, pdf, params, constant_k, cfg)
+    init = default_init_state(cfg)
+    levels = set()
+    for j, (year, wx) in enumerate(sorted(archive.year_slices().items())):
+        traj = simulate(params, wx, constant_k(wx).values, init,
+                        steps_per_day=cfg.steps_per_day)
+        risk = forecast_onset(pdf, traj)
+        levels.update(risk.levels)
+        assert report.years[j] == year
+        assert ((report.r_year[j], report.r_relative[j])
+                == annual_indicators(risk.levels))
+    assert len(levels) == len(RiskLevel)
+
+
 def test_annual_indicators_equal_the_identity_counts():
     """Counting by ``list.count`` gives the identity-test counts."""
     rng = np.random.default_rng(9)
