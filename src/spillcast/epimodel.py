@@ -15,14 +15,14 @@ Integration is fixed-step RK4 (default 24 steps/day) with daily sampling
 at midnight; per-day temperature and carrying capacity are held constant
 across the day.
 
-``simulate`` integrates one run; ``simulate_runs`` is the year-runner for
-sets of independent runs (K grid x years, the years of an archive), each
-with its own weather, K, start state and optional seed pulse.  Both
-advance days through ``spillcast_advance`` in ``_rk4.c``, a C port of the
-day loop that the first simulation of a process compiles and caches in
-``__pycache__``.  It keeps the operation order of ``_advance``, the
-straight-line Python loop, which is the oracle and the fallback when no C
-compiler is available (``kernel()`` tells which is in use).  ``_advance``
+``simulate_runs`` is the one runner, for any set of independent runs (K
+grid x years, the years of an archive, a short-term window), each with its
+own weather, K, start state and optional seed pulse; ``simulate`` is it with
+one run.  Days advance through ``spillcast_advance`` in ``_rk4.c``, a C
+port of the day loop that the first simulation of a process compiles and
+caches in ``__pycache__``.  It keeps the operation order of ``_advance``,
+the straight-line Python loop, which is the oracle and the fallback when no
+C compiler is available (``kernel()`` tells which is in use).  ``_advance``
 holds the state in local floats, writes the four RK4 stages out and
 evaluates the right-hand side through ``_day_rhs``, a function of the
 compartments built once per day from that day's rates and K; the same
@@ -36,9 +36,9 @@ vector (256-bit with AVX2, else two 128-bit pairs), each lane with its own
 rates, K, state, outputs and clamp count; a single run takes a one-lane
 copy of the same source.  ``simulate_runs`` sends its runs there four at a
 time, grouped by length and pulse day, and spreads these chunks over the
-usable CPUs.  If any lane fails, it simulates the runs again one at a
-time, so the error raised is always that of the first failing run, as
-without lanes or threads.
+usable CPUs.  If any lane fails, a width-1 pass simulates the runs again
+one at a time, so the error raised is always that of the first failing
+run, as without lanes or threads.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import operator
 import os
@@ -285,13 +286,6 @@ def _k_array(k_series, n: int) -> np.ndarray:
     return k_arr
 
 
-def _thermal_rates(params: ModelParams, weather: WeatherSeries) -> np.ndarray:
-    """The thermal rates of every weather day as an (n, 16) array, one row
-    per day in ``_RATE_KEYS`` order.  ``eval_thermal_array`` works element
-    by element, so a row does not depend on the days around it."""
-    return _rate_rows(params, weather.temp_mean)
-
-
 def _rate_rows(params: ModelParams, temps) -> np.ndarray:
     return np.column_stack([eval_thermal_array(params.rates[key], temps)
                             for key in _RATE_KEYS])
@@ -316,8 +310,8 @@ def _advance(params: ModelParams, weather: WeatherSeries, rates, k_arr,
              out: tuple) -> tuple:
     """Integrate days [lo, hi) from the 16-entry state ``y`` (the last
     entry is the cumulative-infection accumulator), writing day i into row
-    i of ``out`` = (states, m, r0, new_infections).  ``rates`` holds the
-    ``_thermal_rates`` of the whole weather span.  Returns the state after
+    i of ``out`` = (states, m, r0, new_infections); row i of ``rates`` holds
+    day i's thermal rates in ``_RATE_KEYS`` order.  Returns the state after
     day hi - 1 and the number of clamped values.
 
     The state lives in local floats and the four RK4 stages are written
@@ -545,24 +539,6 @@ def _kernel_advance(advance, params: ModelParams, steps_per_day: int, n: int,
     return status, int(counts[-1]), counts[:lanes]
 
 
-def _advance_days(params: ModelParams, weather: WeatherSeries, rates, k_arr,
-                  y: list, steps_per_day: int, lo: int, hi: int,
-                  out: tuple) -> tuple:
-    """``_advance`` through the compiled loop when it is available: the same
-    arguments, states, clamp count and errors, raised on the same day."""
-    advance = _load_kernel()
-    if advance is None:
-        return _advance(params, weather, rates, k_arr, y, steps_per_day, lo,
-                        hi, out)
-    state = np.array([y], dtype=float)
-    status, day, clamps = _kernel_advance(
-        advance, params, steps_per_day, hi - lo, rates, [lo],
-        np.ascontiguousarray(k_arr, dtype=float), [lo], out, state)
-    if status:
-        raise _KERNEL_ERRORS[status](weather.dates[lo + day])
-    return state[0].tolist(), int(clamps[0])
-
-
 # --- runs ----------------------------------------------------------------------
 
 # A January pulse of infected birds decays away long before the
@@ -604,35 +580,10 @@ def _pulse_day(run: Run):
     return min(max(int(run.seed_day), 0), n - 1)
 
 
-def _run_trajectory(params: ModelParams, run: Run, rates, k_arr,
-                    steps_per_day: int) -> Trajectory:
-    """Advance to the pulse day, pulse, then advance to the end; ``rates``
-    are the ``_thermal_rates`` of the run's weather."""
-    n = len(run.weather)
-    out = (np.empty((n, 15)), np.empty(n), np.empty(n), np.empty(n))
-    y, clamps, lo = run.init.as_list() + [0.0], 0, _pulse_day(run)
-    if lo is not None:
-        y, clamps = _advance_days(params, run.weather, rates, k_arr, y,
-                                  steps_per_day, 0, lo, out)
-        y = _seed_pulse(y, run.seed_birds)
-    y, count = _advance_days(params, run.weather, rates, k_arr, y,
-                             steps_per_day, lo or 0, n, out)
-    states, m_prof, r0_daily, new_inf = out
-    return Trajectory(
-        dates=run.weather.dates,
-        states=states,
-        m=m_prof,
-        r0=r0_daily,
-        new_infections=new_inf,
-        weather=run.weather,
-        clamp_count=clamps + count,
-        end_state=CompartmentState.from_values(y[:15]),
-    )
-
-
 def simulate(params: ModelParams, weather: WeatherSeries, k_series,
              init: CompartmentState, steps_per_day: int = 24) -> Trajectory:
-    """Integrate the model over the weather span.
+    """Integrate the model over the weather span: ``simulate_runs`` with
+    the one run.
 
     ``k_series`` is the per-day carrying capacity, aligned with the weather
     (a scalar is broadcast).  Day i reports the state at its first midnight;
@@ -644,32 +595,32 @@ def simulate(params: ModelParams, weather: WeatherSeries, k_series,
     compartment reads the cumulative-infection accumulator that restarts
     at zero.  A non-finite end state raises NonFiniteInput.
     """
-    k_arr = _k_array(k_series, len(weather))
-    return _run_trajectory(params, Run(weather, k_series, init),
-                           _thermal_rates(params, weather), k_arr,
-                           steps_per_day)
+    return simulate_runs(params, [Run(weather, k_series, init)],
+                         steps_per_day)[0]
 
 
 def simulate_runs(params: ModelParams, runs, steps_per_day: int = 24) -> list:
     """Simulate independent runs; returns one Trajectory per run.
 
-    Each trajectory equals, bit for bit, ``simulate`` on that run alone
-    (for a seeded run: ``simulate`` up to the pulse, then ``simulate``
-    from the pulsed state).  Every run's K is checked before any run is
-    simulated.  Errors are those of ``simulate`` for the first run that
-    fails: LengthMismatch, NonFiniteInput (K <= 0 or non-finite,
-    non-finite end state), ZeroDenominator, BlowUp.
+    A run is integrated as ``simulate`` describes; a seeded run up to its
+    pulse day, then on from the pulsed state, each half accumulating new
+    infections from zero.  Every run's K is checked before any run is
+    simulated.  Errors are those of the first run that fails, in run
+    order: LengthMismatch, NonFiniteInput (K <= 0 or non-finite, non-finite
+    end state), ZeroDenominator, BlowUp.
 
     The thermal rates of every distinct WeatherSeries object are evaluated
     once for the call, and runs on one object share them.  With the
-    compiled loop, runs of equal length and equal pulse day advance up to
-    four at a time in its lanes (``_simulate_lanes``), and these chunks
-    run on one thread per usable CPU, at most one per chunk; ctypes
-    releases the GIL inside the loop.  A chunk writes only its own runs'
-    rows, so neither the outputs nor the errors depend on the number of
-    CPUs.  If any lane fails, no further chunk starts, every thread is
-    joined, and the runs are simulated again one at a time on the calling
-    thread, which raises the error of the first failing run.
+    compiled loop and two runs or more, ``_simulate_chunks`` first advances
+    runs of equal length and equal pulse day up to four at a time in its
+    lanes, and these chunks run on one thread per usable CPU, at most one
+    per chunk; ctypes releases the GIL inside the loop.  A chunk writes
+    only its own runs' rows, so neither the outputs nor the errors depend
+    on the number of CPUs.  If any lane fails, no further chunk starts,
+    every thread is joined, and a width-1 pass simulates the runs again one
+    at a time on the calling thread, which raises the error of the first
+    failing run.  A single run, or any call without the compiled loop,
+    takes the width-1 pass at once.
     """
     runs = list(runs)
     if not runs:
@@ -679,77 +630,97 @@ def simulate_runs(params: ModelParams, runs, steps_per_day: int = 24) -> list:
     advance = _load_kernel()
     if advance is not None and len(runs) > 1:
         with contextlib.suppress(NumericalError):
-            return _simulate_lanes(advance, params, runs, rates, rate_starts,
-                                   k_arrs, steps_per_day)
-    return [_run_trajectory(params, run, rates[start:start + len(run.weather)],
-                            k_arr, steps_per_day)
-            for run, start, k_arr in zip(runs, rate_starts, k_arrs)]
+            return _simulate_chunks(advance, params, runs, rates, rate_starts,
+                                    k_arrs, steps_per_day, _LANES)
+    return _simulate_chunks(advance, params, runs, rates, rate_starts, k_arrs,
+                            steps_per_day, 1)
 
 
-def _simulate_lanes(advance, params: ModelParams, runs: list, rates,
-                    rate_starts: list, k_arrs: list,
-                    steps_per_day: int) -> list:
-    """``simulate_runs`` in the lanes of the compiled loop.
+def _simulate_chunks(advance, params: ModelParams, runs: list, rates,
+                     rate_starts: list, k_arrs: list, steps_per_day: int,
+                     width: int) -> list:
+    """``simulate_runs`` in chunks of up to ``width`` runs.
 
     The runs' K and outputs are concatenated into arrays of the call, each
     run owning the rows from its offset on; its Trajectory holds views of
-    them.  Runs are grouped by length and clamped pulse day, and each
-    group is cut into chunks of up to four runs.  A chunk goes to the
-    loop to the pulse day, then through ``_seed_pulse`` run by run, then
-    to the end; it reads and writes only its own runs' rows, so the
-    chunks run on ``_run_chunks``' threads in any order with the same
-    bytes.  Any failure of the loop or of a pulse raises NumericalError."""
+    them.  A chunk goes to the day loop to the pulse day, then through
+    ``_seed_pulse`` run by run, then to the end, and builds its runs'
+    Trajectories and end states; it reads and writes only its own runs'
+    rows.  The day loop is the compiled one, ``advance``, or ``_advance``
+    in Python when ``advance`` is None (width 1 only).
+
+    Width 1: each run is a chunk, taken in run order on the calling
+    thread, and the first failure raises its own error.  Wider: runs are
+    grouped by length and clamped pulse day, each group is cut into chunks
+    of ``width`` runs, and the chunks run on ``_run_chunks``' threads in
+    any order with the same bytes; any failure of the loop, a pulse or an
+    end state raises a NumericalError."""
     sizes = [len(run.weather) for run in runs]
-    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
     total = sum(sizes)
     out = (np.empty((total, 15)), np.empty(total), np.empty(total),
            np.empty(total))
     k_all = np.concatenate(k_arrs)
-    ys = np.array([run.init.as_list() + [0.0] for run in runs])
-    clamps = np.zeros(len(runs), dtype=np.int64)
+    trajectories = [None] * len(runs)
 
-    def advance_lanes(lanes, y, lo, hi):
-        if hi > lo:
-            status, _, count = _kernel_advance(
-                advance, params, steps_per_day, hi - lo, rates,
-                [rate_starts[i] + lo for i in lanes], k_all,
-                [starts[i] + lo for i in lanes], out, y)
-            if status:
+    def advance_days(lanes, y, lo, hi):
+        """Days [lo, hi) of the runs ``lanes`` from their 16-entry states
+        ``y``; returns their states after day hi - 1 and clamp counts."""
+        if hi <= lo:
+            return y, [0] * len(lanes)
+        if advance is None:
+            (i,) = lanes
+            row, first, n = starts[i], rate_starts[i], sizes[i]
+            end, count = _advance(params, runs[i].weather,
+                                  rates[first:first + n], k_all[row:row + n],
+                                  y[0], steps_per_day, lo, hi,
+                                  [part[row:row + n] for part in out])
+            return [end], [count]
+        state = np.array(y)
+        status, day, counts = _kernel_advance(
+            advance, params, steps_per_day, hi - lo, rates,
+            [rate_starts[i] + lo for i in lanes], k_all,
+            [starts[i] + lo for i in lanes], out, state)
+        if status:
+            if width > 1:
                 raise NumericalError("a run failed in the lanes")
-            clamps[lanes] += count
+            raise _KERNEL_ERRORS[status](
+                runs[lanes[0]].weather.dates[lo + day])
+        return state.tolist(), counts.tolist()
 
     def run_chunk(chunk):
         n, pulse, lanes = chunk
-        y = ys[lanes]
+        y = [runs[i].init.as_list() + [0.0] for i in lanes]
+        clamps = [0] * len(lanes)
         if pulse is not None:
-            advance_lanes(lanes, y, 0, pulse)
-            for j, i in enumerate(lanes):
-                y[j] = _seed_pulse(y[j].tolist(), runs[i].seed_birds)
-        advance_lanes(lanes, y, pulse or 0, n)
-        ys[lanes] = y
+            y, clamps = advance_days(lanes, y, 0, pulse)
+            y = [_seed_pulse(state, runs[i].seed_birds)
+                 for state, i in zip(y, lanes)]
+        y, counts = advance_days(lanes, y, pulse or 0, n)
+        for i, state, before, after in zip(lanes, y, clamps, counts):
+            row = starts[i]
+            trajectories[i] = Trajectory(
+                dates=runs[i].weather.dates,
+                states=out[0][row:row + n],
+                m=out[1][row:row + n],
+                r0=out[2][row:row + n],
+                new_infections=out[3][row:row + n],
+                weather=runs[i].weather,
+                clamp_count=before + after,
+                end_state=CompartmentState.from_values(state[:15]),
+            )
 
+    if width == 1:
+        for i, (run, n) in enumerate(zip(runs, sizes)):
+            run_chunk((n, _pulse_day(run), [i]))
+        return trajectories
     groups = {}
     for i, (run, n) in enumerate(zip(runs, sizes)):
         groups.setdefault((n, _pulse_day(run)), []).append(i)
-    _run_chunks(run_chunk, [(n, pulse, members[first:first + _LANES])
+    _run_chunks(run_chunk, [(n, pulse, members[first:first + width])
                             for (n, pulse), members in groups.items()
-                            for first in range(0, len(members), _LANES)])
-
-    states, m_prof, r0_daily, new_inf = out
-    return [
-        Trajectory(
-            dates=run.weather.dates,
-            states=states[start:start + n],
-            m=m_prof[start:start + n],
-            r0=r0_daily[start:start + n],
-            new_infections=new_inf[start:start + n],
-            weather=run.weather,
-            clamp_count=int(count),
-            end_state=CompartmentState.from_values(y[:15]),
-        )
-        for run, start, n, count, y in zip(runs, starts, sizes, clamps,
-                                           ys.tolist())
-    ]
+                            for first in range(0, len(members), width)])
+    return trajectories
 
 
 def _usable_cpus() -> int:

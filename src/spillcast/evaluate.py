@@ -38,7 +38,7 @@ class PredictiveDist:
     def __post_init__(self):
         if np.any(self.probs < 0):
             raise UnnormalizedDist("negative probability")
-        if abs(float(np.sum(self.probs)) - 1.0) > NORMALIZATION_TOL:
+        if not abs(float(np.sum(self.probs)) - 1.0) <= NORMALIZATION_TOL:
             raise UnnormalizedDist(f"probabilities sum to {np.sum(self.probs)}")
 
     @property
@@ -52,7 +52,7 @@ def log_score(dist: PredictiveDist, observed: int,
 
     Observations beyond the distribution's support score the floor.
     """
-    if abs(float(np.sum(dist.probs)) - 1.0) > NORMALIZATION_TOL:
+    if not abs(float(np.sum(dist.probs)) - 1.0) <= NORMALIZATION_TOL:
         raise UnnormalizedDist("distribution is not normalized")
     if observed < 0 or observed > dist.x_cap:
         return floor
@@ -68,13 +68,24 @@ def bayesian_predictive(predicted: int, sigma: float = 1.5,
     """Widen an MPP point prediction into a scorable distribution.
 
     A Gaussian kernel centered on the prediction is discretized over
-    0..x_cap and renormalized; sigma = 0 degenerates to a point mass.
+    0..x_cap and renormalized.  It degenerates to a point mass on the count
+    nearest the prediction, ``min(predicted, x_cap)``, when the weight of
+    every other count underflows to zero: for sigma = 0, for a sigma too
+    small to divide by, and for a prediction so far beyond x_cap that the
+    nearest count's weight may underflow too (renormalizing would divide
+    0 by 0).  Wherever the Gaussian itself gives a point mass, the two
+    agree bit for bit.
     """
     if predicted < 0:
         raise ValueError("negative prediction")
     support = np.arange(x_cap + 1)
-    if sigma == 0.0:
-        probs = (support == min(predicted, x_cap)).astype(float)
+    nearest = min(predicted, x_cap)
+    # z of the next-nearest count, in Python floats, where 1 / 1e-320 and
+    # inf * inf are inf without a warning
+    t = (float(abs(predicted - nearest) + 1) / float(sigma) if sigma
+         else math.inf)
+    if math.exp(-0.5 * t * t) == 0.0:
+        probs = (support == nearest).astype(float)
     else:
         z = (support - predicted) / sigma
         probs = np.exp(-0.5 * z * z)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,7 +52,8 @@ class TestSimulate:
                      "--config", fixture_dir["config"], "--out", str(out)])
         assert code == 0
         lines = (out / "trajectory.csv").read_text().splitlines()
-        n_weather = len(open(fixture_dir["weather"]).readlines()) - 1
+        weather = Path(fixture_dir["weather"]).read_text()
+        n_weather = len(weather.splitlines()) - 1
         assert len(lines) - 1 == n_weather
         assert (out / "manifest.json").exists()
 
@@ -246,6 +248,35 @@ class TestEvaluate:
         assert code == 2
         capsys.readouterr()
 
+    def test_predictions_beyond_x_cap_score_finite(
+            self, tmp_path, fixture_dir, severity_model, onset_model):
+        """Weekly predictions of 10-14 beyond x_cap = 8 with sigma 0.1
+        underflow every Gaussian weight; evaluate used to exit 0 with 7
+        nan rows in scores.csv and NaN, which is not JSON, in
+        scores.json."""
+        config = _config_with(tmp_path, fixture_dir,
+                              {"x_cap": "8", "sharpen_sigma": "0.1"})
+        ps = tmp_path / "ps"
+        assert main(["predict-severity", "--weather", fixture_dir["weather"],
+                     "--cases", fixture_dir["cases"],
+                     "--model", severity_model, "--onset-model", onset_model,
+                     "--config", config, "--mode", "short",
+                     "--out", str(ps)]) == 0
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--cases", fixture_dir["cases"],
+                     "--severity-csv", str(ps / "severity.csv"),
+                     "--config", config, "--model", "bayes",
+                     "--out", str(out)]) == 0
+        rows = (out / "scores.csv").read_text().splitlines()[1:]
+        assert rows and "nan" not in "".join(rows).lower()
+
+        def not_json(constant):
+            raise ValueError(f"{constant} in scores.json")
+
+        summary = json.loads((out / "scores.json").read_text(),
+                             parse_constant=not_json)
+        assert all(map(math.isfinite, summary["bayes"].values()))
+
 
 class TestTrend:
     def test_too_few_years_exit_2(self, tmp_path, fixture_dir, onset_model,
@@ -370,7 +401,7 @@ class TestDeterminism:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         digest = hashlib.sha256(
-            open(fixture_dir["weather"], "rb").read()).hexdigest()
+            Path(fixture_dir["weather"]).read_bytes()).hexdigest()
         assert manifest["inputs"][fixture_dir["weather"]] == digest
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 0

@@ -491,19 +491,20 @@ def test_save_trajectory_schema(tmp_path, default_cfg, default_params):
 
 def split_seeded_reference(params, wx, k_series, init, seed_day, seed_birds,
                            steps):
-    """A seeded run as two simulate calls around the pulse, each
-    accumulating new infections from zero."""
+    """A seeded run as two ``reference_simulate`` calls around the pulse,
+    each accumulating new infections from zero."""
     n = len(wx)
     k = np.asarray(k_series if np.ndim(k_series) else np.full(n, k_series),
                    dtype=float)
     seed_day = min(max(int(seed_day), 0), n - 1)
-    pre = simulate(params, wx.slice(0, seed_day), k[:seed_day], init,
-                   steps_per_day=steps)
+    pre = reference_simulate(params, wx.slice(0, seed_day), k[:seed_day],
+                             init, steps_per_day=steps)
     state = pre.end_state
     moved = min(seed_birds, state.B_S)
-    post = simulate(params, wx.slice(seed_day, n), k[seed_day:],
-                    replace(state, B_S=state.B_S - moved, B_I=state.B_I + moved),
-                    steps_per_day=steps)
+    post = reference_simulate(
+        params, wx.slice(seed_day, n), k[seed_day:],
+        replace(state, B_S=state.B_S - moved, B_I=state.B_I + moved),
+        steps_per_day=steps)
     return Trajectory(
         dates=wx.dates,
         states=np.vstack([pre.states, post.states]),
@@ -564,7 +565,7 @@ STIFF_PARAMS = ModelParams.from_config(
 
 
 class TestSimulateRuns:
-    """simulate_runs in both day loops against simulate in Python."""
+    """simulate_runs in both day loops against the list-based RK4."""
 
     @given(runs=run_sets(), steps=st.integers(1, 3), stiff=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -576,8 +577,9 @@ class TestSimulateRuns:
             for run in runs:
                 try:
                     if run.seed_day is None:
-                        want.append(simulate(params, run.weather, run.k_series,
-                                             run.init, steps_per_day=steps))
+                        want.append(reference_simulate(
+                            params, run.weather, run.k_series, run.init,
+                            steps_per_day=steps))
                         continue
                     want.append(split_seeded_reference(
                         params, run.weather, run.k_series, run.init,
@@ -740,6 +742,30 @@ class TestLaneErrors:
                 simulate_runs(params, runs, steps_per_day=2)
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("loop", DAY_LOOPS)
+    def test_non_finite_end_state_before_a_later_runs_error(self, loop):
+        """Run 0 ends in a NaN state without any day failing; run 1 blows
+        up.  Each run's end state is checked as soon as the run ends, so
+        run 0's NonFiniteInput is raised, not run 1's BlowUp."""
+        params = ModelParams(rates={
+            **SLOW_BLOWUP.rates,
+            "bird_egg_laying": ThermalCurve.constant(1e300)})
+        wx = constant_weather(366, temp=25.0)
+        runs = [Run(wx.slice(0, 100), 1e15,
+                    CompartmentState(H_S=1e3, B_S=1.0)),
+                Run(wx, 1e15, _mosquitoes(1e7))]
+        with pytest.raises(errors.NonFiniteInput) as want:
+            reference_simulate(params, runs[0].weather, 1e15, runs[0].init,
+                               steps_per_day=2)
+        with pytest.raises(errors.BlowUp):
+            reference_simulate(params, runs[1].weather, 1e15, runs[1].init,
+                               steps_per_day=2)
+        for count in WORKER_COUNTS:
+            with (workers(count), day_loop(loop),
+                  pytest.raises(errors.NonFiniteInput) as got):
+                simulate_runs(params, runs, steps_per_day=2)
+            assert str(got.value) == str(want.value)
+
     def test_later_chunk_failing_first_on_another_thread(self, monkeypatch):
         """Run 1's chunk fails on its second day, while run 0's chunk, on
         the other thread, waits for that failure before it advances and
@@ -822,10 +848,11 @@ def lane_calls(draw):
 
 
 def _alone(params, run, steps):
-    """``run`` simulated alone with ``simulate``, split at the pulse."""
+    """``run`` simulated alone with ``reference_simulate``, split at the
+    pulse."""
     if run.seed_day is None or not len(run.weather):
-        return simulate(params, run.weather, run.k_series, run.init,
-                        steps_per_day=steps)
+        return reference_simulate(params, run.weather, run.k_series, run.init,
+                                  steps_per_day=steps)
     return split_seeded_reference(params, run.weather, run.k_series, run.init,
                                   run.seed_day, run.seed_birds, steps)
 
@@ -834,8 +861,8 @@ def _alone(params, run, steps):
        steps=st.sampled_from((1, 2)))
 @settings(max_examples=100, deadline=None)
 def test_lanes_equal_runs_alone(runs, rates, steps):
-    """simulate_runs, lanes and all, against ``simulate`` on each run
-    alone: the same arrays, clamp counts and end states, or the first
+    """simulate_runs, lanes and all, against the list-based RK4 on each
+    run alone: the same arrays, clamp counts and end states, or the first
     failing run's error type and message."""
     params = ORACLE_PARAMS[rates]
     want, error = [], None

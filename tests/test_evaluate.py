@@ -56,6 +56,16 @@ class TestLogScore:
         with pytest.raises(errors.UnnormalizedDist):
             PredictiveDist(week=None, probs=probs)
 
+    def test_nan_sum_rejected(self):
+        """``abs(nan - 1) > tol`` is False, so a NaN distribution used to
+        pass both checks and score NaN."""
+        with pytest.raises(errors.UnnormalizedDist):
+            PredictiveDist(week=None, probs=np.full(11, np.nan))
+        dist = point_mass(3, x_cap=10)
+        dist.probs[:] = np.nan
+        with pytest.raises(errors.UnnormalizedDist):
+            log_score(dist, 3)
+
     def test_monotone_in_assigned_probability(self):
         scores = []
         for p in (0.01, 0.1, 0.5, 0.9):
@@ -84,6 +94,37 @@ class TestBayesianPredictive:
     def test_centered_on_prediction(self):
         dist = bayesian_predictive(42, sigma=1.5)
         assert int(np.argmax(dist.probs)) == 42
+
+    def test_far_beyond_cap_is_a_point_mass_at_the_cap(self):
+        """Every Gaussian weight underflows, so renormalizing used to
+        divide 0 by 0 and give NaN probabilities."""
+        dist = bayesian_predictive(50, sigma=0.5, x_cap=10)
+        assert dist.probs.tolist() == [0.0] * 10 + [1.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [1e-320, 1e-160])
+    def test_tiny_sigma_is_a_point_mass_without_warnings(self, sigma):
+        """A sigma too small to divide by used to print an overflow
+        RuntimeWarning per call."""
+        for predicted, want in ((7, 7), (14, 10)):
+            dist = bayesian_predictive(predicted, sigma=sigma, x_cap=10)
+            assert dist.probs.tolist() == [float(k == want)
+                                           for k in range(11)]
+
+    @given(predicted=st.integers(0, 60), x_cap=st.integers(1, 40),
+           sigma=st.floats(1e-3, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_gaussian_point_masses_keep_their_bytes(self, predicted, x_cap,
+                                                    sigma):
+        """Wherever the Gaussian kernel gives a distribution, point masses
+        included, the result is that distribution, byte for byte."""
+        support = np.arange(x_cap + 1)
+        z = (support - predicted) / sigma
+        weights = np.exp(-0.5 * z * z)
+        if not weights.sum() > 0.0:
+            return
+        got = bayesian_predictive(predicted, sigma=sigma, x_cap=x_cap)
+        assert got.probs.tobytes() == (weights / weights.sum()).tobytes()
 
 
 class TestNegBin:

@@ -199,8 +199,8 @@ def test_library_path_is_git_ignored():
 
 
 def test_compiled_loop_fills_only_its_span(default_params):
-    """A span [lo, hi) writes rows lo..hi-1 of the outputs and nothing
-    else, as ``_advance`` does."""
+    """One lane over days [4, 9) writes rows 4..8 of the outputs and
+    nothing else, and ends in the state and clamp count of ``_advance``."""
     if epimodel.kernel() != "c":
         pytest.skip("no compiled loop")
     wx = sinusoid_weather(12)
@@ -208,11 +208,15 @@ def test_compiled_loop_fills_only_its_span(default_params):
     y = epimodel.default_init_state(Config()).as_list() + [0.0]
     got, want = ((np.full((12, 15), -1.0), np.full(12, -1.0),
                   np.full(12, -1.0), np.full(12, -1.0)) for _ in range(2))
-    rates = epimodel._thermal_rates(default_params, wx)
-    end_c = epimodel._advance_days(default_params, wx, rates, k_arr, y, 3, 4,
-                                   9, got)
-    end_py = epimodel._advance(default_params, wx, rates, k_arr, y, 3, 4, 9,
-                               want)
-    assert end_c == end_py
+    rates = epimodel._rate_rows(default_params, wx.temp_mean)
+    state = np.array([y])
+    status, _, clamps = epimodel._kernel_advance(
+        epimodel._load_kernel(), default_params, 3, 5, rates, [4], k_arr,
+        [4], got, state)
+    end_py, clamps_py = epimodel._advance(default_params, wx, rates, k_arr, y,
+                                          3, 4, 9, want)
+    assert status == 0
+    assert state[0].tolist() == end_py
+    assert clamps.tolist() == [clamps_py]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
