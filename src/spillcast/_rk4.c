@@ -44,7 +44,8 @@
  * the first failing run's, as if the runs had never been batched.
  *
  * epimodel builds this file on first use:
- *     cc -O2 -fPIC -shared -ffp-contract=off -o _rk4.so _rk4.c
+ *     cc -O2 -fpeel-loops -fno-tree-slp-vectorize -fPIC -shared \
+ *        -ffp-contract=off -o _rk4.so _rk4.c
  */
 
 #ifndef LANES

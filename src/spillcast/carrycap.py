@@ -232,8 +232,10 @@ def predict_K_plane(model: PlaneModel, forecast: WeatherSeries) -> KSeries:
     outside = (p < model.edges[0]) | (p > model.edges[-1])
     b = np.clip(np.searchsorted(model.edges, p, side="right") - 1, 0, n_bins - 1)
     fallback = outside | ~model.usable[b]
-    nearest = usable[np.argmin(np.abs(centers[usable] - p[:, None]), axis=1)]
-    a, bb, c = model.coeffs[np.where(fallback, nearest, b)].T
+    if fallback.any():
+        nearest = usable[np.argmin(np.abs(centers[usable] - p[:, None]), axis=1)]
+        b = np.where(fallback, nearest, b)
+    a, bb, c = model.coeffs[b].T
     k = a * forecast.temp_mean + bb * forecast.humidity + c
     clamped = k < 0.0
     flagged = tuple(map(forecast.dates.__getitem__,

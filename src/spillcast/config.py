@@ -137,8 +137,12 @@ class Config:
             raise InvariantViolation("steps_per_day", "must be >= 1")
         if self.ar_order_long < 1 or self.short_lead < 0:
             raise InvariantViolation("forecast", "bad AR order or lead")
-        if self.ar_ridge < 0:
-            raise InvariantViolation("ar_ridge", "negative ridge")
+        # The ridge only conditions the normal equations of the AR fits.
+        # Their intercept diagonal counts the fit's rows, at least p + 1,
+        # so a ridge of at most 1 weighs no more than one observation; at
+        # 1e308 every coefficient and the intercept came out 0.0.
+        if not 0.0 <= self.ar_ridge <= 1.0:
+            raise InvariantViolation("ar_ridge", f"{self.ar_ridge} not in [0, 1]")
         if self.score_floor >= 0:
             raise InvariantViolation("score_floor", "floor must be < 0")
         if self.x_cap < 1 or self.nb_min_obs < 2:

@@ -94,14 +94,20 @@ class WeatherSeries:
         return [self.record(i) for i in range(len(self))]
 
     def slice(self, start: int, stop: int) -> "WeatherSeries":
-        keep = set(self.dates[start:stop])
-        return WeatherSeries(
-            self.dates[start:stop],
-            self.temp_mean[start:stop].copy(),
-            self.humidity[start:stop].copy(),
-            self.precip[start:stop].copy(),
-            tuple(d for d in self.interpolated if d in keep),
-        )
+        """Days [start, stop), as Python slices them.  A run of days of a
+        checked series is contiguous and in range, so it is not checked
+        again."""
+        dates = self.dates[start:stop]
+        interpolated = ()
+        if self.interpolated:
+            keep = set(dates)
+            interpolated = tuple(d for d in self.interpolated if d in keep)
+        return _unchecked(
+            WeatherSeries, dates=dates,
+            temp_mean=self.temp_mean[start:stop].copy(),
+            humidity=self.humidity[start:stop].copy(),
+            precip=self.precip[start:stop].copy(),
+            interpolated=interpolated)
 
     def year_slices(self) -> dict[int, "WeatherSeries"]:
         """Split into calendar-year subseries (keyed by year)."""
@@ -144,15 +150,29 @@ class CaseSeries:
         return [CaseRecord(d, int(c)) for d, c in zip(self.week_starts, self.counts)]
 
     def year_slices(self) -> dict[int, "CaseSeries"]:
+        """Split into calendar-year subseries (keyed by year); like
+        ``WeatherSeries.slice``, they are not checked again."""
         out = {}
         for year, lo, hi in _year_bounds(self.week_starts, 7):
-            keep = set(self.week_starts[lo:hi])
-            out[year] = CaseSeries(
-                self.week_starts[lo:hi],
-                self.counts[lo:hi].copy(),
-                tuple(d for d in self.filled if d in keep),
-            )
+            week_starts = self.week_starts[lo:hi]
+            filled = ()
+            if self.filled:
+                keep = set(week_starts)
+                filled = tuple(d for d in self.filled if d in keep)
+            out[year] = _unchecked(CaseSeries, week_starts=week_starts,
+                                   counts=self.counts[lo:hi].copy(),
+                                   filled=filled)
         return out
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with these ``fields``
+    (every one it has), built without ``__post_init__``.  Only for values
+    derived from values that were checked, in a way that keeps what the
+    check asserts; every value from outside goes through ``cls(...)``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _year_bounds(dates, step: int):

@@ -425,6 +425,21 @@ def test_numerical_failure_exit_3(tmp_path, fixture_dir, capsys):
     assert "failure" in capsys.readouterr().err
 
 
+def test_huge_ar_ridge_exit_2(tmp_path, fixture_dir, onset_model, capsys):
+    # ar_ridge = 1e308 used to exit 0 with 365 green days of R0 0.0
+    text = Path(fixture_dir["config"]).read_text()
+    assert "ar_ridge = 1e-08" in text
+    cfg_path = tmp_path / "ridge.ini"
+    cfg_path.write_text(text.replace("ar_ridge = 1e-08", "ar_ridge = 1e308"))
+    out = tmp_path / "out"
+    code = main(["predict-onset", "--weather", fixture_dir["weather"],
+                 "--model", onset_model, "--config", str(cfg_path),
+                 "--mode", "long", "--out", str(out)])
+    assert code == 2
+    assert "ar_ridge" in capsys.readouterr().err
+    assert not (out / "risk.csv").exists()
+
+
 def test_non_finite_weather_exit_2(tmp_path, fixture_dir, capsys):
     # one nan temperature used to run to exit 0 with nan in every output
     lines = Path(fixture_dir["weather"]).read_text().splitlines()

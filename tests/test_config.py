@@ -144,3 +144,13 @@ def test_float_without_finite_square_rejected(key, value):
         Config(**{key: value})
     assert exc.value.key == key and "square" in str(exc.value)
     assert getattr(Config(**{key: 1e154}), key) == 1e154
+
+
+@pytest.mark.parametrize("value", [1.0000000000000002, 1e6, 1e308])
+def test_ar_ridge_above_one_rejected(value):
+    """A ridge of 1e308 zeroed every AR coefficient and the intercept, so
+    the long-term forecast was 0 degC and every day green."""
+    with pytest.raises(errors.InvariantViolation) as exc:
+        Config(ar_ridge=value)
+    assert exc.value.key == "ar_ridge"
+    assert Config(ar_ridge=1.0).ar_ridge == 1.0

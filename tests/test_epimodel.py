@@ -621,9 +621,8 @@ class TestSimulateRuns:
         years = [sinusoid_weather(365 + (j % 2), base=15.0 + j)
                  for j in range(4)]
         runs = [Run(wx, 2000.0 + 500.0 * j, init) for j, wx in enumerate(years)]
-        with day_loop("python"):
-            want = [simulate(default_params, run.weather, run.k_series, init)
-                    for run in runs]
+        want = [reference_simulate(default_params, run.weather, run.k_series,
+                                   init) for run in runs]
         for loop in DAY_LOOPS:
             with day_loop(loop):
                 got = simulate_runs(default_params, runs)
@@ -1073,14 +1072,81 @@ class TestThermalRatesPerWeather:
     @pytest.mark.parametrize("loop", DAY_LOOPS)
     def test_shared_and_interleaved_weather_bit_identical(
             self, default_cfg, default_params, loop):
-        """Runs A, A, B, A: each equals its own run alone in Python."""
+        """Runs A, A, B, A: each equals the list-based RK4 of its run."""
         init = default_init_state(default_cfg)
         a, b = sinusoid_weather(50), sinusoid_weather(40, base=22.0)
         runs = [Run(a, 3000.0, init, seed_day=10), Run(a, 8000.0, init),
                 Run(b, 5000.0, init, seed_day=5), Run(a, 5000.0, init, 30)]
-        with day_loop("python"):
-            want = [simulate_runs(default_params, [run])[0] for run in runs]
+        want = [reference_simulate(default_params, run.weather, run.k_series,
+                                   init) if run.seed_day is None
+                else split_seeded_reference(default_params, run.weather,
+                                            run.k_series, init, run.seed_day,
+                                            run.seed_birds, 24)
+                for run in runs]
         with day_loop(loop):
             got = simulate_runs(default_params, runs)
         for g, w in zip(got, want):
             assert_same_trajectory(g, w)
+
+
+# --- the state checks of the runner against CompartmentState -------------
+
+def _pulse_oracle(y, seed_birds):
+    """The pulse as first written: through CompartmentState and replace."""
+    state = CompartmentState.from_values(y[:15])
+    moved = min(seed_birds, state.B_S)
+    seeded = replace(state, B_S=state.B_S - moved, B_I=state.B_I + moved)
+    return seeded.as_list() + [0.0]
+
+
+def _result_or_error(f, *args):
+    try:
+        return f(*args)
+    except (errors.SpillcastError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+BAD_VALUES = st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                              -1.0, -5e-324, -1e308])
+
+
+@st.composite
+def loop_states(draw):
+    """16 floats as the day loop leaves them, up to the largest float (so
+    that sums overflow), some made NaN, inf or negative."""
+    y = draw(st.lists(st.floats(0.0, 1.7976931348623157e308), min_size=16,
+                      max_size=16))
+    for i in draw(st.lists(st.integers(0, 15), max_size=3)):
+        y[i] = draw(BAD_VALUES)
+    return y
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=loop_states(),
+       seed_birds=st.one_of(st.floats(0.0, 100.0), st.floats()))
+def test_pulse_and_end_state_raise_as_compartment_state(y, seed_birds):
+    """``_seed_pulse`` gives the first pulse's state or raises its error
+    type and message; ``_check_state`` raises what ``from_values`` does."""
+    assert (_result_or_error(epimodel._seed_pulse, list(y), seed_birds)
+            == _result_or_error(_pulse_oracle, y, seed_birds))
+    want = _result_or_error(CompartmentState.from_values, y[:15])
+    got = _result_or_error(epimodel._check_state, y[:15])
+    assert got == (want if isinstance(want, tuple) else None)
+
+
+@pytest.mark.parametrize("loop", DAY_LOOPS)
+@pytest.mark.parametrize("seed_birds", [float("nan"), float("-inf"), -1e9])
+def test_bad_pulse_raises_as_the_reference(default_cfg, default_params, loop,
+                                           seed_birds):
+    """A pulse that makes B_S NaN or inf, or B_I negative, raises the
+    reference's error type and message in both day loops, alone and
+    behind a run in the same lanes."""
+    wx = sinusoid_weather(30)
+    init = default_init_state(default_cfg)
+    bad = Run(wx, 5000.0, init, seed_day=10, seed_birds=seed_birds)
+    with pytest.raises((errors.NonFiniteInput, ValueError)) as want:
+        _alone(default_params, bad, 24)
+    for runs in ([bad], [Run(wx, 5000.0, init, seed_day=10), bad]):
+        with day_loop(loop), pytest.raises(type(want.value)) as got:
+            simulate_runs(default_params, runs)
+        assert str(got.value) == str(want.value)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from datetime import date, timedelta
@@ -307,3 +309,106 @@ def test_contiguity_error_names_the_first_bad_date(dates):
     with pytest.raises(ValueError) as info:
         WeatherSeries(dates, np.zeros(n), np.full(n, 50.0), np.zeros(n))
     assert str(info.value) == want
+
+
+# --- slices are built without the checks of the public constructors --------
+
+def _checked_slice(wx, start, stop):
+    """``wx.slice(start, stop)`` through the checked constructor."""
+    dates = wx.dates[start:stop]
+    keep = set(dates)
+    return WeatherSeries(dates, wx.temp_mean[start:stop].copy(),
+                         wx.humidity[start:stop].copy(),
+                         wx.precip[start:stop].copy(),
+                         tuple(d for d in wx.interpolated if d in keep))
+
+
+def _assert_same_fields(got, want):
+    """Every field equal, arrays by dtype, shape and bytes."""
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                       b.tobytes()), field.name
+        else:
+            assert a == b, field.name
+
+
+@st.composite
+def valid_weather(draw, min_size=0):
+    """A valid series of up to two and a half years from a random start,
+    humidity reaching 0 and 100, with or without interpolated dates."""
+    start = draw(SLICE_STARTS)
+    n = draw(st.integers(min_size, 900))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dates = tuple(start + timedelta(days=i) for i in range(n))
+    humidity = rng.uniform(0.0, 100.0, n)
+    humidity[rng.random(n) < 0.05] = 0.0
+    humidity[rng.random(n) < 0.05] = 100.0
+    flagged = ()
+    if n and draw(st.booleans()):
+        flagged = tuple(dates[i] for i in sorted(draw(st.lists(
+            st.integers(0, n - 1), unique=True, min_size=1, max_size=20))))
+    return WeatherSeries(dates, rng.normal(15.0, 10.0, n), humidity,
+                         rng.exponential(2.0, n) * (rng.random(n) < 0.6),
+                         flagged)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wx=valid_weather(), data=st.data())
+def test_slices_equal_the_checked_constructor(wx, data):
+    """``slice`` at any bounds, and every year of ``year_slices``, equal
+    the series the checked constructor builds from the same values."""
+    n = len(wx)
+    bounds = st.integers(-n - 3, n + 3)
+    start, stop = data.draw(bounds), data.draw(bounds)
+    _assert_same_fields(wx.slice(start, stop), _checked_slice(wx, start, stop))
+    got = wx.year_slices()
+    want = _year_slices_oracle(wx.dates,
+                               lambda lo, hi, keep: _checked_slice(wx, lo, hi))
+    assert list(got) == list(want)
+    for year, part in got.items():
+        _assert_same_fields(part, want[year])
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=SLICE_STARTS, n=st.integers(1, 200), data=st.data())
+def test_case_year_slices_equal_the_checked_constructor(start, n, data):
+    weeks = tuple(start + timedelta(days=7 * i) for i in range(n))
+    filled = ()
+    if data.draw(st.booleans()):
+        filled = tuple(weeks[i] for i in sorted(data.draw(st.lists(
+            st.integers(0, n - 1), unique=True, min_size=1, max_size=20))))
+    cs = CaseSeries(weeks, np.random.default_rng(n).integers(0, 50, n), filled)
+    want = _year_slices_oracle(cs.week_starts, lambda lo, hi, keep: CaseSeries(
+        cs.week_starts[lo:hi], cs.counts[lo:hi].copy(),
+        tuple(d for d in cs.filled if d in keep)))
+    got = cs.year_slices()
+    assert list(got) == list(want)
+    for year, part in got.items():
+        _assert_same_fields(part, want[year])
+
+
+@settings(max_examples=150, deadline=None)
+@given(wx=valid_weather(min_size=2), data=st.data())
+def test_public_constructor_still_rejects_bad_values(wx, data):
+    """The checked constructor rejects a moved date, a humidity outside
+    [0, 100] and a negative precipitation, at any index."""
+    n = len(wx)
+    i = data.draw(st.integers(0, n - 1))
+    shift = data.draw(st.integers(-400, 400).filter(bool))
+    dates = list(wx.dates)
+    dates[i] += timedelta(days=shift)
+    with pytest.raises(ValueError, match="dates not contiguous"):
+        WeatherSeries(tuple(dates), wx.temp_mean, wx.humidity, wx.precip)
+    humidity = wx.humidity.copy()
+    humidity[i] = data.draw(st.one_of(
+        st.floats(max_value=-5e-324), st.floats(min_value=100.00000000000001)))
+    with pytest.raises(errors.RangeViolation):
+        WeatherSeries(wx.dates, wx.temp_mean, humidity, wx.precip)
+    precip = wx.precip.copy()
+    precip[i] = data.draw(st.floats(max_value=-5e-324))
+    with pytest.raises(errors.RangeViolation):
+        WeatherSeries(wx.dates, wx.temp_mean, wx.humidity, precip)

@@ -1,6 +1,7 @@
 """The compiled day loop: its build, its cache and its fallback."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -187,6 +188,23 @@ def test_build_falls_through_a_missing_cc_to_cc(tmp_path, monkeypatch):
     lib = tmp_path / "cache" / "lib.so"
     assert epimodel._build_kernel(lib)
     assert [p.name for p in lib.parent.iterdir()] == ["lib.so"]
+
+
+def test_build_flags_keep_python_rounding_and_match_the_docs():
+    """No flag lets the compiler contract or reorder float operations or
+    target the build machine, and the build line in the header of
+    ``_rk4.c`` and the flag sentence of README name exactly these flags."""
+    flags = list(epimodel._KERNEL_FLAGS)
+    assert "-ffp-contract=off" in flags
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                "-march=native"} & set(flags)
+    header = epimodel._KERNEL_SOURCE.read_text().split("*/", 1)[0]
+    line = re.search(r"\bcc (.*?) -o _rk4\.so _rk4\.c",
+                     header.replace("\\\n *", " "))
+    assert line and line.group(1).split() == flags
+    readme = (ROOT / "README.md").read_text()
+    sentence = re.search(r"compiles it once with\s+`([^`]*)`", readme)
+    assert sentence and sentence.group(1).split() == flags
 
 
 def test_library_path_is_git_ignored():
