@@ -16,22 +16,28 @@
  * room > 0, the clamp) are mask selects: both sides are computed for
  * every lane and the mask picks one bit for bit, so each lane gets the
  * IEEE result its own branch gives, NaN included.  The lane body at the
- * end of this file is compiled three times, by including the file into
+ * end of this file is compiled four times, by including the file into
  * itself, each time binding the lane type and the select:
  *   1 lane:  plain doubles, for single runs, which a wider vector with
  *            one busy lane would slow down;
- *   2 lanes: 128-bit vectors, which every x86-64 CPU has (SSE2); 4 runs
- *            go through them as two pairs;
- *   4 lanes: 256-bit vectors, compiled for AVX2 only (target("avx2")),
- *            and used when the CPU reports AVX2 at run time.
- * So the library stays portable (no -march=native) and one build runs
- * 256-bit where the CPU allows.  AVX2 does not bring FMA, and
- * -ffp-contract=off forbids contraction anyway.  GCC splits a 256-bit
- * vector on a 128-bit machine into code slower than the 1-lane loop,
- * hence the 2-lane pairs rather than one 4-lane body for every CPU.
- * Defining SPILLCAST_NO_AVX2 leaves the 4-lane body out; that is also
- * the build on other CPUs and on compilers without the target
- * attribute, and epimodel retries with it when a build fails.
+ *   2 lanes: 128-bit vectors, which every x86-64 CPU has (SSE2);
+ *   4 lanes: 256-bit vectors, compiled for AVX2 only (target("avx2"));
+ *   8 lanes: 512-bit vectors, compiled for AVX-512F only
+ *            (target("avx512f")).
+ * spillcast_width() names the widest body the CPU runs, from
+ * __builtin_cpu_supports at run time: 8 with AVX-512F, 4 with AVX2, else
+ * 2.  spillcast_advance runs 1 lane in the 1-lane body, 5 to 8 lanes in
+ * the 8-lane body where the width is 8, and every other call as 4-lane
+ * calls (width 4 or 8) or as pairs (width 2).  So the library stays
+ * portable (no -march=native) and one build runs the widest vectors the
+ * CPU allows.  Neither AVX2 nor AVX-512F brings FMA into the build, and
+ * -ffp-contract=off forbids contraction anyway.  GCC splits a vector
+ * wider than the CPU's registers into slow code (4 lanes on 128-bit
+ * hardware ran slower than the 1-lane loop), hence one body per register
+ * width.  Defining SPILLCAST_NO_AVX512 leaves out the 8-lane body;
+ * defining SPILLCAST_NO_AVX2 leaves out both the 4- and the 8-lane body,
+ * which is also the build on other CPUs and on compilers without the
+ * target attribute, and epimodel retries with it when a build fails.
  *
  * Errors.  On a day whose R0 denominator rule or BLOWUP_LIMIT fails in
  * some lane, spillcast_advance returns that code at once, with the lane
@@ -56,7 +62,7 @@
 #define N_RATES 16
 #define N_COMP 15
 #define N_STATE 16  /* the compartments, then the new-infection accumulator */
-#define MAX_LANES 4
+#define MAX_LANES 8
 
 /* Return codes. */
 enum {
@@ -72,6 +78,9 @@ enum {
     && (defined(__x86_64__) || defined(__i386__))
 #if __has_attribute(target)
 #define AVX2_LANES
+#ifndef SPILLCAST_NO_AVX512
+#define AVX512_LANES
+#endif
 #endif
 #endif
 
@@ -127,8 +136,13 @@ static int day_r0(const double *r, double m_s, double b_s, double *out)
  * scalar loop, which ran fastest: the clamp and the limit check are
  * branches, as the Python loop has them (a select or a mask there sits on
  * the path from one step or day to the next, where the branch is almost
- * never taken), and the right-hand side is a function of its own.  Wider
- * lanes inline it, so that it takes the lane loop's TARGET. */
+ * never taken), the right-hand side is a function of its own, and the
+ * four stage derivatives are kept to the end of the step.  Wider lanes
+ * inline the right-hand side, so that it takes the lane loop's TARGET,
+ * and add the stages into one running sum as they come (the same
+ * additions in the same order): four stages of 16 vectors each spill out
+ * of the registers, which made 4 and 8 lanes about 8% slower per
+ * run-day, while one lane ran about 7% slower with the running sum. */
 #define vd NAME(vd)
 #define vi NAME(vi)
 
@@ -172,14 +186,28 @@ typedef int64_t vi_4 __attribute__((vector_size(8 * 4)));
 #include "_rk4.c"
 #endif
 
-/* How many runs a call of several advances at once: 4 where the 4-lane
- * body is built and the CPU has AVX2, else 2 (the pairs). */
+#ifdef AVX512_LANES
+typedef double vd_8 __attribute__((vector_size(8 * 8)));
+typedef int64_t vi_8 __attribute__((vector_size(8 * 8)));
+#define LANES 8
+#define TARGET __attribute__((target("avx512f")))
+#include "_rk4.c"
+#endif
+
+/* The most runs one body advances at once on this CPU: 8 where the
+ * 8-lane body is built and the CPU has AVX-512F, 4 where the 4-lane body
+ * is built and the CPU has AVX2, else 2 (the pairs). */
 int spillcast_width(void)
 {
 #ifdef AVX2_LANES
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2"))
+    if (__builtin_cpu_supports("avx2")) {
+#ifdef AVX512_LANES
+        if (__builtin_cpu_supports("avx512f"))
+            return 8;
+#endif
         return 4;
+    }
 #endif
     return 2;
 }
@@ -204,7 +232,7 @@ int spillcast_advance(int64_t lanes, int64_t n, int64_t steps, double h,
 {
     const int64_t *rate_row = rows, *row = rows + lanes;
     int64_t *fail = counts + lanes;
-    int64_t first;
+    int64_t first, part, group;
     int status;
 
     if (lanes < 1 || lanes > MAX_LANES)
@@ -213,18 +241,29 @@ int spillcast_advance(int64_t lanes, int64_t n, int64_t steps, double h,
         return advance_1(1, n, steps, h, half, sixth, rho, blowup_limit,
                          rates, rate_row, k_cap, row, states, m, r0, new_inf,
                          y, counts, fail);
-#ifdef AVX2_LANES
-    if (spillcast_width() == 4)
-        return advance_4(lanes, n, steps, h, half, sixth, rho, blowup_limit,
+    group = spillcast_width();
+#ifdef AVX512_LANES
+    if (group == 8 && lanes > 4)
+        return advance_8(lanes, n, steps, h, half, sixth, rho, blowup_limit,
                          rates, rate_row, k_cap, row, states, m, r0, new_inf,
                          y, counts, fail);
 #endif
-    for (first = 0; first < lanes; first += 2) {
-        status = advance_2(lanes - first < 2 ? lanes - first : 2, n, steps,
-                           h, half, sixth, rho, blowup_limit, rates,
-                           rate_row + first, k_cap, row + first, states, m,
-                           r0, new_inf, y + first * N_STATE, counts + first,
-                           fail);
+    if (group > 4)
+        group = 4;
+    for (first = 0; first < lanes; first += group) {
+        part = lanes - first < group ? lanes - first : group;
+#ifdef AVX2_LANES
+        if (group == 4)
+            status = advance_4(part, n, steps, h, half, sixth, rho,
+                               blowup_limit, rates, rate_row + first, k_cap,
+                               row + first, states, m, r0, new_inf,
+                               y + first * N_STATE, counts + first, fail);
+        else
+#endif
+            status = advance_2(part, n, steps, h, half, sixth, rho,
+                               blowup_limit, rates, rate_row + first, k_cap,
+                               row + first, states, m, r0, new_inf,
+                               y + first * N_STATE, counts + first, fail);
         if (status != OK) {
             fail[0] += first;
             return status;
@@ -292,8 +331,12 @@ static int NAME(advance)(int64_t lanes, int64_t n, int64_t steps, double h,
                          int64_t *clamps, int64_t *fail)
 {
     const vd zero = {0.0}, limit = zero + blowup_limit;
-    vd y[N_STATE], k1[N_STATE], k2[N_STATE], k3[N_STATE], k4[N_STATE],
-       tmp[N_STATE];
+    vd y[N_STATE], k1[N_STATE], tmp[N_STATE];
+#if LANES == 1
+    vd k2[N_STATE], k3[N_STATE], k4[N_STATE];
+#else
+    vd k[N_STATE], sum[N_STATE];
+#endif
     vi clamped = {0};
     const double *lane_rates[LANES];
     int64_t lane_row[LANES];
@@ -358,6 +401,7 @@ static int NAME(advance)(int64_t lanes, int64_t n, int64_t steps, double h,
             NAME(rhs)(&d, y, k1);
             for (j = 0; j < N_COMP; j++)
                 tmp[j] = y[j] + half * k1[j];
+#if LANES == 1
             NAME(rhs)(&d, tmp, k2);
             for (j = 0; j < N_COMP; j++)
                 tmp[j] = y[j] + half * k2[j];
@@ -367,6 +411,23 @@ static int NAME(advance)(int64_t lanes, int64_t n, int64_t steps, double h,
             NAME(rhs)(&d, tmp, k4);
             for (j = 0; j < N_STATE; j++)
                 y[j] += sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
+#else
+            /* k1 + 2 k2 + 2 k3 + k4, added left to right as above, one
+             * stage at a time (see the bindings) */
+            NAME(rhs)(&d, tmp, k);
+            for (j = 0; j < N_STATE; j++)
+                sum[j] = k1[j] + 2.0 * k[j];
+            for (j = 0; j < N_COMP; j++)
+                tmp[j] = y[j] + half * k[j];
+            NAME(rhs)(&d, tmp, k);
+            for (j = 0; j < N_STATE; j++)
+                sum[j] = sum[j] + 2.0 * k[j];
+            for (j = 0; j < N_COMP; j++)
+                tmp[j] = y[j] + h * k[j];
+            NAME(rhs)(&d, tmp, k);
+            for (j = 0; j < N_STATE; j++)
+                y[j] += sixth * (sum[j] + k[j]);
+#endif
             for (j = 0; j < N_COMP; j++) {
                 CLAMP(y[j], clamped);
             }

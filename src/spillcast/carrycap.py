@@ -22,7 +22,7 @@ from .epimodel import (
     ModelParams,
     Run,
     simulate_runs,
-    weekly_expected_cases,
+    weekly_expected_cases_runs,
 )
 from .errors import (
     DegenerateBin,
@@ -101,15 +101,18 @@ def calibrate_K(weather: WeatherSeries, cases: CaseSeries, params: ModelParams,
 
     runs = [Run(weather_by_year[year], k, init, seed_day, seed_birds)
             for year in years for k in grid]
-    trajectories = iter(simulate_runs(params, runs, steps_per_day=steps_per_day))
+    week_starts = {year: [w for w, _ in weeks_by_year.get(year, [])]
+                   for year in years}
+    predictions = iter(weekly_expected_cases_runs(
+        simulate_runs(params, runs, steps_per_day=steps_per_day),
+        [week_starts[year] for year in years for _ in grid]))
     chosen: dict[int, float] = {}
     for year in years:
         weeks = weeks_by_year.get(year, [])
-        week_starts = [w for w, _ in weeks]
         observed = np.array([c for _, c in weeks], dtype=float)
         best_k, best_err = None, None
         for k in grid:
-            predicted = weekly_expected_cases(next(trajectories), week_starts)
+            predicted = next(predictions)
             err = float(np.sum((predicted - observed) ** 2)) if weeks else 0.0
             if best_err is None or err < best_err:
                 best_k, best_err = k, err

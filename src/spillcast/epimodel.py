@@ -31,14 +31,14 @@ and recruitment guards, negative clamp and its count, r0's
 zero-denominator rule, BlowUp), so the two give the same floats bit for
 bit and raise the same errors on the same day.
 
-The compiled loop runs up to four runs side by side, one per lane of a
-vector (256-bit with AVX2, else two 128-bit pairs), each lane with its own
-rates, K, state, outputs and clamp count; a single run takes a one-lane
-copy of the same source.  ``simulate_runs`` sends its runs there four at a
-time, grouped by length and pulse day, and spreads these chunks over the
-usable CPUs.  If any lane fails, a width-1 pass simulates the runs again
-one at a time, so the error raised is always that of the first failing
-run, as without lanes or threads.
+The compiled loop runs up to eight runs side by side, one per lane of a
+vector (512-bit with AVX-512F, else 256-bit with AVX2, else 128-bit
+pairs), each lane with its own rates, K, state, outputs and clamp count; a
+single run takes a one-lane copy of the same source.  ``simulate_runs``
+sends its runs there eight at a time, grouped by length and pulse day, and
+spreads these chunks over the usable CPUs.  If any lane fails, a width-1
+pass simulates the runs again one at a time, so the error raised is always
+that of the first failing run, as without lanes or threads.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -298,8 +299,12 @@ def _k_array(k_series, n: int) -> np.ndarray:
 
 
 def _rate_rows(params: ModelParams, temps) -> np.ndarray:
-    return np.column_stack([eval_thermal_array(params.rates[key], temps)
-                            for key in _RATE_KEYS])
+    """The thermal rates of each temperature, one row each in
+    ``_RATE_KEYS`` order, written column by column into one array."""
+    rows = np.empty((len(temps), len(_RATE_KEYS)))
+    for j, key in enumerate(_RATE_KEYS):
+        rows[:, j] = eval_thermal_array(params.rates[key], temps)
+    return rows
 
 
 def _shared_rates(params: ModelParams, runs: list) -> tuple:
@@ -423,10 +428,11 @@ _KERNEL_DIR = Path(__file__).with_name("__pycache__")
 # vectors, which made a single run about 18% slower.
 _KERNEL_FLAGS = ("-O2", "-fpeel-loops", "-fno-tree-slp-vectorize", "-fPIC",
                  "-shared", "-ffp-contract=off")
-# the build without the AVX2 lanes, tried when a build with them fails
+# the build without the AVX2 and AVX-512 lanes, tried when a build with
+# them fails
 _NO_AVX2 = "-DSPILLCAST_NO_AVX2"
 # runs per spillcast_advance call (MAX_LANES in _rk4.c)
-_LANES = 4
+_LANES = 8
 _BUILD_TIMEOUT_S = 60.0
 
 
@@ -476,10 +482,10 @@ def _load_kernel():
 
 def _build_kernel(path: Path) -> bool:
     """Compile ``_KERNEL_SOURCE`` to ``path`` with the first of
-    ``_compilers()`` that builds it, with the AVX2 lanes or, should that
-    fail, without them; False, with nothing printed and nothing left
-    behind, if each compiler is missing, fails or times out, or the
-    directory is not writable."""
+    ``_compilers()`` that builds it, with the AVX2 and AVX-512 lanes or,
+    should that fail, without them; False, with nothing printed and
+    nothing left behind, if each compiler is missing, fails or times out,
+    or the directory is not writable."""
     import subprocess
 
     tmp = None
@@ -635,7 +641,7 @@ def simulate_runs(params: ModelParams, runs, steps_per_day: int = 24) -> list:
     The thermal rates of every distinct WeatherSeries object are evaluated
     once for the call, and runs on one object share them.  With the
     compiled loop and two runs or more, ``_simulate_chunks`` first advances
-    runs of equal length and equal pulse day up to four at a time in its
+    runs of equal length and equal pulse day up to eight at a time in its
     lanes, and these chunks run on one thread per usable CPU, at most one
     per chunk; ctypes releases the GIL inside the loop.  A chunk writes
     only its own runs' rows, so neither the outputs nor the errors depend
@@ -808,23 +814,39 @@ def _run_chunks(run_chunk, chunks: list) -> None:
 
 def weekly_expected_cases(traj: Trajectory, week_starts) -> np.ndarray:
     """Expected reported cases summed over each week starting at the given
-    dates; days outside the trajectory contribute zero.
+    dates; days outside the trajectory contribute zero.  This is
+    ``weekly_expected_cases_runs`` of the one trajectory."""
+    return weekly_expected_cases_runs([traj], [week_starts])[0]
 
-    A week's days are found by their offset from the trajectory's first
+
+def weekly_expected_cases_runs(trajectories, week_starts) -> list:
+    """``weekly_expected_cases`` of each trajectory over its own week
+    starts (``week_starts[i]`` for ``trajectories[i]``), gathered from all
+    of them in one indexed pass.
+
+    A week's days are found by their offset from its trajectory's first
     date, and its seven values are added left to right from 0.0, day
     column by day column, as ``sum`` over them would add them."""
-    n = len(traj)
-    totals = np.zeros(len(week_starts))
-    if not n:
-        return totals
-    first = traj.dates[0]
-    days = (np.array([(start - first).days for start in week_starts],
-                     dtype=np.int64)[:, None] + np.arange(7))
-    inside = (days >= 0) & (days < n)
-    daily = np.where(inside, traj.new_infections[np.clip(days, 0, n - 1)], 0.0)
+    if not trajectories:
+        return []
+    weeks = [len(starts) for starts in week_starts]
+    sizes = [len(traj) for traj in trajectories]
+    firsts = [traj.dates[0].toordinal() if n else 0
+              for traj, n in zip(trajectories, sizes)]
+    # each week's offset from its trajectory's first day, and where that
+    # trajectory's rows begin in the concatenated values
+    day = (np.fromiter(map(date.toordinal, itertools.chain(*week_starts)),
+                       dtype=np.int64, count=sum(weeks))
+           - np.repeat(firsts, weeks))[:, None] + np.arange(7)
+    inside = (day >= 0) & (day < np.repeat(sizes, weeks)[:, None])
+    rows = day + np.repeat(np.cumsum([0, *sizes[:-1]]), weeks)[:, None]
+    # index -1 reads the 0.0 appended after the last trajectory
+    daily = np.concatenate([*(t.new_infections for t in trajectories),
+                            [0.0]])[np.where(inside, rows, -1)]
+    totals = np.zeros(len(daily))
     for d in range(7):
         totals = totals + daily[:, d]
-    return totals
+    return np.split(totals, np.cumsum(weeks)[:-1])
 
 
 def seeded_year_trajectory(params: ModelParams, weather_year: WeatherSeries,

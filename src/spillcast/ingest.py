@@ -74,6 +74,12 @@ class WeatherSeries:
             if bad.size:
                 raise ValueError(
                     f"dates not contiguous at {self.dates[int(bad[0]) + 1]}")
+        # NaN fails no range check below
+        for name in ("temp_mean", "humidity", "precip"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise RangeViolation(name, f"non-finite value on "
+                                           f"{self.dates[int(bad[0])]}")
         if n and (np.any(self.humidity < 0) or np.any(self.humidity > 100)):
             raise RangeViolation("humidity", "outside [0, 100]")
         if n and np.any(self.precip < 0):

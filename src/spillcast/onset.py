@@ -22,9 +22,6 @@ from .ingest import write_table
 
 DEFAULT_LEVELS = (0.88, 0.90, 0.95)
 GRID_PAD_BANDWIDTHS = 3.0
-# points per block of OnsetPdf.evaluate: a block's kernel matrix is
-# CLASSIFY_BLOCK x (number of samples) floats
-CLASSIFY_BLOCK = 1024
 
 
 class RiskLevel(enum.IntEnum):
@@ -135,21 +132,49 @@ class OnsetPdf:
     def evaluate(self, m, r0) -> np.ndarray:
         """KDE density at the already-transformed points (m[i], r0[i]).
 
-        The points go through in blocks of ``CLASSIFY_BLOCK``; each row
-        sums its own kernel values, so a point's density does not depend
-        on the points beside it."""
+        Each sample's weighted kernel is one column over all the points,
+        and the columns are added in the order ``np.sum`` adds one point's
+        kernel values (``_row_sum``), so a point's density is the same
+        float as ``np.sum(weights * kernel)`` over its own samples, and
+        does not depend on the points beside it."""
         m = np.asarray(m, dtype=float)
         r0 = np.asarray(r0, dtype=float)
         h_m, h_r = self.bandwidth
-        density = np.empty(len(m))
-        for lo in range(0, len(m), CLASSIFY_BLOCK):
-            hi = lo + CLASSIFY_BLOCK
-            zm = (m[lo:hi, None] - self.sample_m) / h_m
-            zr = (r0[lo:hi, None] - self.sample_r0) / h_r
-            kern = np.exp(-0.5 * (zm * zm + zr * zr))
-            density[lo:hi] = (np.sum(self.weights * kern, axis=1)
-                              / (2.0 * math.pi * h_m * h_r))
-        return density
+
+        def column(j):
+            zm = (m - self.sample_m[j]) / h_m
+            zr = (r0 - self.sample_r0[j]) / h_r
+            return self.weights[j] * np.exp(-0.5 * (zm * zm + zr * zr))
+
+        return (_row_sum(column, 0, len(self.weights))
+                / (2.0 * math.pi * h_m * h_r))
+
+
+def _row_sum(column, lo: int, hi: int):
+    """column(lo) + ... + column(hi - 1), added in the order numpy's
+    pairwise summation adds the items of a contiguous row: left to right
+    below 8 items; up to 128, eight running sums over every eighth item,
+    combined in pairs, then the items left over; above 128, the two halves
+    of a cut at a multiple of 8 below the middle, each summed alone."""
+    n = hi - lo
+    if n < 8:
+        total = column(lo)
+        for j in range(lo + 1, hi):
+            total = total + column(j)
+        return total
+    if n > 128:
+        cut = lo + n // 2 - n // 2 % 8
+        return _row_sum(column, lo, cut) + _row_sum(column, cut, hi)
+    sums = [column(j) for j in range(lo, lo + 8)]
+    tail = hi - n % 8
+    for first in range(lo + 8, tail, 8):
+        for k in range(8):
+            sums[k] = sums[k] + column(first + k)
+    total = (((sums[0] + sums[1]) + (sums[2] + sums[3]))
+             + ((sums[4] + sums[5]) + (sums[6] + sums[7])))
+    for j in range(tail, hi):
+        total = total + column(j)
+    return total
 
 
 def fit_onset_pdf(samples, bandwidth=None, grid_size: int = 128,
@@ -235,10 +260,10 @@ def hdr_thresholds(pdf: OnsetPdf, levels) -> list:
     return out
 
 
-def classify_days(pdf: OnsetPdf, m, r0) -> tuple:
-    """Risk class of every raw point (m[i], r0[i]), thresholds inclusive
-    upward: returns the KDE densities as an array and the risk levels as
-    a tuple."""
+def risk_codes(pdf: OnsetPdf, m, r0) -> tuple:
+    """The KDE density of every raw point (m[i], r0[i]) and its risk class
+    as an integer array of RiskLevel values, thresholds inclusive
+    upward."""
     density = pdf.evaluate(*apply_transform(
         pdf.transform, np.asarray(m, dtype=float), np.asarray(r0, dtype=float)))
     t_high, t_risky, t_low = pdf.thresholds
@@ -247,6 +272,14 @@ def classify_days(pdf: OnsetPdf, m, r0) -> tuple:
                        density >= t_low],
                       [RiskLevel.HIGH, RiskLevel.RISKY, RiskLevel.LOW],
                       RiskLevel.GREEN)
+    return density, codes
+
+
+def classify_days(pdf: OnsetPdf, m, r0) -> tuple:
+    """Risk class of every raw point (m[i], r0[i]), thresholds inclusive
+    upward: returns the KDE densities as an array and the risk levels as
+    a tuple."""
+    density, codes = risk_codes(pdf, m, r0)
     return density, tuple(map(_LEVEL_OF_CODE.__getitem__, codes.tolist()))
 
 

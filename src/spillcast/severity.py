@@ -109,8 +109,8 @@ class Grid2D:
         lies outside the grid extent."""
         lo_m, hi_m, lo_w, hi_w = self.extent
         outside = not (lo_m <= m <= hi_m and lo_w <= w <= hi_w)
-        i = int(np.clip(np.argmin(np.abs(self.m_centers - m)), 0, self.shape[0] - 1))
-        j = int(np.clip(np.argmin(np.abs(self.w_centers - w)), 0, self.shape[1] - 1))
+        i = int(np.argmin(np.abs(self.m_centers - m)))
+        j = int(np.argmin(np.abs(self.w_centers - w)))
         return i, j, outside
 
 

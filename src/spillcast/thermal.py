@@ -89,10 +89,11 @@ def eval_thermal(curve: ThermalCurve, temp: float) -> float:
 def eval_thermal_array(curve: ThermalCurve, temps) -> np.ndarray:
     """``eval_thermal`` at every element of ``temps``, float for float: the
     same operations in the same order, and ``max(x, 0.0)`` kept as
-    "0.0 if 0.0 > x else x" (so -0.0 and NaN pass through as they do)."""
+    "0.0 if 0.0 > x else x" (so -0.0 and NaN pass through as they do).
+    A constant curve gives its one value broadcast, as a read-only view."""
     t = np.asarray(temps, dtype=float)
     if curve.kind == "constant":
-        return np.full(t.shape, float(max(curve.c, 0.0)))
+        return np.broadcast_to(float(max(curve.c, 0.0)), t.shape)
     if curve.kind == "briere":
         inside = ~((t <= curve.t0) | (t >= curve.tm))
         # tm - t > 0 inside, so the floor changes no value that is kept

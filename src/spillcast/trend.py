@@ -19,7 +19,7 @@ from .config import Config
 from .epimodel import ModelParams, Run, default_init_state, simulate_runs
 from .errors import EmptyYear, TooFewResiduals, TooFewYears, ZeroVariance
 from .ingest import WeatherSeries
-from .onset import OnsetPdf, RiskLevel, classify_days
+from .onset import OnsetPdf, RiskLevel, risk_codes
 
 
 def annual_indicators(levels) -> tuple:
@@ -32,11 +32,28 @@ def annual_indicators(levels) -> tuple:
     levels = list(levels)
     if not levels:
         raise EmptyYear("no risk levels")
-    n_high = levels.count(RiskLevel.HIGH)
-    n_risk = len(levels) - levels.count(RiskLevel.GREEN)
-    r_year = n_high / len(levels)
-    r_relative = n_high / n_risk if n_risk else 0.0
-    return r_year, r_relative
+    return _indicators(len(levels), levels.count(RiskLevel.HIGH),
+                       levels.count(RiskLevel.GREEN))
+
+
+def _indicators(n_days: int, n_high: int, n_green: int) -> tuple:
+    """``annual_indicators`` from a year's day count and its numbers of
+    High and Green days."""
+    n_risk = n_days - n_green
+    return n_high / n_days, n_high / n_risk if n_risk else 0.0
+
+
+def _yearly_indicators(codes, sizes) -> tuple:
+    """The r_year and the r_relative list of consecutive years of
+    ``sizes`` days (each at least one), from the days' RiskLevel codes,
+    counted in one pass."""
+    levels = len(RiskLevel)
+    year_of_day = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(year_of_day * levels + codes,
+                         minlength=len(sizes) * levels)
+    return tuple(zip(*(
+        _indicators(n, row[RiskLevel.HIGH], row[RiskLevel.GREEN])
+        for n, row in zip(sizes, counts.reshape(-1, levels).tolist()))))
 
 
 @dataclass(frozen=True)
@@ -136,8 +153,8 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
     raises NonFiniteInput.  Every year starts from the default initial
     state; the years go to ``simulate_runs`` together, bit-identical to
     simulating each year alone, and all their days are classified in one
-    ``classify_days`` call, bit-identical to ``forecast_onset`` year by
-    year.
+    ``risk_codes`` call, bit-identical to ``forecast_onset`` year by year;
+    each year's High and Green days are counted from the codes.
     """
     by_year = archive.year_slices()
     years = sorted(by_year)
@@ -149,14 +166,9 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
             for year in years]
     trajs = simulate_runs(params, runs, steps_per_day=cfg.steps_per_day)
     # a day's density does not depend on the days classified with it
-    _, levels = classify_days(pdf, np.concatenate([t.m for t in trajs]),
-                              np.concatenate([t.r0 for t in trajs]))
-    ends = np.cumsum([len(t) for t in trajs]).tolist()
-    r_year, r_relative = [], []
-    for lo, hi in zip([0, *ends[:-1]], ends):
-        ry, rr = annual_indicators(levels[lo:hi])
-        r_year.append(ry)
-        r_relative.append(rr)
+    _, codes = risk_codes(pdf, np.concatenate([t.m for t in trajs]),
+                          np.concatenate([t.r0 for t in trajs]))
+    r_year, r_relative = _yearly_indicators(codes, [len(t) for t in trajs])
 
     return TrendReport(
         years=tuple(years),

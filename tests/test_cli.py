@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spillcast
@@ -454,6 +455,28 @@ def test_non_finite_weather_exit_2(tmp_path, fixture_dir, capsys):
     assert code == 2
     assert "line 101" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+def test_non_finite_weather_forecast_exit_2(tmp_path, fixture_dir,
+                                           onset_model, capsys):
+    """Finite but huge temperatures make the long-term AR forecast
+    non-finite; that forecast weather is rejected naming its column (it
+    used to reach the simulation and exit 3 with ``H_S = nan``)."""
+    lines = Path(fixture_dir["weather"]).read_text().splitlines()
+    for i in range(1000, 1460):
+        fields = lines[i].split(",")
+        fields[1] = "1e120"
+        lines[i] = ",".join(fields)
+    weather = tmp_path / "weather.csv"
+    weather.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main(["predict-onset", "--weather", str(weather),
+                     "--model", onset_model, "--config", fixture_dir["config"],
+                     "--mode", "long", "--out", str(out)])
+    assert code == 2
+    assert "error: temp_mean: non-finite value on " in capsys.readouterr().err
+    assert not (out / "risk.csv").exists()
 
 
 def _corrupt_model(model_dir, tmp_path, samples, line, field=0,

@@ -1150,3 +1150,128 @@ def test_bad_pulse_raises_as_the_reference(default_cfg, default_params, loop,
         with day_loop(loop), pytest.raises(type(want.value)) as got:
             simulate_runs(default_params, runs)
         assert str(got.value) == str(want.value)
+
+
+@st.composite
+def wide_lane_calls(draw):
+    """1-20 short runs of one or two lengths and one or two pulse days
+    (none, the first day, mid-span or past the end), so that groups of up
+    to 20 runs go to the loop eight lanes at a time, with random weather,
+    K and start states."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2,
+                            unique=True))
+    pulses = draw(st.lists(st.sampled_from((None, 0, "mid", "past")),
+                           min_size=1, max_size=2, unique=True))
+    runs = []
+    for _ in range(draw(st.integers(1, 20))):
+        n = draw(st.sampled_from(lengths))
+        start = date(2021, 1, 1) + timedelta(days=int(rng.integers(0, 365)))
+        wx = WeatherSeries(
+            tuple(start + timedelta(days=i) for i in range(n)),
+            rng.uniform(-5.0, 38.0, n), rng.uniform(0.0, 100.0, n),
+            rng.uniform(0.0, 10.0, n))
+        k = (float(rng.uniform(100.0, 20000.0)) if draw(st.booleans())
+             else rng.uniform(100.0, 20000.0, n))
+        values = (default_init_state(Config()).__dict__ if draw(st.booleans())
+                  else dict(zip(COMPARTMENTS, rng.uniform(0.0, 3000.0, 15))))
+        seed_day = {None: None, 0: 0, "mid": n // 2, "past": n + 1}[
+            draw(st.sampled_from(pulses))]
+        runs.append(Run(wx, k, CompartmentState(**values), seed_day,
+                        float(rng.uniform(0.0, 50.0))))
+    return runs
+
+
+@given(runs=wide_lane_calls(), rates=st.sampled_from(sorted(ORACLE_PARAMS)),
+       steps=st.sampled_from((1, 2)))
+@settings(max_examples=80, deadline=None)
+def test_eight_lanes_equal_runs_alone(runs, rates, steps):
+    """Up to 20 runs per call, so that calls of five to eight lanes occur:
+    every run equals the list-based RK4 of it alone, or the call raises the
+    first failing run's error."""
+    params = ORACLE_PARAMS[rates]
+    want, error = [], None
+    for run in runs:
+        try:
+            want.append(_alone(params, run, steps))
+        except errors.SpillcastError as exc:
+            error = exc
+            break
+    for loop in DAY_LOOPS:
+        with day_loop(loop):
+            if error is not None:
+                with pytest.raises(errors.SpillcastError) as got:
+                    simulate_runs(params, runs, steps_per_day=steps)
+                assert type(got.value) is type(error), loop
+                assert str(got.value) == str(error), loop
+                continue
+            got = simulate_runs(params, runs, steps_per_day=steps)
+        assert len(got) == len(runs)
+        for g, w in zip(got, want):
+            assert_same_trajectory(g, w)
+
+
+def test_twenty_runs_go_to_the_loop_eight_at_a_time(default_cfg,
+                                                    default_params,
+                                                    monkeypatch):
+    """Twenty runs of one length and pulse day make calls of 8, 8 and 4
+    lanes."""
+    if epimodel.kernel() != "c":
+        pytest.skip("no compiled loop")
+    lanes = []
+    real = epimodel._kernel_advance
+
+    def counting(advance, params, steps, n, rates, rate_rows, *rest):
+        lanes.append(len(rate_rows))
+        return real(advance, params, steps, n, rates, rate_rows, *rest)
+
+    monkeypatch.setattr(epimodel, "_kernel_advance", counting)
+    init = default_init_state(default_cfg)
+    wx = sinusoid_weather(20)
+    with workers(1):
+        simulate_runs(default_params,
+                      [Run(wx, 1000.0 * (j + 1), init) for j in range(20)])
+    assert lanes == [8, 8, 4]
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(0, 30), min_size=0, max_size=8),
+       offsets=st.lists(st.lists(st.integers(-40, 40), max_size=6),
+                        min_size=8, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_weekly_sums_of_many_runs_equal_the_date_sum(seed, sizes, offsets):
+    """``weekly_expected_cases_runs`` over trajectories of several lengths
+    (empty ones too), each with its own weeks, equals the date-keyed sum of
+    each alone bit for bit."""
+    rng = np.random.default_rng(seed)
+    trajs, weeks = [], []
+    for n, offs in zip(sizes, offsets):
+        wx = constant_weather(n, start=date(2021, 2, 20)
+                              + timedelta(days=int(rng.integers(0, 400))))
+        daily = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 17, n)
+        trajs.append(Trajectory(dates=wx.dates, states=np.zeros((n, 15)),
+                                m=np.zeros(n), r0=np.zeros(n),
+                                new_infections=daily, weather=wx))
+        first = wx.dates[0] if n else date(2021, 2, 20)
+        weeks.append([first + timedelta(days=o) for o in offs])
+    got = epimodel.weekly_expected_cases_runs(trajs, weeks)
+    assert len(got) == len(trajs)
+    for g, traj, w in zip(got, trajs, weeks):
+        assert g.tobytes() == _weekly_expected_cases_oracle(traj, w).tobytes()
+
+
+@pytest.mark.parametrize("rates", sorted(ORACLE_PARAMS))
+def test_rate_rows_equal_the_stacked_columns(rates):
+    """The rate table filled column by column, constant curves broadcast,
+    equals the stacked per-curve arrays bit for bit."""
+    params = ORACLE_PARAMS[rates]
+    temps = np.concatenate([
+        np.random.default_rng(5).uniform(-10.0, 45.0, 500),
+        [curve.t0 for curve in params.rates.values()],
+        [curve.tm for curve in params.rates.values()]])
+    want = np.column_stack([
+        np.array([params.rates[key](t) for t in temps])
+        for key in epimodel._RATE_KEYS])
+    got = epimodel._rate_rows(params, temps)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -168,6 +168,28 @@ class TestSeriesInvariants:
                 np.array([0.0, 0.0]),
             )
 
+    @pytest.mark.parametrize("column", ["temp_mean", "humidity", "precip"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_weather_rejected_naming_the_column(self, column,
+                                                           value):
+        """NaN passes every range check and temp_mean has none; each
+        non-finite value is an input error that names its column and
+        date."""
+        columns = {"temp_mean": np.array([20.0, 21.0]),
+                   "humidity": np.array([50.0, 50.0]),
+                   "precip": np.array([0.0, 1.0])}
+        columns[column][1] = value
+        with pytest.raises(errors.RangeViolation) as got:
+            WeatherSeries((date(2020, 1, 1), date(2020, 1, 2)), **columns)
+        assert str(got.value) == f"{column}: non-finite value on 2020-01-02"
+
+    def test_nan_and_inf_columns_rejected(self):
+        with pytest.raises(errors.InputError, match="^temp_mean: "):
+            WeatherSeries((date(2020, 1, 1), date(2020, 1, 2)),
+                          np.array([np.nan, np.inf]), np.array([np.nan, 50.0]),
+                          np.array([np.nan, np.inf]))
+
     def test_case_weeks_must_be_seven_days_apart(self):
         with pytest.raises(errors.NonWeeklySpacing):
             CaseSeries((date(2020, 6, 1), date(2020, 6, 5)),

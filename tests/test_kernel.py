@@ -18,11 +18,12 @@ from tests.conftest import sinusoid_weather
 SRC = Path(epimodel.__file__).resolve().parents[1]
 ROOT = SRC.parent
 
-# Simulates the fixture's first year at five K levels, three unseeded and
-# two seeded (so the compiled loop runs them in lanes of three and two), in
-# a process that caches the library in the directory given as argv[1] (""
-# keeps the package's own) and, with argv[2] == "missing-cc", has no
-# compiler; prints the day loop in use and the trajectories' bytes as hex.
+# Simulates the fixture's first year at eleven K levels, nine unseeded and
+# two seeded (so the compiled loop runs them in calls of eight lanes, one
+# lane and two lanes), in a process that caches the library in the
+# directory given as argv[1] ("" keeps the package's own) and, with
+# argv[2] == "missing-cc", has no compiler; prints the day loop in use and
+# the trajectories' bytes as hex.
 PROBE = """
 import sys
 from pathlib import Path
@@ -36,9 +37,10 @@ cfg = synth.default_config()
 wx = synth.seasonal_weather(2019, 1, seed=3)
 params = e.ModelParams.from_config(cfg)
 init = e.default_init_state(cfg)
-runs = [e.Run(wx, cfg.k_default, init), e.Run(wx, 900.0, init, seed_day=90),
-        e.Run(wx, 2.0 * cfg.k_default, init), e.Run(wx, 1800.0, init, 90),
-        e.Run(wx, 0.5 * cfg.k_default, init)]
+runs = [e.Run(wx, scale * cfg.k_default, init)
+        for scale in (1.0, 2.0, 0.5, 0.25, 0.75, 1.25, 1.5, 3.0, 4.0)]
+runs[1:1] = [e.Run(wx, 900.0, init, seed_day=90)]
+runs[3:3] = [e.Run(wx, 1800.0, init, 90)]
 out = []
 for t in e.simulate_runs(params, runs, steps_per_day=cfg.steps_per_day):
     out += [t.states.tobytes(), t.m.tobytes(), t.r0.tobytes(),
@@ -113,25 +115,75 @@ def lane_width(lib):
     return width()
 
 
-def cpu_has_avx2():
+# the build without the 8-lane AVX-512 body
+NO_AVX512 = "-DSPILLCAST_NO_AVX512"
+
+
+def cpu_flags():
+    """The CPU's feature flags from /proc/cpuinfo (empty where it lists
+    none, as on other architectures), or None where it cannot be read."""
     try:
-        return " avx2 " in Path("/proc/cpuinfo").read_text().replace("\n", " ")
+        text = Path("/proc/cpuinfo").read_text()
     except OSError:
         return None
+    line = next((ln for ln in text.splitlines() if ln.startswith("flags")),
+                "")
+    return set(line.partition(":")[2].split())
+
+
+def expected_width(flags, avx512=True):
+    """The lanes a library built here should advance at once: 8 with
+    AVX-512F (if built with that body), 4 with AVX2, else 2."""
+    if "avx2" not in flags:
+        return 2
+    return 8 if avx512 and "avx512f" in flags else 4
+
+
+def width_of_a_build_with_the_loaders_bytes(tmp_path, macro):
+    """Build with ``macro`` into ``tmp_path``, check that the probe gives
+    the bytes of the library the loader builds, and return the build's
+    width."""
+    build(tmp_path / epimodel._kernel_path().name, macro)
+    narrow = finish(probe(tmp_path))
+    assert narrow[0] == "c"
+    assert finish(probe()) == narrow
+    return lane_width(tmp_path / epimodel._kernel_path().name)
 
 
 @pytest.mark.skipif(not have_compiler(), reason="no C compiler")
 def test_build_without_avx2_lanes_gives_the_same_bytes(tmp_path):
-    """The build without the 4-lane AVX2 body, which CPUs without AVX2 and
-    other architectures run, advances lanes in pairs and gives the bytes
-    of the build the loader makes here."""
-    build(tmp_path / epimodel._kernel_path().name, epimodel._NO_AVX2)
-    assert lane_width(tmp_path / epimodel._kernel_path().name) == 2
-    pairs = finish(probe(tmp_path))
-    assert pairs[0] == "c"
-    assert finish(probe()) == pairs
-    if cpu_has_avx2():
-        assert lane_width(epimodel._kernel_path()) == 4
+    """The build without the 4- and 8-lane bodies, which CPUs without AVX2
+    and other architectures run, advances lanes in pairs and gives the
+    bytes of the build the loader makes here, which advances eight lanes
+    on AVX-512 CPUs and four on AVX2 CPUs."""
+    assert width_of_a_build_with_the_loaders_bytes(
+        tmp_path, epimodel._NO_AVX2) == 2
+    flags = cpu_flags()
+    if flags and "avx2" in flags:
+        assert lane_width(epimodel._kernel_path()) == expected_width(flags)
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+def test_build_without_avx512_lanes_gives_the_same_bytes(tmp_path):
+    """The build without the 8-lane body advances four lanes at once on
+    AVX2 CPUs (pairs without AVX2) and gives the loader's bytes."""
+    width = width_of_a_build_with_the_loaders_bytes(tmp_path, NO_AVX512)
+    flags = cpu_flags()
+    if flags is not None:
+        assert width == expected_width(flags, avx512=False)
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+def test_width_follows_the_cpu_flags():
+    """The library the loader builds advances 8 lanes where /proc/cpuinfo
+    lists avx512f, 4 where it lists avx2, else 2: a dispatch that falls
+    back to a narrower body would pass every byte test and lose the
+    speed."""
+    flags = cpu_flags()
+    if flags is None:
+        pytest.skip("no /proc/cpuinfo")
+    assert epimodel.kernel() == "c"
+    assert lane_width(epimodel._kernel_path()) == expected_width(flags)
 
 
 @pytest.mark.skipif(not have_compiler(), reason="no C compiler")

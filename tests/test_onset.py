@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 from datetime import date, timedelta
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spillcast import errors
 from spillcast.onset import (
+    OnsetPdf,
     OnsetSample,
     RiskLevel,
     apply_transform,
@@ -26,12 +29,27 @@ def density_at(pdf, m, r0):
 
 def scalar_density(pdf, m, r0):
     """Oracle: the KDE at one transformed point, summed over the samples
-    alone, as the per-point evaluation the blocked one replaced."""
+    alone, as the per-point evaluation before the blocked one."""
     h_m, h_r = pdf.bandwidth
     zm = (m - pdf.sample_m) / h_m
     zr = (r0 - pdf.sample_r0) / h_r
     kern = np.exp(-0.5 * (zm * zm + zr * zr))
     return float(np.sum(pdf.weights * kern) / (2.0 * math.pi * h_m * h_r))
+
+
+def block_density(pdf, m, r0, block=1024):
+    """Oracle: the KDE in (block, samples) kernel matrices, each row
+    reduced by ``np.sum(axis=1)``, as the evaluation before the column
+    one."""
+    h_m, h_r = pdf.bandwidth
+    density = np.empty(len(m))
+    for lo in range(0, len(m), block):
+        zm = (m[lo:lo + block, None] - pdf.sample_m) / h_m
+        zr = (r0[lo:lo + block, None] - pdf.sample_r0) / h_r
+        kern = np.exp(-0.5 * (zm * zm + zr * zr))
+        density[lo:lo + block] = (np.sum(pdf.weights * kern, axis=1)
+                                  / (2.0 * math.pi * h_m * h_r))
+    return density
 
 
 def samples_at(points, weights=None):
@@ -278,12 +296,11 @@ def test_contiguous_high_window_through_centroid(default_cfg, default_params):
 
 @pytest.mark.parametrize("transform", ["identity", "log1p_m"])
 def test_classify_days_equals_classify(world, pipeline_trajectories,
-                                       transform, monkeypatch):
-    """The blocked KDE gives, day for day, the density of the per-point
+                                       transform):
+    """The column KDE gives, day for day, the density of the per-point
     formula and the level that point gets alone: on the fixture's
     target-year trajectory and on random points spread around and far
     beyond the samples."""
-    monkeypatch.setattr("spillcast.onset.CLASSIFY_BLOCK", 100)
     cases = world.cases.year_slices()
     train = {y: pipeline_trajectories[y] for y in (2019, 2020, 2021)}
     samples, _ = collect_onset_samples(train, {y: cases[y] for y in train},
@@ -351,3 +368,33 @@ def test_classify_days_returns_the_enum_members(world, pipeline_trajectories):
     for level, code in zip(levels, codes.tolist()):
         assert level is RiskLevel(code)
     assert set(levels) == set(RiskLevel)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       n_samples=st.one_of(st.integers(1, 40), st.sampled_from((127, 128,
+                                                                 129, 300))),
+       n_points=st.integers(0, 2100),
+       transform=st.sampled_from(("identity", "log1p_m")))
+@settings(max_examples=60, deadline=None)
+def test_column_kde_equals_the_block_form(seed, n_samples, n_points,
+                                          transform):
+    """The column KDE equals the (1024, samples) block form bit for bit,
+    for sample counts on every branch of numpy's pairwise row sum (below
+    8, up to 128, above 128), weights and coordinates of mixed magnitude,
+    and points near and far from the samples, under either transform."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, n_samples)
+    weights = rng.uniform(0.0, 1.0, n_samples) * scale
+    sample_m = rng.uniform(0.0, 2000.0, n_samples)
+    sample_r0 = rng.uniform(0.0, 6.0, n_samples)
+    m, r0 = apply_transform(transform, rng.uniform(0.0, 3000.0, n_points),
+                            rng.uniform(0.0, 8.0, n_points))
+    sample_m, sample_r0 = apply_transform(transform, sample_m, sample_r0)
+    bandwidth = ((rng.uniform(0.05, 2.0) if transform == "log1p_m"
+                  else rng.uniform(20.0, 400.0)), rng.uniform(0.1, 2.0))
+    pdf = OnsetPdf(sample_m=sample_m, sample_r0=sample_r0,
+                   weights=weights / weights.sum(), bandwidth=bandwidth,
+                   m_grid=None, r0_grid=None, density=None, levels=(),
+                   thresholds=(), transform=transform)
+    got = pdf.evaluate(m, r0)
+    assert got.tobytes() == block_density(pdf, m, r0).tobytes()

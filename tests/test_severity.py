@@ -326,6 +326,26 @@ class TestMpp:
             point = tuple(rng.uniform(0.0, 1.0, 2))
             assert mpp_predict(point, pa)[0] == mpp_predict(point, pb)[0]
 
+    def test_nearest_cell_equals_the_clipped_indices(self):
+        """The nearest center's index always lies on the grid, so it equals
+        the clipped one: for points inside, outside, far off, infinite and
+        NaN (a NaN distance makes argmin pick 0)."""
+        grid = Grid2D(np.linspace(-3.0, 5.0, 17), np.linspace(10.0, 12.0, 9))
+        rng = np.random.default_rng(4)
+        points = [(float(m), float(w)) for m, w in zip(
+            rng.uniform(-20.0, 20.0, 200), rng.uniform(5.0, 17.0, 200))]
+        points += [(1e300, -1e300), (math.inf, 11.0), (0.0, -math.inf),
+                   (math.nan, 11.0), (1.0, math.nan), (math.nan, math.nan)]
+        for m, w in points:
+            i, j, outside = grid.nearest_cell(m, w)
+            assert type(i) is int and type(j) is int
+            assert i == int(np.clip(np.argmin(np.abs(grid.m_centers - m)),
+                                    0, grid.shape[0] - 1))
+            assert j == int(np.clip(np.argmin(np.abs(grid.w_centers - w)),
+                                    0, grid.shape[1] - 1))
+            lo_m, hi_m, lo_w, hi_w = grid.extent
+            assert outside == (not (lo_m <= m <= hi_m and lo_w <= w <= hi_w))
+
     def test_off_grid_flagged_nearest_cell(self):
         grid = square_grid(16)
         prior = build_prior("uniform_box", None, grid)

@@ -248,9 +248,11 @@ def test_writers_match_reference_on_drawn_columns(tmp_path_factory, data):
     n = data.draw(st.integers(0, 12))
     dates = day_run(data, n)
     nonneg = st.floats(min_value=0.0)
-    weather = WeatherSeries(dates, float_array(data, n),
+    # a WeatherSeries holds finite values only
+    weather = WeatherSeries(dates, float_array(data, n, FINITE),
                             float_array(data, n, st.floats(0.0, 100.0)),
-                            float_array(data, n, nonneg))
+                            float_array(data, n, st.floats(
+                                min_value=0.0, allow_infinity=False)))
     counts = np.array(data.draw(st.lists(st.integers(0, 2**62), min_size=n,
                                          max_size=n)), dtype=int)
     cases = CaseSeries(day_run(data, n, 7), counts)

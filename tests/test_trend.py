@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import kolmogorov, ndtr
 
 from spillcast import errors
 from spillcast.onset import RiskLevel, fit_onset_pdf
-from spillcast.trend import annual_indicators, ks_normality, ols_trend, trend_report
+from spillcast.trend import (
+    _yearly_indicators,
+    annual_indicators,
+    ks_normality,
+    ols_trend,
+    trend_report,
+)
 
 
 class TestAnnualIndicators:
@@ -255,3 +263,17 @@ def test_annual_indicators_equal_the_identity_counts():
         n_risk = sum(1 for lv in levels if lv is not RiskLevel.GREEN)
         assert annual_indicators(levels) == (
             n_high / n, n_high / n_risk if n_risk else 0.0)
+
+
+
+@given(levels=st.lists(st.lists(st.sampled_from(list(RiskLevel)), min_size=1,
+                                max_size=40), min_size=1, max_size=14))
+@settings(max_examples=100, deadline=None)
+def test_level_counts_per_year_equal_annual_indicators(levels):
+    """The per-year High and Green counts that trend_report takes from
+    the risk codes of all years at once give each year's
+    ``annual_indicators`` of its levels exactly."""
+    codes = np.array([int(level) for year in levels for level in year])
+    r_year, r_relative = _yearly_indicators(codes, [len(y) for y in levels])
+    assert list(zip(r_year, r_relative)) == [annual_indicators(year)
+                                             for year in levels]
