@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import configparser
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import MissingFile, ParseError
 from .ingest import parse_float, parse_int, read_table, write_table
 from .onset import OnsetPdf, OnsetSample, fit_onset_pdf
-from .severity import RateSurface, SeveritySample, fit_rate_surface
+
+# the severity functions import severity when called, so that the onset
+# commands load no severity code
+if TYPE_CHECKING:
+    from .severity import RateSurface
 
 ARTIFACT_VERSION = 1
 
@@ -29,6 +34,17 @@ SEVERITY_SAMPLES = "severity_samples.csv"
 SEVERITY_GRID = "rate_surface.csv"
 ONSET_SAMPLE_HEADER = ["m", "r0", "weight"]
 SEVERITY_SAMPLE_HEADER = ["m", "w", "x"]
+
+
+def _write_grid(path, header, rows, cols, values) -> None:
+    """Write ``values[i, j]`` as the table rows ``rows[i], cols[j], value``,
+    row-major.  csv writes a float as its repr, so each axis value is
+    repr'd once and repeated; only the values are formatted per cell."""
+    row_text = [repr(v) for v in np.asarray(rows, dtype=float).tolist()]
+    col_text = [repr(v) for v in np.asarray(cols, dtype=float).tolist()]
+    write_table(path, header,
+                [[r for r in row_text for _ in col_text],
+                 col_text * len(row_text), np.asarray(values).ravel()])
 
 
 def save_onset_model(pdf: OnsetPdf, directory) -> None:
@@ -50,9 +66,8 @@ def save_onset_model(pdf: OnsetPdf, directory) -> None:
 
     write_table(directory / ONSET_SAMPLES, ONSET_SAMPLE_HEADER,
                 [pdf.sample_m, pdf.sample_r0, pdf.weights])
-    m, r0 = np.meshgrid(pdf.m_grid, pdf.r0_grid, indexing="ij")
-    write_table(directory / ONSET_GRID, ["m", "r0", "density"],
-                [m.ravel(), r0.ravel(), pdf.density.ravel()])
+    _write_grid(directory / ONSET_GRID, ["m", "r0", "density"],
+                pdf.m_grid, pdf.r0_grid, pdf.density)
 
 
 def load_onset_model(directory) -> OnsetPdf:
@@ -105,13 +120,13 @@ def save_severity_model(surface: RateSurface, directory) -> None:
     write_table(directory / SEVERITY_SAMPLES, SEVERITY_SAMPLE_HEADER,
                 [surface.sample_m, surface.sample_w,
                  surface.sample_x.astype(int)])
-    m, w = np.meshgrid(surface.grid.m_centers, surface.grid.w_centers,
-                       indexing="ij")
-    write_table(directory / SEVERITY_GRID, ["m", "w", "lambda"],
-                [m.ravel(), w.ravel(), surface.lam.ravel()])
+    _write_grid(directory / SEVERITY_GRID, ["m", "w", "lambda"],
+                surface.grid.m_centers, surface.grid.w_centers, surface.lam)
 
 
 def load_severity_model(directory) -> RateSurface:
+    from .severity import SeveritySample, fit_rate_surface
+
     directory = Path(directory)
     header_path = directory / SEVERITY_HEADER
     if not header_path.exists():

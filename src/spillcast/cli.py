@@ -19,47 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, artifacts
-from .carrycap import (
-    KSeries,
-    calibrate_K,
-    fit_plane,
-    load_k,
-    predict_K_mean,
-    predict_K_plane,
-    quantile_edges,
-)
-from .config import Config, load_config
-from .epimodel import (
-    ModelParams,
-    Run,
-    default_init_state,
-    simulate,
-    simulate_runs,
-    save_trajectory,
-)
+from . import __version__
+from .config import PRIORS, Config, load_config
 from .errors import InputError, LengthMismatch, NumericalError
-from .evaluate import bayesian_predictive, nb_one_step, score_run
-from .ingest import (
-    load_cases,
-    load_weather,
-    parse_date,
-    parse_int,
-    read_table,
-    write_table,
-)
-from .onset import collect_onset_samples, fit_onset_pdf, save_risk_series
-from .pipeline import predict_onset_risk, weather_feature
-from .severity import (
-    PRIOR_KINDS,
-    SEVERITY_HEADER,
-    collect_severity_samples,
-    curve_posteriors,
-    estimate_severity,
-    fit_rate_surface,
-    predict_severity,
-    save_severity,
-)
+
+# Each command imports the modules it runs, so that none pays to load the
+# others: `evaluate` loads no model, `simulate` no onset or severity code,
+# and only `trend` loads scipy.
 
 K_METHODS = ("const", "csv", "mean", "plane")
 
@@ -108,6 +74,17 @@ def k_map(method, k_file, cfg, params, history, cases):
     mean of each calendar year (``predict_K_mean``), ``plane`` the fitted
     per-precipitation-bin planes with K floored at 1e-6.
     """
+    from .carrycap import (
+        KSeries,
+        calibrate_K,
+        fit_plane,
+        load_k,
+        predict_K_mean,
+        predict_K_plane,
+        quantile_edges,
+    )
+    from .epimodel import default_init_state
+
     if method == "const":
         return lambda wx: KSeries(wx.dates, np.full(len(wx), cfg.k_default))
     if method == "csv":
@@ -161,6 +138,9 @@ def fit_history(args):
     """Preamble of the fit commands: the trajectory of each complete
     calendar year from the default initial state, and the case weeks of
     those years; returns (cfg, {year: Trajectory}, {year: CaseSeries})."""
+    from .epimodel import ModelParams, Run, default_init_state, simulate_runs
+    from .ingest import load_cases, load_weather
+
     cfg = load_cfg(args)
     params = ModelParams.from_config(cfg)
     weather = load_weather(args.weather)
@@ -213,6 +193,14 @@ def severity_bandwidth(cfg):
 # --- commands ---------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    from .epimodel import (
+        ModelParams,
+        default_init_state,
+        save_trajectory,
+        simulate,
+    )
+    from .ingest import load_cases, load_weather
+
     cfg = load_cfg(args)
     params = ModelParams.from_config(cfg)
     weather = load_weather(args.weather)
@@ -229,6 +217,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit_onset(args) -> int:
+    from . import artifacts
+    from .onset import collect_onset_samples, fit_onset_pdf
+
     cfg, trajectories, usable = fit_history(args)
     samples, skipped = collect_onset_samples(
         trajectories, usable, transform=cfg.feature_transform)
@@ -247,6 +238,12 @@ def cmd_fit_onset(args) -> int:
 
 
 def cmd_predict_onset(args) -> int:
+    from . import artifacts
+    from .epimodel import ModelParams
+    from .ingest import load_cases, load_weather
+    from .onset import save_risk_series
+    from .pipeline import predict_onset_risk
+
     cfg = load_cfg(args)
     params = ModelParams.from_config(cfg)
     weather = load_weather(args.weather)
@@ -263,6 +260,9 @@ def cmd_predict_onset(args) -> int:
 
 
 def cmd_fit_severity(args) -> int:
+    from . import artifacts
+    from .severity import collect_severity_samples, fit_rate_surface
+
     cfg, trajectories, usable = fit_history(args)
     samples = collect_severity_samples(
         trajectories, usable,
@@ -287,6 +287,12 @@ def _cfg_with_prior(cfg, prior_name):
 
 
 def cmd_estimate_severity(args) -> int:
+    from . import artifacts
+    from .epimodel import ModelParams, default_init_state, simulate
+    from .ingest import load_cases, load_weather
+    from .pipeline import weather_feature
+    from .severity import curve_posteriors, estimate_severity, save_severity
+
     cfg = _cfg_with_prior(load_cfg(args), args.prior)
     params = ModelParams.from_config(cfg)
     weather = load_weather(args.weather)
@@ -311,6 +317,11 @@ def cmd_estimate_severity(args) -> int:
 
 
 def cmd_predict_severity(args) -> int:
+    from . import artifacts
+    from .epimodel import ModelParams
+    from .ingest import load_cases, load_weather
+    from .severity import predict_severity, save_severity
+
     cfg = _cfg_with_prior(load_cfg(args), args.prior)
     params = ModelParams.from_config(cfg)
     weather = load_weather(args.weather)
@@ -330,6 +341,8 @@ def cmd_predict_severity(args) -> int:
 
 def _weekly_predictions(severity_csv, week_starts):
     """Sum daily predicted cases into the observed weekly grid."""
+    from .ingest import SEVERITY_HEADER, parse_date, parse_int, read_table
+
     daily = {parse_date(fields[0], lineno):
              parse_int(fields[3], "predicted_cases", lineno)
              for lineno, fields in read_table(severity_csv, SEVERITY_HEADER)}
@@ -340,6 +353,9 @@ def _weekly_predictions(severity_csv, week_starts):
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluate import bayesian_predictive, nb_one_step, score_run
+    from .ingest import load_cases, write_table
+
     cfg = load_cfg(args)
     cases = load_cases(args.cases)
     target_year = args.target_year or cases.week_starts[-1].year
@@ -384,9 +400,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_trend(args) -> int:
-    # trend loads scipy; importing it here keeps it off the start-up path
-    # of every other command
+    from . import artifacts
+    from .epimodel import ModelParams
+    from .ingest import load_cases, load_weather, write_table
     from .trend import trend_report
+
     cfg = load_cfg(args)
     params = ModelParams.from_config(cfg)
     weather = load_weather(args.weather)
@@ -487,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weather", required=True)
     p.add_argument("--cases")
     p.add_argument("--model", required=True, help="fitted severity model dir")
-    p.add_argument("--prior", choices=tuple(PRIOR_KINDS))
+    p.add_argument("--prior", choices=PRIORS)
     p.add_argument("--onset-model", dest="onset_model",
                    help="gate Green days to zero with this onset model")
     p.set_defaults(func=cmd_estimate_severity)
@@ -500,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="fitted severity model dir")
     p.add_argument("--mode", choices=("long", "short"), default="long")
     p.add_argument("--lead", type=int, default=0)
-    p.add_argument("--prior", choices=tuple(PRIOR_KINDS))
+    p.add_argument("--prior", choices=PRIORS)
     p.add_argument("--onset-model", dest="onset_model",
                    help="gate Green days to zero with this onset model")
     p.set_defaults(func=cmd_predict_severity)

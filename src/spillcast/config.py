@@ -40,6 +40,9 @@ DEFAULT_THERMAL = {
     "human_recovery": "constant,0.143",
 }
 
+# the severity priors that [forecast] prior may name (severity.PRIOR_KINDS)
+PRIORS = ("uniform", "gaussian", "band")
+
 
 @dataclass(frozen=True)
 class Config:
@@ -71,7 +74,7 @@ class Config:
     short_lead: int = 14
     ar_ridge: float = 1e-8
     x_max: int = 30
-    prior: str = "uniform"                # uniform | gaussian | band
+    prior: str = "uniform"                # one of PRIORS
     prior_sigma: float = 0.0              # 0 = 5% of grid extent
     band_halfwidth: float = 0.0           # 0 = 5% of grid extent
     w_temp: float = 1.0                   # weights of the scalar W feature
@@ -153,7 +156,7 @@ class Config:
             raise InvariantViolation(
                 "feature_transform", f"unknown transform {self.feature_transform!r}"
             )
-        if self.prior not in ("uniform", "gaussian", "band"):
+        if self.prior not in PRIORS:
             raise InvariantViolation("prior", f"unknown prior {self.prior!r}")
 
 

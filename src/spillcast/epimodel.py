@@ -50,7 +50,6 @@ import itertools
 import math
 import operator
 import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from datetime import date
@@ -487,6 +486,7 @@ def _build_kernel(path: Path) -> bool:
     nothing left behind, if each compiler is missing, fails or times out,
     or the directory is not writable."""
     import subprocess
+    import tempfile
 
     tmp = None
     try:

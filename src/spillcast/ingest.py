@@ -32,10 +32,16 @@ from .errors import (
 
 WEATHER_HEADER = ["date", "temp_mean", "humidity", "precip"]
 CASE_HEADER = ["week_start", "count"]
+# written by severity.save_severity, read back by the evaluate command
+SEVERITY_HEADER = ["date", "M", "W", "predicted_cases"]
 
 # Gaps of at most this many consecutive missing days are linearly
 # interpolated; anything longer is an error.
 MAX_GAP_DAYS = 3
+
+# Daily mean temperatures outside this range (degC) are not weather; the
+# recorded extremes lie within about -90 and 60.
+TEMP_RANGE = (-100.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -265,16 +271,23 @@ def parse_date(text, lineno):
 def load_weather(path) -> WeatherSeries:
     """Load a daily weather CSV (``date,temp_mean,humidity,precip``).
 
-    Rows must be strictly increasing in date.  Gaps of up to three
-    consecutive missing days are filled by linear interpolation between
-    the flanking records and flagged; longer gaps raise GapTooLong.
+    Rows must be strictly increasing in date.  Temperatures must lie in
+    ``TEMP_RANGE``, humidity in [0, 100] and precipitation be >= 0.  Gaps
+    of up to three consecutive missing days are filled by linear
+    interpolation between the flanking records and flagged; longer gaps
+    raise GapTooLong.
     """
+    lo_temp, hi_temp = TEMP_RANGE
     rows: list[tuple[date, float, float, float]] = []
     for lineno, fields in read_table(path, WEATHER_HEADER):
         d = parse_date(fields[0], lineno)
         temp = parse_float(fields[1], "temp_mean", lineno)
         hum = parse_float(fields[2], "humidity", lineno)
         prec = parse_float(fields[3], "precip", lineno)
+        if not (lo_temp <= temp <= hi_temp):
+            raise RangeViolation(
+                "temp_mean", f"{temp} outside [{lo_temp:g}, {hi_temp:g}]",
+                lineno)
         if not (0.0 <= hum <= 100.0):
             raise RangeViolation("humidity", f"{hum} outside [0, 100]", lineno)
         if prec < 0.0:

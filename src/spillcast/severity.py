@@ -18,10 +18,10 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .config import Config
+from .config import PRIORS, Config
 from .epimodel import ModelParams, Trajectory
 from .errors import EmptyCurve, NonFiniteFit, TooFewSamples, ZeroEvidence
-from .ingest import CaseSeries, WeatherSeries, write_table
+from .ingest import SEVERITY_HEADER, CaseSeries, WeatherSeries, write_table
 from .onset import (
     OnsetPdf,
     RiskLevel,
@@ -34,10 +34,9 @@ from .special import lgam
 
 MIN_KERNEL_WEIGHT = 1e-12
 AUTO_SIGMA_FRACTION = 0.05
-# configured prior name -> build_prior kind
-PRIOR_KINDS = {"uniform": "uniform_box", "gaussian": "gaussian_ridge",
-               "band": "uniform_band"}
-SEVERITY_HEADER = ["date", "M", "W", "predicted_cases"]
+# configured prior name (config.PRIORS, in order) -> build_prior kind
+PRIOR_KINDS = dict(zip(PRIORS, ("uniform_box", "gaussian_ridge",
+                                "uniform_band")))
 
 
 @dataclass(frozen=True)
@@ -367,25 +366,50 @@ class SeverityForecast:
         return len(self.dates)
 
 
+def _nearest(centers, values):
+    """``argmin(abs(centers - v))`` for each v in ``values``: the first
+    center at the least distance."""
+    best = np.abs(centers[0] - values)
+    index = np.zeros(len(values), dtype=int)
+    for k in range(1, len(centers)):
+        dist = np.abs(centers[k] - values)
+        closer = dist < best
+        index[closer] = k
+        best[closer] = dist[closer]
+    return index
+
+
 def _mpp_days(dates, m, w, r0, posteriors,
               onset_pdf: OnsetPdf | None) -> SeverityForecast:
     """MPP count of every day's (m, w) point, or 0 on a day the onset
-    density (when given) classifies Green from its (m, r0)."""
-    if onset_pdf is None:
-        green = [False] * len(dates)
-    else:
-        green = [lvl is RiskLevel.GREEN
-                 for lvl in classify_days(onset_pdf, m, r0)[1]]
-    predicted = np.zeros(len(dates), dtype=int)
-    off_grid = []
-    for i, day in enumerate(dates):
-        if green[i]:
-            continue
-        predicted[i], outside = mpp_predict((m[i], w[i]), posteriors)
-        if outside:
-            off_grid.append(day)
+    density (when given) classifies Green from its (m, r0).
+
+    ``mpp_predict`` for all days at once, its loops turned inside out:
+    one pass over the grid centers finds every day's nearest cell, and
+    one over the candidates keeps every day's first strict maximum."""
+    pm = np.asarray(m, dtype=float)
+    pw = np.asarray(w, dtype=float)
+    grid = posteriors[0].grid
+    i = _nearest(grid.m_centers, pm)
+    j = _nearest(grid.w_centers, pw)
+    lo_m, hi_m, lo_w, hi_w = grid.extent
+    outside = ~((lo_m <= pm) & (pm <= hi_m) & (lo_w <= pw) & (pw <= hi_w))
+    predicted = np.zeros(len(pm), dtype=int)
+    best = np.full(len(pm), -1.0)
+    for post in posteriors:
+        joint = post.raw[i, j]
+        better = joint > best
+        predicted[better] = post.x
+        best[better] = joint[better]
+    if onset_pdf is not None:
+        green = np.array([lvl is RiskLevel.GREEN
+                          for lvl in classify_days(onset_pdf, m, r0)[1]],
+                         dtype=bool)
+        predicted[green] = 0
+        outside &= ~green
+    off_grid = tuple(day for day, out in zip(dates, outside.tolist()) if out)
     return SeverityForecast(dates=dates, m=m, w=w, predicted=predicted,
-                            off_grid=tuple(off_grid))
+                            off_grid=off_grid)
 
 
 def estimate_severity(traj: Trajectory, posteriors,

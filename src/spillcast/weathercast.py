@@ -74,22 +74,29 @@ def fit_ar(series, order: int, ridge: float = DEFAULT_RIDGE) -> ARModel:
 
 
 def forecast(model: ARModel, history, horizon: int) -> np.ndarray:
-    """Iterated one-step prediction, feeding forecasts back as inputs."""
+    """Iterated one-step prediction, feeding forecasts back as inputs.
+
+    Step t adds ``intercept``, then ``coef[i] * y[t-1-i]`` for i = 0..p-1,
+    left to right: ``np.add.accumulate`` sums sequentially, never
+    pairwise, so each forecast is the same double a scalar loop gives."""
     hist = np.asarray(history, dtype=float)
-    if len(hist) < model.order:
-        raise HistoryTooShort(
-            f"history length {len(hist)} < AR order {model.order}"
-        )
-    window = list(hist[-model.order:])
-    out = np.empty(horizon)
+    p = model.order
+    if len(hist) < p:
+        raise HistoryTooShort(f"history length {len(hist)} < AR order {p}")
+    if horizon < 0:
+        raise ValueError(f"negative horizon {horizon}")
+    # the last p history values, then the forecasts as they are made
+    buf = np.empty(p + horizon)
+    buf[:p] = hist[len(hist) - p:]
+    coef = np.asarray(model.coef, dtype=float)
+    terms = np.empty(p + 1)
+    terms[0] = model.intercept
+    sums = np.empty(p + 1)
     for t in range(horizon):
-        acc = model.intercept
-        for i in range(model.order):
-            acc += model.coef[i] * window[-1 - i]
-        out[t] = acc
-        window.append(acc)
-        window.pop(0)
-    return out
+        np.multiply(coef, buf[t:t + p][::-1], out=terms[1:])
+        np.add.accumulate(terms, out=sums)
+        buf[p + t] = sums[p]
+    return buf[p:].copy()
 
 
 def forecast_weather(history: WeatherSeries, mode: str, lead: int,

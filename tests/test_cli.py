@@ -459,13 +459,15 @@ def test_non_finite_weather_exit_2(tmp_path, fixture_dir, capsys):
 
 def test_non_finite_weather_forecast_exit_2(tmp_path, fixture_dir,
                                            onset_model, capsys):
-    """Finite but huge temperatures make the long-term AR forecast
+    """Finite but huge precipitation makes the long-term AR forecast
     non-finite; that forecast weather is rejected naming its column (it
     used to reach the simulation and exit 3 with ``H_S = nan``)."""
+    # precipitation has no upper bound; a temperature this large is
+    # rejected on its input line (test_implausible_temperature_exit_2)
     lines = Path(fixture_dir["weather"]).read_text().splitlines()
     for i in range(1000, 1460):
         fields = lines[i].split(",")
-        fields[1] = "1e120"
+        fields[3] = "1e120"
         lines[i] = ",".join(fields)
     weather = tmp_path / "weather.csv"
     weather.write_text("\n".join(lines) + "\n")
@@ -475,8 +477,30 @@ def test_non_finite_weather_forecast_exit_2(tmp_path, fixture_dir,
                      "--model", onset_model, "--config", fixture_dir["config"],
                      "--mode", "long", "--out", str(out)])
     assert code == 2
-    assert "error: temp_mean: non-finite value on " in capsys.readouterr().err
+    assert "error: precip: non-finite value on " in capsys.readouterr().err
     assert not (out / "risk.csv").exists()
+
+
+@pytest.mark.parametrize("temp", ["1e154", "1e120"])
+def test_implausible_temperature_exit_2(tmp_path, fixture_dir, onset_model,
+                                        capsys, temp):
+    """A temperature outside [-100, 100] degC is rejected on its input
+    line.  At 1e154 on one line the long-term forecast used to exit 0;
+    at 1e120 it failed at a forecast date instead of the input line."""
+    lines = Path(fixture_dir["weather"]).read_text().splitlines()
+    fields = lines[1000].split(",")
+    fields[1] = temp
+    lines[1000] = ",".join(fields)
+    weather = tmp_path / "weather.csv"
+    weather.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["predict-onset", "--weather", str(weather),
+                 "--model", onset_model, "--config", fixture_dir["config"],
+                 "--mode", "long", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: temp_mean: {float(temp)!r} outside [-100, 100] (line 1001)\n")
+    assert not out.exists()
 
 
 def _corrupt_model(model_dir, tmp_path, samples, line, field=0,
@@ -636,6 +660,70 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _probe(code, *argv):
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    src = str(Path(spillcast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_package_import_loads_nothing():
+    """``import spillcast`` loads no submodule and not numpy; every public
+    name and every submodule loads on first use."""
+    assert _probe(
+        "import sys, spillcast; print(sorted(m for m in sys.modules "
+        "if m == 'numpy' or m.startswith('spillcast.')))") == "[]"
+    names = json.loads(_probe(
+        "import json, spillcast; ns = {}; "
+        "exec('from spillcast import *', ns); "
+        "print(json.dumps(sorted(k for k in ns if k != '__builtins__')))"))
+    assert names == sorted(spillcast.__all__) and len(names) == 27
+    for name in spillcast.__all__:
+        value = getattr(spillcast, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+    for module in ("artifacts", "carrycap", "errors", "evaluate", "pipeline",
+                   "severity", "special", "synth", "trend", "weathercast"):
+        assert getattr(spillcast, module).__name__ == f"spillcast.{module}"
+    # loading the submodule r0 keeps the public r0 the function
+    assert _probe("import spillcast.epimodel, spillcast; "
+                  "print(spillcast.r0.__module__, callable(spillcast.r0))") \
+        == "spillcast.r0 True"
+
+
+def test_commands_load_only_their_modules(tmp_path, fixture_dir,
+                                          onset_model):
+    """evaluate loads no model code; simulate no onset, severity, artifact
+    or scoring code; predict-onset no severity or scoring code."""
+    severity_csv = tmp_path / "severity.csv"
+    severity_csv.write_text("date,M,W,predicted_cases\n2022-07-01,1.0,2.0,3\n")
+    commands = {
+        "evaluate": (["evaluate", "--cases", fixture_dir["cases"],
+                      "--config", fixture_dir["config"], "--model", "both",
+                      "--severity-csv", str(severity_csv)],
+                     {"epimodel", "severity"}),
+        "simulate": (["simulate", "--weather", fixture_dir["weather"],
+                      "--config", fixture_dir["config"]],
+                     {"severity", "onset", "artifacts", "evaluate"}),
+        "predict-onset": (["predict-onset", "--weather", fixture_dir["weather"],
+                           "--config", fixture_dir["config"],
+                           "--model", onset_model, "--mode", "long"],
+                          {"severity", "evaluate"}),
+    }
+    probe = ("import sys; from spillcast.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "print(code, *sorted(m[10:] for m in sys.modules "
+             "if m.startswith('spillcast.')))")
+    for name, (argv, unwanted) in commands.items():
+        code, *loaded = _probe(probe, *argv, "--out",
+                               str(tmp_path / name)).split()
+        assert code == "0", name
+        assert not unwanted & set(loaded), (name, loaded)
 
 
 def test_season_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,

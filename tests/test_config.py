@@ -4,7 +4,13 @@ from dataclasses import fields
 import pytest
 
 from spillcast import errors
-from spillcast.config import Config, dump_config, load_config, parse_config
+from spillcast.config import (
+    PRIORS,
+    Config,
+    dump_config,
+    load_config,
+    parse_config,
+)
 from spillcast.thermal import ThermalCurve
 
 
@@ -154,3 +160,20 @@ def test_ar_ridge_above_one_rejected(value):
         Config(ar_ridge=value)
     assert exc.value.key == "ar_ridge"
     assert Config(ar_ridge=1.0).ar_ridge == 1.0
+
+
+def test_prior_names_are_one_tuple():
+    """The configured priors, the CLI's --prior choices and the prior kinds
+    they select are the same names, in one order."""
+    from spillcast.cli import build_parser
+    from spillcast.severity import PRIOR_KINDS
+
+    assert tuple(PRIOR_KINDS) == PRIORS == ("uniform", "gaussian", "band")
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name in ("estimate-severity", "predict-severity"):
+        prior = next(a for a in commands[name]._actions if a.dest == "prior")
+        assert prior.choices == PRIORS
+    for name in PRIORS:
+        assert parse_config(f"[forecast]\nprior = {name}\n").prior == name
+    with pytest.raises(errors.InvariantViolation, match="unknown prior"):
+        parse_config("[forecast]\nprior = uniform_box\n")

@@ -76,6 +76,26 @@ class TestLoadWeather:
         with pytest.raises(errors.RangeViolation):
             load_weather(p)
 
+    @pytest.mark.parametrize("temp", ["1e154", "1e120", "-1e120", "100.5",
+                                      "-100.00000000000001"])
+    def test_temperature_range_violation_names_line(self, tmp_path, temp):
+        # a temperature no weather station records used to load, and the
+        # long-term forecast then failed at a forecast date or ran on
+        p = write(tmp_path, "w.csv",
+                  "date,temp_mean,humidity,precip\n2020-01-01,12.5,60,0.0\n"
+                  f"2020-01-02,{temp},60,0.0\n")
+        with pytest.raises(errors.RangeViolation,
+                           match=r"^temp_mean: .* outside \[-100, 100\] "
+                                 r"\(line 3\)$") as got:
+            load_weather(p)
+        assert got.value.line == 3
+
+    def test_temperature_bounds_are_inclusive(self, tmp_path):
+        p = write(tmp_path, "w.csv",
+                  "date,temp_mean,humidity,precip\n2020-01-01,-100,60,0.0\n"
+                  "2020-01-02,100,60,0.0\n")
+        assert load_weather(p).temp_mean.tolist() == [-100.0, 100.0]
+
     def test_negative_precip_rejected(self, tmp_path):
         p = write(tmp_path, "w.csv",
                   "date,temp_mean,humidity,precip\n2020-01-01,12.5,60,-1.0\n")

@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from datetime import date, timedelta
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.special import gammaln
 from scipy.stats import poisson as scipy_poisson
@@ -11,10 +14,13 @@ from spillcast import errors, severity
 from spillcast.config import Config
 from spillcast.epimodel import ModelParams, default_init_state, simulate
 from spillcast.ingest import CaseSeries
+from spillcast.onset import RiskLevel
 from spillcast.severity import (
     Grid2D,
+    PosteriorGrid,
     PriorGrid,
     RateSurface,
+    SeverityForecast,
     SeveritySample,
     build_posteriors,
     build_prior,
@@ -355,6 +361,84 @@ class TestMpp:
         x_out, off_out = mpp_predict((5.0, 0.5), posteriors)
         assert off_in is False and off_out is True
         assert x_out == x_in    # clamps to the same boundary cell
+
+
+def reference_mpp_days(dates, m, w, r0, posteriors, onset_pdf):
+    """``_mpp_days`` as the per-day ``mpp_predict`` loop it was."""
+    if onset_pdf is None:
+        green = [False] * len(dates)
+    else:
+        green = [lvl is RiskLevel.GREEN
+                 for lvl in severity.classify_days(onset_pdf, m, r0)[1]]
+    predicted = np.zeros(len(dates), dtype=int)
+    off_grid = []
+    for i, day in enumerate(dates):
+        if green[i]:
+            continue
+        predicted[i], outside = mpp_predict((m[i], w[i]), posteriors)
+        if outside:
+            off_grid.append(day)
+    return SeverityForecast(dates=dates, m=m, w=w, predicted=predicted,
+                            off_grid=tuple(off_grid))
+
+
+# joint values with many ties; the points hit centers, the midpoints
+# between them (a nearest-cell tie), the extent edges and beyond it
+JOINT = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 5e-324, 1e300])
+COORD = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 0.0, 3.0, -0.0,
+                                   -1e-300, 3.0000000000000004, 7.25, 1e308,
+                                   float("nan"), float("inf"),
+                                   float("-inf")]),
+                  st.floats(-1.0, 4.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n_m=st.integers(2, 6), n_w=st.integers(2, 6),
+       n_days=st.integers(0, 12), gated=st.booleans())
+def test_mpp_days_equals_the_per_day_loop(data, n_m, n_w, n_days, gated):
+    # m centers 0.5, 1.5, ... and w centers 0.25, 0.75, ...; both extents
+    # start at 0.0
+    grid = Grid2D(np.arange(n_m) + 0.5, 0.5 * np.arange(n_w) + 0.25)
+    xs = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5,
+                            unique=True))
+    density = np.full(grid.shape, 1.0 / (grid.cell_area * n_m * n_w))
+    posteriors = [
+        PosteriorGrid(x=x, grid=grid, density=density, evidence=1.0,
+                      raw=np.array(data.draw(st.lists(
+                          JOINT, min_size=n_m * n_w, max_size=n_m * n_w)))
+                      .reshape(grid.shape))
+        for x in xs]
+    dates = tuple(date(2022, 1, 1) + timedelta(days=i) for i in range(n_days))
+    m = np.array(data.draw(st.lists(COORD, min_size=n_days, max_size=n_days)),
+                 dtype=float)
+    w = np.array(data.draw(st.lists(COORD, min_size=n_days, max_size=n_days)),
+                 dtype=float) / 2.0
+    r0 = [1.0] * n_days
+    # the onset density stands in for the levels it classifies
+    levels = (tuple(data.draw(st.lists(st.sampled_from(list(RiskLevel)),
+                                       min_size=n_days, max_size=n_days)))
+              if gated else None)
+    with mock.patch.object(severity, "classify_days",
+                           lambda pdf, m, r0: (None, pdf)):
+        ours = severity._mpp_days(dates, m, w, r0, posteriors, levels)
+        theirs = reference_mpp_days(dates, m, w, r0, posteriors, levels)
+    assert ours.predicted.dtype == theirs.predicted.dtype
+    assert ours.predicted.tolist() == theirs.predicted.tolist()
+    assert ours.off_grid == theirs.off_grid
+    assert ours.dates is dates and ours.m is m and ours.w is w
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_mpp_days_empty_span(gated):
+    grid = square_grid(4)
+    prior = build_prior("uniform_box", None, grid)
+    posteriors = build_posteriors(prior, surface_with(grid, np.ones((4, 4))), 3)
+    empty = np.array([])
+    with mock.patch.object(severity, "classify_days",
+                           lambda pdf, m, r0: (None, pdf)):
+        got = severity._mpp_days((), empty, empty, [], posteriors,
+                                 () if gated else None)
+    assert got.predicted.tolist() == [] and got.off_grid == ()
 
 
 @pytest.fixture(scope="module")

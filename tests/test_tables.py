@@ -152,6 +152,20 @@ def reference_save_severity_tables(surface, directory):
                                  repr(float(surface.lam[i, j]))])
 
 
+def reference_meshgrid_onset_grid(pdf, directory):
+    """The grid writer before the axis reprs: three meshgrid columns."""
+    m, r0 = np.meshgrid(pdf.m_grid, pdf.r0_grid, indexing="ij")
+    write_table(directory / "onset_grid.csv", ["m", "r0", "density"],
+                [m.ravel(), r0.ravel(), pdf.density.ravel()])
+
+
+def reference_meshgrid_rate_surface(surface, directory):
+    m, w = np.meshgrid(surface.grid.m_centers, surface.grid.w_centers,
+                       indexing="ij")
+    write_table(directory / "rate_surface.csv", ["m", "w", "lambda"],
+                [m.ravel(), w.ravel(), surface.lam.ravel()])
+
+
 def reference_save_scores(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -287,6 +301,47 @@ def test_writers_match_reference_on_drawn_columns(tmp_path_factory, data):
         lam=float_array(data, gm * gr).reshape(gm, gr))
     check_every_writer(tmp_path, weather, cases, k, traj, risk, forecast, pdf,
                        surface)
+
+
+GRID_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
+               123456789.12345679, float("nan"), float("inf")]
+
+
+def check_grids(tmp_path, rows, cols, values):
+    """The model grids, written from per-axis reprs, are the bytes of the
+    three meshgrid columns they replaced."""
+    rows, cols = np.array(rows, dtype=float), np.array(cols, dtype=float)
+    pdf = SimpleNamespace(
+        sample_m=np.ones(1), sample_r0=np.ones(1), weights=np.ones(1),
+        bandwidth=(1.0, 2.0), levels=(0.5,), thresholds=(0.25,),
+        transform="identity", m_grid=rows, r0_grid=cols, density=values)
+    surface = SimpleNamespace(
+        sample_m=np.ones(1), sample_w=np.ones(1), sample_x=np.ones(1),
+        bandwidth=(1.0, 2.0),
+        grid=SimpleNamespace(m_centers=rows, w_centers=cols), lam=values)
+    same_model_tables(tmp_path, save_onset_model,
+                      reference_meshgrid_onset_grid, pdf, ["onset_grid.csv"])
+    same_model_tables(tmp_path, save_severity_model,
+                      reference_meshgrid_rate_surface, surface,
+                      ["rate_surface.csv"])
+
+
+def test_grids_match_meshgrid_writer_on_edge_values(tmp_path):
+    n = len(GRID_FLOATS)
+    check_grids(tmp_path, GRID_FLOATS, GRID_FLOATS[::-1],
+                np.resize(np.array(GRID_FLOATS[3:]), (n, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_grids_match_meshgrid_writer(tmp_path_factory, data):
+    edge = st.one_of(st.sampled_from(GRID_FLOATS), st.floats())
+    rows = data.draw(st.lists(edge, max_size=8))
+    cols = data.draw(st.lists(edge, max_size=8))
+    values = float_array(data, len(rows) * len(cols), edge)
+    check_grids(tmp_path_factory.mktemp("grid"), rows, cols,
+                values.reshape(len(rows), len(cols)))
 
 
 @settings(max_examples=40, deadline=None)

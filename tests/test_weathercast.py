@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from datetime import date
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spillcast import errors
 from spillcast.weathercast import ARModel, fit_ar, forecast, forecast_weather
+from spillcast.errors import HistoryTooShort
 from spillcast.ingest import WeatherSeries
 
 from tests.conftest import constant_weather
@@ -54,7 +57,59 @@ class TestFitAr:
         assert rmse < 0.1 * amp
 
 
+def reference_forecast(model: ARModel, history, horizon: int) -> np.ndarray:
+    """``forecast`` as the scalar loop it was, verbatim: the oracle."""
+    hist = np.asarray(history, dtype=float)
+    if len(hist) < model.order:
+        raise HistoryTooShort(
+            f"history length {len(hist)} < AR order {model.order}"
+        )
+    window = list(hist[-model.order:])
+    out = np.empty(horizon)
+    for t in range(horizon):
+        acc = model.intercept
+        for i in range(model.order):
+            acc += model.coef[i] * window[-1 - i]
+        out[t] = acc
+        window.append(acc)
+        window.pop(0)
+    return out
+
+
+def canonical_bytes(values):
+    """The bytes of ``values`` with every NaN the same NaN."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
 class TestForecast:
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(1, 400), horizon=st.integers(0, 60),
+           extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([5e-324, 1e-310, 1e-200, 1e-3, 0.1, 1.0,
+                                  1.0 / 3.0, 2.0, 1e10, 1e200, 1e308]),
+           intercept=st.floats(-1e300, 1e300))
+    @example(order=365, horizon=60, extra=365, seed=1, scale=1.0 / 365,
+             intercept=0.25)
+    @example(order=400, horizon=60, extra=0, seed=2, scale=1e308,
+             intercept=-1e300)
+    def test_equals_the_scalar_loop(self, order, horizon, extra, seed, scale,
+                                    intercept):
+        """Every forecast double, overflow and NaN included, is the
+        scalar loop's: the same products added in the same order."""
+        rng = np.random.default_rng(seed)
+        model = ARModel(order=order, coef=rng.uniform(-1.0, 1.0, order) * scale,
+                        intercept=intercept, resid_var=0.0)
+        history = 20.0 * rng.standard_normal(order + extra)
+        with np.errstate(all="ignore"):
+            ours = forecast(model, history, horizon)
+            theirs = reference_forecast(model, history, horizon)
+        assert canonical_bytes(ours) == canonical_bytes(theirs)
+
+    def test_negative_horizon_rejected(self):
+        model = ARModel(order=1, coef=np.ones(1), intercept=0.0, resid_var=0.0)
+        with pytest.raises(ValueError):
+            forecast(model, [1.0], -1)
+
     def test_zero_horizon(self):
         model = fit_ar(np.arange(30.0), 2)
         assert len(forecast(model, np.arange(30.0), 0)) == 0
