@@ -24,8 +24,8 @@ from .config import PRIORS, Config, load_config
 from .errors import InputError, LengthMismatch, NumericalError
 
 # Each command imports the modules it runs, so that none pays to load the
-# others: `evaluate` loads no model, `simulate` no onset or severity code,
-# and only `trend` loads scipy.
+# others: `evaluate` loads no model, `simulate` no onset or severity code.
+# No command loads scipy: the special functions are ports (`special`).
 
 K_METHODS = ("const", "csv", "mean", "plane")
 
@@ -164,7 +164,16 @@ def fit_history(args):
 
 def forecast_setup(args, cfg, params, weather, cases):
     """Preamble of the predict commands: (mode, lead, K map), with
-    calibrated K fitted on the years before the target year."""
+    calibrated K fitted on the years before the target year.
+
+    --lead sets the short-term window; 0 takes the config's short_lead.
+    The long-term forecast runs from January 1 of the weather's last year
+    to its last day, so it takes no --lead."""
+    if args.mode == "long" and args.lead:
+        raise InputError(f"--lead {args.lead}: the long-term forecast takes "
+                         "no lead, it ends where the weather ends")
+    if args.lead < 0:
+        raise InputError(f"--lead {args.lead} < 1 (0 means short_lead)")
     if args.k == "mean":
         raise InputError("--k mean is not supported for prediction; "
                          "use const, csv or plane")
@@ -490,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="fitted onset model dir")
     p.add_argument("--mode", choices=("long", "short"), default="long")
     p.add_argument("--lead", type=int, default=0,
-                   help="days per forecast window (0 = config default)")
+                   help="days per short-term forecast window "
+                        "(0 = config short_lead)")
     p.set_defaults(func=cmd_predict_onset)
 
     p = sub.add_parser("fit-severity", help="fit the Poisson rate surface")
@@ -517,7 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", required=True)
     p.add_argument("--model", required=True, help="fitted severity model dir")
     p.add_argument("--mode", choices=("long", "short"), default="long")
-    p.add_argument("--lead", type=int, default=0)
+    p.add_argument("--lead", type=int, default=0,
+                   help="days per short-term forecast window "
+                        "(0 = config short_lead)")
     p.add_argument("--prior", choices=PRIORS)
     p.add_argument("--onset-model", dest="onset_model",
                    help="gate Green days to zero with this onset model")

@@ -43,6 +43,10 @@ DEFAULT_THERMAL = {
 # the severity priors that [forecast] prior may name (severity.PRIOR_KINDS)
 PRIORS = ("uniform", "gaussian", "band")
 
+# the largest onset_grid and severity_grid: the onset grid holds n^2
+# densities, 8 MB at this bound
+MAX_GRID = 1024
+
 
 @dataclass(frozen=True)
 class Config:
@@ -123,8 +127,9 @@ class Config:
         if self.x_max < 1:
             raise InvariantViolation("x_max", f"{self.x_max} < 1")
         for key in ("onset_grid", "severity_grid"):
-            if getattr(self, key) < 16:
-                raise InvariantViolation(key, "grid resolution < 16")
+            if not 16 <= getattr(self, key) <= MAX_GRID:
+                raise InvariantViolation(
+                    key, f"grid resolution outside [16, {MAX_GRID}]")
         for key in (
             "n_humans",
             "n_birds",
@@ -138,8 +143,10 @@ class Config:
             raise InvariantViolation("k_default", "carrying capacity must be > 0")
         if self.steps_per_day < 1:
             raise InvariantViolation("steps_per_day", "must be >= 1")
-        if self.ar_order_long < 1 or self.short_lead < 0:
-            raise InvariantViolation("forecast", "bad AR order or lead")
+        if self.ar_order_long < 1:
+            raise InvariantViolation("ar_order_long", "must be >= 1")
+        if self.short_lead < 1:
+            raise InvariantViolation("short_lead", "must be >= 1")
         # The ridge only conditions the normal equations of the AR fits.
         # Their intercept diagonal counts the fit's rows, at least p + 1,
         # so a ridge of at most 1 weighs no more than one observation; at

@@ -42,6 +42,9 @@ MAX_GAP_DAYS = 3
 # Daily mean temperatures outside this range (degC) are not weather; the
 # recorded extremes lie within about -90 and 60.
 TEMP_RANGE = (-100.0, 100.0)
+# Daily precipitation outside this range (mm/day) is not weather; the
+# recorded daily maximum is about 1825 mm.
+PRECIP_RANGE = (0.0, 2000.0)
 
 
 @dataclass(frozen=True)
@@ -272,12 +275,13 @@ def load_weather(path) -> WeatherSeries:
     """Load a daily weather CSV (``date,temp_mean,humidity,precip``).
 
     Rows must be strictly increasing in date.  Temperatures must lie in
-    ``TEMP_RANGE``, humidity in [0, 100] and precipitation be >= 0.  Gaps
-    of up to three consecutive missing days are filled by linear
-    interpolation between the flanking records and flagged; longer gaps
-    raise GapTooLong.
+    ``TEMP_RANGE``, humidity in [0, 100] and precipitation in
+    ``PRECIP_RANGE``.  Gaps of up to three consecutive missing days are
+    filled by linear interpolation between the flanking records and
+    flagged; longer gaps raise GapTooLong.
     """
     lo_temp, hi_temp = TEMP_RANGE
+    lo_prec, hi_prec = PRECIP_RANGE
     rows: list[tuple[date, float, float, float]] = []
     for lineno, fields in read_table(path, WEATHER_HEADER):
         d = parse_date(fields[0], lineno)
@@ -290,8 +294,9 @@ def load_weather(path) -> WeatherSeries:
                 lineno)
         if not (0.0 <= hum <= 100.0):
             raise RangeViolation("humidity", f"{hum} outside [0, 100]", lineno)
-        if prec < 0.0:
-            raise RangeViolation("precip", f"{prec} < 0", lineno)
+        if not (lo_prec <= prec <= hi_prec):
+            raise RangeViolation(
+                "precip", f"{prec} outside [{lo_prec:g}, {hi_prec:g}]", lineno)
         if rows and d <= rows[-1][0]:
             raise ParseError(f"dates not strictly increasing at {d}", lineno)
         rows.append((d, temp, hum, prec))

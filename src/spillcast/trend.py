@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr, stdtr
 
 from .config import Config
 from .epimodel import ModelParams, Run, default_init_state, simulate_runs
 from .errors import EmptyYear, TooFewResiduals, TooFewYears, ZeroVariance
 from .ingest import WeatherSeries
 from .onset import OnsetPdf, RiskLevel, risk_codes
+from .special import kolmogorov, ndtr, t_tail
 
 
 def annual_indicators(levels) -> tuple:
@@ -103,8 +103,7 @@ def ols_trend(years, values) -> TrendResult:
         tiny = 1e-12 * max(1.0, float(np.max(np.abs(y))))
         p_value = 1.0 if abs(slope) <= tiny else 0.0
     else:
-        # two-sided t tail: stdtr(dof, -x) is the survival function at x
-        p_value = 2.0 * float(stdtr(dof, -abs(slope / stderr)))
+        p_value = t_tail(dof, slope / stderr)
 
     ks_p = ks_normality(resid) if len(resid) >= 5 else 1.0
     return TrendResult(slope=slope, intercept=intercept, stderr=stderr,
@@ -126,12 +125,12 @@ def ks_normality(residuals) -> float:
     if sd == 0.0:
         # all residuals identical carry no evidence against normality
         return 1.0
-    cdf = ndtr((r - r.mean()) / sd)
+    cdf = np.array([ndtr(z) for z in ((r - r.mean()) / sd).tolist()])
     steps = np.arange(1, n + 1) / n
     d_plus = float(np.max(steps - cdf))
     d_minus = float(np.max(cdf - (np.arange(n) / n)))
     d = max(d_plus, d_minus)
-    return float(kolmogorov(math.sqrt(n) * d))
+    return kolmogorov(math.sqrt(n) * d)
 
 
 @dataclass(frozen=True)

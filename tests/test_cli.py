@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spillcast
 
@@ -279,6 +282,87 @@ class TestEvaluate:
         assert all(map(math.isfinite, summary["bayes"].values()))
 
 
+class TestLead:
+    """--lead sets the short-term window; it is rejected where it cannot be
+    honoured.  Each bad case below used to exit 0: short leads below 1
+    with an empty forecast, long-mode leads with a full year."""
+
+    OUTPUTS = {"predict-onset": "risk.csv",
+               "predict-severity": "severity.csv"}
+
+    @staticmethod
+    def predict(command, fixture_dir, onset_model, severity_model, out,
+                *extra, config=None):
+        model = ["--model", onset_model] if command == "predict-onset" else [
+            "--model", severity_model, "--cases", fixture_dir["cases"]]
+        return main([command, "--weather", fixture_dir["weather"],
+                     "--config", config or fixture_dir["config"], *model,
+                     *extra, "--out", str(out)])
+
+    @staticmethod
+    def forecast_days(fixture_dir):
+        """Days from January 1 of the weather's last year to its last day."""
+        last = Path(fixture_dir["weather"]).read_text().splitlines()[-1]
+        end = date.fromisoformat(last.split(",")[0])
+        return (end - date(end.year, 1, 1)).days + 1
+
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    @pytest.mark.parametrize("mode, lead", [("short", "-5"), ("short", "-3"),
+                                            ("long", "30"), ("long", "-1")])
+    def test_bad_lead_exit_2(self, tmp_path, fixture_dir, onset_model,
+                             severity_model, capsys, command, mode, lead):
+        out = tmp_path / "out"
+        code = self.predict(command, fixture_dir, onset_model, severity_model,
+                            out, "--mode", mode, "--lead", lead)
+        assert code == 2
+        assert "--lead" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_short_lead_0_in_config_exit_2(self, tmp_path, fixture_dir,
+                                           onset_model, severity_model,
+                                           command, capsys):
+        config = _config_with(tmp_path, fixture_dir, {"short_lead": 0})
+        code = self.predict(command, fixture_dir, onset_model, severity_model,
+                            tmp_path / "out", "--mode", "short",
+                            config=config)
+        assert code == 2
+        assert "short_lead" in capsys.readouterr().err
+
+    def test_lead_0_is_the_config_default(self, tmp_path, fixture_dir,
+                                          onset_model, severity_model):
+        from spillcast.config import load_config
+        default = str(load_config(fixture_dir["config"]).short_lead)
+        for command, name in self.OUTPUTS.items():
+            outs = [tmp_path / f"{command}-{lead}" for lead in ("0", default)]
+            for out, lead in zip(outs, ("0", default)):
+                assert self.predict(command, fixture_dir, onset_model,
+                                    severity_model, out, "--mode", "short",
+                                    "--lead", lead) == 0
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes()
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(OUTPUTS)),
+           mode=st.sampled_from(["short", "long"]),
+           lead=st.integers(-3, 20))
+    def test_every_lead_honoured_or_rejected(self, tmp_path_factory,
+                                             fixture_dir, onset_model,
+                                             severity_model, command, mode,
+                                             lead):
+        out = tmp_path_factory.mktemp("lead") / "out"
+        code = self.predict(command, fixture_dir, onset_model, severity_model,
+                            out, "--mode", mode, "--lead", str(lead))
+        assert code == (2 if lead < 0 or (mode == "long" and lead) else 0)
+        if code == 2:
+            assert not out.exists()
+            return
+        rows = [ln for ln in (out / self.OUTPUTS[command]).read_text()
+                .splitlines()[1:] if not ln.startswith("#")]
+        assert len(rows) == self.forecast_days(fixture_dir)
+
+
 class TestTrend:
     def test_too_few_years_exit_2(self, tmp_path, fixture_dir, onset_model,
                                   capsys):
@@ -457,30 +541,6 @@ def test_non_finite_weather_exit_2(tmp_path, fixture_dir, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
-def test_non_finite_weather_forecast_exit_2(tmp_path, fixture_dir,
-                                           onset_model, capsys):
-    """Finite but huge precipitation makes the long-term AR forecast
-    non-finite; that forecast weather is rejected naming its column (it
-    used to reach the simulation and exit 3 with ``H_S = nan``)."""
-    # precipitation has no upper bound; a temperature this large is
-    # rejected on its input line (test_implausible_temperature_exit_2)
-    lines = Path(fixture_dir["weather"]).read_text().splitlines()
-    for i in range(1000, 1460):
-        fields = lines[i].split(",")
-        fields[3] = "1e120"
-        lines[i] = ",".join(fields)
-    weather = tmp_path / "weather.csv"
-    weather.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        code = main(["predict-onset", "--weather", str(weather),
-                     "--model", onset_model, "--config", fixture_dir["config"],
-                     "--mode", "long", "--out", str(out)])
-    assert code == 2
-    assert "error: precip: non-finite value on " in capsys.readouterr().err
-    assert not (out / "risk.csv").exists()
-
-
 @pytest.mark.parametrize("temp", ["1e154", "1e120"])
 def test_implausible_temperature_exit_2(tmp_path, fixture_dir, onset_model,
                                         capsys, temp):
@@ -500,6 +560,30 @@ def test_implausible_temperature_exit_2(tmp_path, fixture_dir, onset_model,
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: temp_mean: {float(temp)!r} outside [-100, 100] (line 1001)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("precip", ["1e120", "2000.5"])
+def test_implausible_precipitation_exit_2(tmp_path, fixture_dir, onset_model,
+                                          capsys, precip):
+    """Precipitation above 2000 mm/day is rejected on its input line.  At
+    1e120 on days 1001-1460 the long-term forecast used to fail at a
+    forecast date instead (the rollout's own check is now tested in
+    test_weathercast)."""
+    lines = Path(fixture_dir["weather"]).read_text().splitlines()
+    for i in range(1000, 1460):
+        fields = lines[i].split(",")
+        fields[3] = precip
+        lines[i] = ",".join(fields)
+    weather = tmp_path / "weather.csv"
+    weather.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["predict-onset", "--weather", str(weather),
+                 "--model", onset_model, "--config", fixture_dir["config"],
+                 "--mode", "long", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: precip: {float(precip)!r} outside [0, 2000] (line 1001)\n")
     assert not out.exists()
 
 
@@ -649,8 +733,8 @@ def test_underflowed_r0_denominator_exit_3(tmp_path, fixture_dir, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    """Start-up stays scipy-free: only trend needs it, and it is imported
-    by its own command."""
+    """Start-up stays scipy-free, as every command does (no package module
+    imports scipy; see test_season_commands_load_no_scipy)."""
     src = str(Path(spillcast.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -728,15 +812,20 @@ def test_commands_load_only_their_modules(tmp_path, fixture_dir,
 
 def test_season_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,
                                        severity_model):
-    """estimate-severity, predict-severity and evaluate run without scipy:
-    the Poisson pmf and the NB fit use the lgam port, and the NB profile
-    search is a port of scipy's bounded Brent."""
+    """estimate-severity, predict-severity, evaluate and trend run without
+    scipy: the Poisson pmf and the NB fit use the lgam port, the NB profile
+    search is a port of scipy's bounded Brent, and the trend statistics use
+    the ndtr and kolmogorov ports and t_tail."""
     src = str(Path(spillcast.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     data = ["--weather", fixture_dir["weather"],
             "--config", fixture_dir["config"]]
+    from spillcast.ingest import save_weather
+    from spillcast.synth import seasonal_weather
+    archive = tmp_path / "archive.csv"
+    save_weather(seasonal_weather(2000, 10, noise_sigma=0.2, seed=8), archive)
     commands = {
         "estimate": ["estimate-severity", *data, "--model", severity_model],
         "predict": ["predict-severity", *data, "--cases", fixture_dir["cases"],
@@ -745,9 +834,11 @@ def test_season_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,
         "evaluate": ["evaluate", "--cases", fixture_dir["cases"],
                      "--config", fixture_dir["config"], "--model", "both",
                      "--severity-csv", str(tmp_path / "predict" / "severity.csv")],
+        "trend": ["trend", "--weather", str(archive), "--model", onset_model,
+                  "--config", fixture_dir["config"]],
     }
     outputs = {"estimate": "severity.csv", "predict": "severity.csv",
-               "evaluate": "scores.csv"}
+               "evaluate": "scores.csv", "trend": "trend.json"}
     probe = ("import sys; from spillcast.cli import main; "
              "code = main(sys.argv[1:]); "
              "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -758,6 +849,29 @@ def test_season_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,
             env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "0 []", name
         assert (out / outputs[name]).exists()
+    assert _probe("import sys, spillcast.trend; print(sorted(m for m in "
+                  "sys.modules if m.startswith('scipy')))") == "[]"
+
+
+def test_no_package_module_imports_scipy():
+    """scipy is a test-only dependency: no module of the package imports
+    it, at the top or inside a function (comments may name it)."""
+    import ast
+    package = Path(spillcast.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
 
 
 class TestKFileRule:

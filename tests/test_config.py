@@ -59,6 +59,8 @@ def test_unknown_key_rejected():
     "[kde]\ncontour_levels = 0.88,0.9,1.5\n",
     "[forecast]\nx_max = 0\n",
     "[kde]\nonset_grid = 8\n",
+    "[forecast]\nshort_lead = 0\n",
+    "[forecast]\nshort_lead = -1\n",
     "[score]\nfloor = 1.0\n",
 ])
 def test_invariant_violations(text):
@@ -160,6 +162,18 @@ def test_ar_ridge_above_one_rejected(value):
         Config(ar_ridge=value)
     assert exc.value.key == "ar_ridge"
     assert Config(ar_ridge=1.0).ar_ridge == 1.0
+
+
+@pytest.mark.parametrize("key", ["onset_grid", "severity_grid"])
+@pytest.mark.parametrize("value", [1025, 100_000, 2 ** 62])
+def test_grid_above_1024_rejected(key, value):
+    """A grid of n cells per axis holds n^2 doubles: onset_grid = 100000
+    would ask for 80 GB before anything failed.  The bound holds when the
+    Config is built, so this test makes no grid at any value."""
+    with pytest.raises(errors.InvariantViolation) as exc:
+        Config(**{key: value})
+    assert exc.value.key == key
+    assert getattr(Config(**{key: 1024}), key) == 1024
 
 
 def test_prior_names_are_one_tuple():

@@ -96,6 +96,26 @@ class TestLoadWeather:
                   "2020-01-02,100,60,0.0\n")
         assert load_weather(p).temp_mean.tolist() == [-100.0, 100.0]
 
+    @pytest.mark.parametrize("precip", ["1e120", "1e308", "2000.0000000000002",
+                                        "-1e-300"])
+    def test_precipitation_range_violation_names_line(self, tmp_path, precip):
+        # 1e120 mm/day used to load, and the long-term forecast then
+        # failed at a forecast date instead of the input line
+        p = write(tmp_path, "w.csv",
+                  "date,temp_mean,humidity,precip\n2020-01-01,12.5,60,0.0\n"
+                  f"2020-01-02,12.5,60,{precip}\n")
+        with pytest.raises(errors.RangeViolation,
+                           match=r"^precip: .* outside \[0, 2000\] "
+                                 r"\(line 3\)$") as got:
+            load_weather(p)
+        assert got.value.line == 3
+
+    def test_precipitation_bounds_are_inclusive(self, tmp_path):
+        p = write(tmp_path, "w.csv",
+                  "date,temp_mean,humidity,precip\n2020-01-01,12.5,60,0\n"
+                  "2020-01-02,12.5,60,2000\n")
+        assert load_weather(p).precip.tolist() == [0.0, 2000.0]
+
     def test_negative_precip_rejected(self, tmp_path):
         p = write(tmp_path, "w.csv",
                   "date,temp_mean,humidity,precip\n2020-01-01,12.5,60,-1.0\n")

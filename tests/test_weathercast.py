@@ -9,7 +9,7 @@ from spillcast.weathercast import ARModel, fit_ar, forecast, forecast_weather
 from spillcast.errors import HistoryTooShort
 from spillcast.ingest import WeatherSeries
 
-from tests.conftest import constant_weather
+from tests.conftest import constant_weather, sinusoid_weather
 
 
 class TestFitAr:
@@ -194,6 +194,20 @@ class TestForecastWeather:
     def test_long_mode_needs_two_years(self):
         history = constant_weather(400)
         with pytest.raises(errors.HistoryTooShort):
+            forecast_weather(history, "long_term", 365)
+
+    def test_overflowing_rollout_rejected_naming_the_column(self):
+        """Finite but huge precipitation makes the long-term AR rollout
+        non-finite; that forecast weather is rejected naming its column (it
+        used to reach the simulation and exit 3 with ``H_S = nan``).  No
+        weather file reaches this: ``load_weather`` bounds precipitation."""
+        history = sinusoid_weather(1096)
+        precip = history.precip.copy()
+        precip[999:] = 1e120
+        history = WeatherSeries(history.dates, history.temp_mean,
+                                history.humidity, precip)
+        with np.errstate(all="ignore"), pytest.raises(
+                errors.RangeViolation, match="^precip: non-finite value on "):
             forecast_weather(history, "long_term", 365)
 
     def test_short_mode_needs_twice_lead(self):
