@@ -349,16 +349,20 @@ def cmd_predict_severity(args) -> int:
 
 
 def _weekly_predictions(severity_csv, week_starts):
-    """Sum daily predicted cases into the observed weekly grid."""
+    """Sum daily predicted cases into the observed weekly grid.  Every day
+    of each week must be in the file; the first missing one, in date
+    order, is named."""
     from .ingest import SEVERITY_HEADER, parse_date, parse_int, read_table
 
     daily = {parse_date(fields[0], lineno):
              parse_int(fields[3], "predicted_cases", lineno)
              for lineno, fields in read_table(severity_csv, SEVERITY_HEADER)}
-    return [
-        sum(daily.get(w + timedelta(days=i), 0) for i in range(7))
-        for w in week_starts
-    ]
+    try:
+        return [sum(daily[w + timedelta(days=i)] for i in range(7))
+                for w in week_starts]
+    except KeyError as exc:
+        raise InputError(f"{severity_csv}: no predicted_cases for "
+                         f"{exc.args[0]}, a day of a scored week") from None
 
 
 def cmd_evaluate(args) -> int:

@@ -36,9 +36,9 @@ vector (512-bit with AVX-512F, else 256-bit with AVX2, else 128-bit
 pairs), each lane with its own rates, K, state, outputs and clamp count; a
 single run takes a one-lane copy of the same source.  ``simulate_runs``
 sends its runs there eight at a time, grouped by length and pulse day, and
-spreads these chunks over the usable CPUs.  If any lane fails, a width-1
-pass simulates the runs again one at a time, so the error raised is always
-that of the first failing run, as without lanes or threads.
+runs these chunks one after another on the calling thread.  If any lane
+fails, a width-1 pass simulates the runs again one at a time, so the error
+raised is always that of the first failing run, as without lanes.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import itertools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -642,14 +641,10 @@ def simulate_runs(params: ModelParams, runs, steps_per_day: int = 24) -> list:
     once for the call, and runs on one object share them.  With the
     compiled loop and two runs or more, ``_simulate_chunks`` first advances
     runs of equal length and equal pulse day up to eight at a time in its
-    lanes, and these chunks run on one thread per usable CPU, at most one
-    per chunk; ctypes releases the GIL inside the loop.  A chunk writes
-    only its own runs' rows, so neither the outputs nor the errors depend
-    on the number of CPUs.  If any lane fails, no further chunk starts,
-    every thread is joined, and a width-1 pass simulates the runs again one
-    at a time on the calling thread, which raises the error of the first
-    failing run.  A single run, or any call without the compiled loop,
-    takes the width-1 pass at once.
+    lanes, one chunk after another.  If any lane fails, no further chunk
+    starts, and a width-1 pass simulates the runs again one at a time,
+    which raises the error of the first failing run.  A single run, or any
+    call without the compiled loop, takes the width-1 pass at once.
     """
     runs = list(runs)
     if not runs:
@@ -678,12 +673,11 @@ def _simulate_chunks(advance, params: ModelParams, runs: list, rates,
     rows.  The day loop is the compiled one, ``advance``, or ``_advance``
     in Python when ``advance`` is None (width 1 only).
 
-    Width 1: each run is a chunk, taken in run order on the calling
-    thread, and the first failure raises its own error.  Wider: runs are
-    grouped by length and clamped pulse day, each group is cut into chunks
-    of ``width`` runs, and the chunks run on ``_run_chunks``' threads in
-    any order with the same bytes; any failure of the loop, a pulse or an
-    end state raises a NumericalError."""
+    Width 1: each run is a chunk, taken in run order, and the first
+    failure raises its own error.  Wider: runs are grouped by length and
+    clamped pulse day, each group is cut into chunks of ``width`` runs,
+    taken in group order; any failure of the loop, a pulse or an end state
+    raises a NumericalError."""
     sizes = [len(run.weather) for run in runs]
     starts = list(itertools.accumulate(sizes[:-1], initial=0))
     total = sum(sizes)
@@ -717,8 +711,7 @@ def _simulate_chunks(advance, params: ModelParams, runs: list, rates,
                 runs[lanes[0]].weather.dates[lo + day])
         return state.tolist(), counts.tolist()
 
-    def run_chunk(chunk):
-        n, pulse, lanes = chunk
+    def run_chunk(n, pulse, lanes):
         y = [runs[i].init.as_list() + [0.0] for i in lanes]
         clamps = [0] * len(lanes)
         if pulse is not None:
@@ -748,68 +741,15 @@ def _simulate_chunks(advance, params: ModelParams, runs: list, rates,
 
     if width == 1:
         for i, (run, n) in enumerate(zip(runs, sizes)):
-            run_chunk((n, _pulse_day(run), [i]))
+            run_chunk(n, _pulse_day(run), [i])
         return trajectories
     groups = {}
     for i, (run, n) in enumerate(zip(runs, sizes)):
         groups.setdefault((n, _pulse_day(run)), []).append(i)
-    _run_chunks(run_chunk, [(n, pulse, members[first:first + width])
-                            for (n, pulse), members in groups.items()
-                            for first in range(0, len(members), width)])
+    for (n, pulse), members in groups.items():
+        for first in range(0, len(members), width):
+            run_chunk(n, pulse, members[first:first + width])
     return trajectories
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _run_chunks(run_chunk, chunks: list) -> None:
-    """``run_chunk`` on each chunk, on one thread per usable CPU but no
-    more threads than chunks, the calling thread among them.  The compiled
-    loop runs without the GIL, so the threads' loops overlap.
-
-    Threads take the chunks in list order.  Once a chunk raises, no chunk
-    starts; every thread is joined, also when the caller is interrupted,
-    and the first exception caught is raised."""
-    workers = min(_usable_cpus(), len(chunks))
-    if workers <= 1:
-        for chunk in chunks:
-            run_chunk(chunk)
-        return
-    todo = iter(chunks)
-    lock = threading.Lock()
-    stop = threading.Event()
-    failures = []
-
-    def work():
-        while not stop.is_set():
-            with lock:
-                chunk = next(todo, None)
-            if chunk is None:
-                return
-            try:
-                run_chunk(chunk)
-            except BaseException as exc:
-                failures.append(exc)
-                stop.set()
-
-    threads = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
-        work()
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
 
 
 def weekly_expected_cases(traj: Trajectory, week_starts) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +246,41 @@ class TestEvaluate:
         assert ("line 1: expected header date,M,W,predicted_cases"
                 in capsys.readouterr().err)
 
+    def test_bayes_rejects_a_missing_day_of_a_scored_week(
+            self, tmp_path, fixture_dir, severity_model, onset_model, capsys):
+        """A header-only, a truncated and a holed severity.csv each used to
+        be scored with exit 0, the missing days counted as 0 cases: the
+        header-only file "beat" the real forecast.  Each exits 2 and names
+        the first missing day of a scored week."""
+        from spillcast.ingest import load_cases
+        cases = load_cases(fixture_dir["cases"])
+        weeks = cases.year_slices()[cases.week_starts[-1].year].week_starts
+        ps = tmp_path / "ps"
+        assert main(["predict-severity", "--weather", fixture_dir["weather"],
+                     "--cases", fixture_dir["cases"],
+                     "--model", severity_model, "--onset-model", onset_model,
+                     "--config", fixture_dir["config"],
+                     "--mode", "short", "--out", str(ps)]) == 0
+        header, *rows = (ps / "severity.csv").read_text().splitlines()
+        middle = (weeks[len(weeks) // 2] + timedelta(days=3)).isoformat()
+        last = (weeks[-1] + timedelta(days=6)).isoformat()
+        cuts = {
+            "header only": ([], weeks[0].isoformat()),
+            "truncated": ([r for r in rows if r < middle], middle),
+            "holed": ([r for r in rows if not r.startswith(last)], last),
+        }
+        for name, (kept, missing) in cuts.items():
+            severity = tmp_path / f"{name}.csv"
+            severity.write_text("\n".join([header, *kept]) + "\n")
+            code = main(["evaluate", "--cases", fixture_dir["cases"],
+                         "--severity-csv", str(severity), "--model", "bayes",
+                         "--config", fixture_dir["config"],
+                         "--out", str(tmp_path / name)])
+            assert code == 2, name
+            assert f"no predicted_cases for {missing}" in (
+                capsys.readouterr().err), name
+            assert not (tmp_path / name / "scores.csv").exists(), name
+
     def test_bayes_without_csv_exit_2(self, tmp_path, fixture_dir, capsys):
         code = main(["evaluate", "--cases", fixture_dir["cases"],
                      "--model", "bayes", "--out", str(tmp_path / "out")])
@@ -402,9 +437,10 @@ def _cpus():
                     reason="needs sched_setaffinity and two usable CPUs")
 def test_trend_outputs_do_not_depend_on_the_cpus(tmp_path):
     """``trend --cases`` calibrates K over a 12-year archive and simulates
-    every year: in a process restricted to one CPU (one thread) and in one
-    with every usable CPU (the lane chunks on several threads) its outputs
-    are the same bytes."""
+    every year: in a process restricted to one CPU and in one with every
+    usable CPU its outputs are the same bytes.  OpenBLAS takes its thread
+    count from the affinity, and the plane fit's ``lstsq`` and the onset
+    density's ``@`` call BLAS."""
     from spillcast.synth import generate_world
     world = generate_world(n_years=12, warming_per_year=0.05)
     paths = {k: str(v) for k, v in write_fixture(tmp_path / "world",
@@ -784,8 +820,12 @@ def test_commands_load_only_their_modules(tmp_path, fixture_dir,
                                           onset_model):
     """evaluate loads no model code; simulate no onset, severity, artifact
     or scoring code; predict-onset no severity or scoring code."""
+    from spillcast.ingest import load_cases
+    weeks = load_cases(fixture_dir["cases"]).week_starts
     severity_csv = tmp_path / "severity.csv"
-    severity_csv.write_text("date,M,W,predicted_cases\n2022-07-01,1.0,2.0,3\n")
+    severity_csv.write_text("date,M,W,predicted_cases\n" + "".join(
+        f"{weeks[0] + timedelta(days=i)},1.0,2.0,3\n"
+        for i in range((weeks[-1] - weeks[0]).days + 7)))
     commands = {
         "evaluate": (["evaluate", "--cases", fixture_dir["cases"],
                       "--config", fixture_dir["config"], "--model", "both",
@@ -853,10 +893,13 @@ def test_season_commands_load_no_scipy(tmp_path, fixture_dir, onset_model,
                   "sys.modules if m.startswith('scipy')))") == "[]"
 
 
-def test_no_package_module_imports_scipy():
-    """scipy is a test-only dependency: no module of the package imports
-    it, at the top or inside a function (comments may name it)."""
+def test_no_package_module_imports_scipy_or_concurrency():
+    """scipy is a test-only dependency, and the package starts no thread
+    or worker pool of its own: no module of the package imports scipy,
+    ``threading``, ``multiprocessing`` or ``concurrent``, at the top or
+    inside a function (comments may name them)."""
     import ast
+    forbidden = {"scipy", "threading", "multiprocessing", "concurrent"}
     package = Path(spillcast.__file__).resolve().parent
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 10
@@ -870,7 +913,7 @@ def test_no_package_module_imports_scipy():
             else:
                 continue
             found += [(path.name, node.lineno) for name in names
-                      if name == "scipy" or name.startswith("scipy.")]
+                      if name.split(".")[0] in forbidden]
     assert found == []
 
 

@@ -2,8 +2,6 @@ import contextlib
 import os
 import subprocess
 import sys
-import threading
-import time
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -324,8 +322,6 @@ def oracle_cases(draw):
 # The two day loops: the compiled one (the Python loop where no C compiler
 # is available) and ``_advance``, the Python loop itself.
 DAY_LOOPS = ("c", "python")
-# lane chunks on the calling thread alone, or on it and one more thread
-WORKER_COUNTS = (1, 2)
 
 
 @contextlib.contextmanager
@@ -336,14 +332,6 @@ def day_loop(name):
             assert epimodel.kernel() == "python"
             yield
     else:
-        yield
-
-
-@contextlib.contextmanager
-def workers(count):
-    """Run simulate_runs' lane chunks on ``count`` threads (or fewer, one
-    per chunk at most) within the block, whatever the CPUs usable."""
-    with mock.patch.object(epimodel, "_usable_cpus", lambda: count):
         yield
 
 
@@ -707,13 +695,9 @@ class TestLaneErrors:
             days[j] = str(alone.value)
         # the lanes would meet the other run's blow-up first
         assert (days[1] < days[3]) == (adults_1 > adults_3)
-        threads = threading.active_count()
-        for count in WORKER_COUNTS:
-            with (workers(count), day_loop(loop),
-                  pytest.raises(errors.BlowUp) as got):
-                simulate_runs(SLOW_BLOWUP, runs, steps_per_day=2)
-            assert str(got.value) == days[1]
-            assert threading.active_count() == threads
+        with day_loop(loop), pytest.raises(errors.BlowUp) as got:
+            simulate_runs(SLOW_BLOWUP, runs, steps_per_day=2)
+        assert str(got.value) == days[1]
 
     @pytest.mark.parametrize("loop", DAY_LOOPS)
     def test_failed_pulse_before_an_earlier_runs_error(self, loop):
@@ -735,11 +719,9 @@ class TestLaneErrors:
             _alone(params, runs[2], 2)
         with pytest.raises(errors.BlowUp) as want:
             _alone(params, runs[1], 2)
-        for count in WORKER_COUNTS:
-            with (workers(count), day_loop(loop),
-                  pytest.raises(errors.BlowUp) as got):
-                simulate_runs(params, runs, steps_per_day=2)
-            assert str(got.value) == str(want.value)
+        with day_loop(loop), pytest.raises(errors.BlowUp) as got:
+            simulate_runs(params, runs, steps_per_day=2)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("loop", DAY_LOOPS)
     def test_non_finite_end_state_before_a_later_runs_error(self, loop):
@@ -759,50 +741,9 @@ class TestLaneErrors:
         with pytest.raises(errors.BlowUp):
             reference_simulate(params, runs[1].weather, 1e15, runs[1].init,
                                steps_per_day=2)
-        for count in WORKER_COUNTS:
-            with (workers(count), day_loop(loop),
-                  pytest.raises(errors.NonFiniteInput) as got):
-                simulate_runs(params, runs, steps_per_day=2)
-            assert str(got.value) == str(want.value)
-
-    def test_later_chunk_failing_first_on_another_thread(self, monkeypatch):
-        """Run 1's chunk fails on its second day, while run 0's chunk, on
-        the other thread, waits for that failure before it advances and
-        then blows up on a later day.  The error raised is run 0's."""
-        runs = [Run(constant_weather(366, temp=25.0), 1e15, _mosquitoes(1e3)),
-                Run(constant_weather(365, temp=25.0), 1e15,
-                    _mosquitoes(9e11))]
-        with pytest.raises(errors.BlowUp) as want:
-            simulate(SLOW_BLOWUP, runs[0].weather, 1e15, runs[0].init,
-                     steps_per_day=2)
-        with pytest.raises(errors.BlowUp) as early:
-            simulate(SLOW_BLOWUP, runs[1].weather, 1e15, runs[1].init,
-                     steps_per_day=2)
-        assert str(early.value) < str(want.value)
-        failed = threading.Event()
-        order = []
-        kernel_advance = epimodel._kernel_advance
-
-        def ordered(*args):
-            rows = args[7]
-            if rows == [0]:
-                # run 0 (in the lanes, or alone once they failed) does not
-                # advance before run 1 has failed
-                assert failed.wait(10.0)
-            status, day, clamps = kernel_advance(*args)
-            if status:
-                order.append(rows)
-                if rows == [366]:
-                    failed.set()
-            return status, day, clamps
-
-        monkeypatch.setattr(epimodel, "_kernel_advance", ordered)
-        threads = threading.active_count()
-        with workers(2), pytest.raises(errors.BlowUp) as got:
-            simulate_runs(SLOW_BLOWUP, runs, steps_per_day=2)
+        with day_loop(loop), pytest.raises(errors.NonFiniteInput) as got:
+            simulate_runs(params, runs, steps_per_day=2)
         assert str(got.value) == str(want.value)
-        assert order[0] == [366]  # run 1's chunk failed first
-        assert threading.active_count() == threads
 
 
 @st.composite
@@ -883,129 +824,6 @@ def test_lanes_equal_runs_alone(runs, rates, steps):
         assert len(got) == len(runs)
         for g, w in zip(got, want):
             assert_same_trajectory(g, w)
-
-
-def _outcome(params, runs, steps):
-    """simulate_runs' trajectories, or its error's type and message."""
-    try:
-        return simulate_runs(params, runs, steps_per_day=steps)
-    except errors.SpillcastError as exc:
-        return type(exc), str(exc)
-
-
-@given(runs=lane_calls(), rates=st.sampled_from(sorted(ORACLE_PARAMS)),
-       steps=st.sampled_from((1, 2)))
-@settings(max_examples=60, deadline=None)
-def test_worker_count_changes_no_byte(runs, rates, steps):
-    """The lane chunks on one, two or three threads: the same arrays,
-    clamp counts and end states, or the same error."""
-    params = ORACLE_PARAMS[rates]
-    with workers(1):
-        want = _outcome(params, runs, steps)
-    for count in (2, 3):
-        with workers(count):
-            got = _outcome(params, runs, steps)
-        if isinstance(want, tuple):
-            assert got == want
-            continue
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_same_trajectory(g, w)
-
-
-def test_worker_count_changes_no_byte_in_a_trend_batch(default_cfg,
-                                                        default_params):
-    """Thirty seeded years of 365 or 366 days, as a warming archive sends
-    them: 8 chunks on one thread and on two give equal outputs."""
-    init = default_init_state(default_cfg)
-    runs = [Run(sinusoid_weather(365 + (j % 4 == 0),
-                                 start=date(1994 + j, 1, 1), base=16.0 + 0.1 * j),
-                4000.0 + 100.0 * j, init, seed_day=90)
-            for j in range(30)]
-    with workers(1):
-        want = simulate_runs(default_params, runs)
-    with workers(2):
-        got = simulate_runs(default_params, runs)
-    for g, w in zip(got, want):
-        assert_same_trajectory(g, w)
-    assert sum(w.clamp_count for w in want) == sum(g.clamp_count for g in got)
-
-
-def test_more_threads_than_cpus_lose_no_update():
-    """48 stiff runs in 12 chunks of distinct lengths on 8 threads,
-    switching every microsecond: each run's clamp count and end state,
-    which the chunks write back into shared arrays, equal those of the
-    chunks run one after another."""
-    init = CompartmentState(**dict(zip(
-        COMPARTMENTS, np.random.default_rng(3).uniform(0.0, 3000.0, 15))))
-    runs = [Run(sinusoid_weather(14 + j % 12), 5000.0, init,
-                seed_day=j % 12 // 3)
-            for j in range(48)]
-    with workers(1):
-        want = simulate_runs(STIFF_PARAMS, runs, steps_per_day=1)
-    assert all(w.clamp_count > 0 for w in want)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            with workers(8):
-                got = simulate_runs(STIFF_PARAMS, runs, steps_per_day=1)
-            for g, w in zip(got, want):
-                assert_same_trajectory(g, w)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-class TestRunChunks:
-    """The thread pool of one simulate_runs call."""
-
-    def test_no_chunk_starts_after_a_failure(self):
-        started = []
-
-        def run_chunk(chunk):
-            started.append(chunk)
-            if chunk == 0:
-                raise errors.BlowUp("chunk 0")
-            time.sleep(0.01)
-
-        threads = threading.active_count()
-        with workers(2), pytest.raises(errors.BlowUp, match="chunk 0"):
-            epimodel._run_chunks(run_chunk, list(range(10)))
-        # chunk 1 may have started beside chunk 0, and nothing after it
-        assert set(started) <= {0, 1} and 0 in started
-        assert threading.active_count() == threads
-
-    def test_interrupt_joins_every_thread(self):
-        def run_chunk(chunk):
-            if threading.current_thread() is threading.main_thread():
-                raise KeyboardInterrupt
-            time.sleep(0.01)
-
-        threads = threading.active_count()
-        with workers(2), pytest.raises(KeyboardInterrupt):
-            epimodel._run_chunks(run_chunk, list(range(6)))
-        assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("cpus, chunks, want", [
-        (1, 5, 1), (2, 1, 1), (2, 5, 2), (8, 3, 3)])
-    def test_one_thread_per_cpu_and_chunk(self, cpus, chunks, want):
-        """The first ``want`` chunks wait for each other, so they run on
-        ``want`` threads at once; no other thread takes a chunk."""
-        seen, calls = set(), []
-        lock = threading.Lock()
-        together = threading.Barrier(want, timeout=10.0)
-
-        def run_chunk(chunk):
-            with lock:
-                seen.add(threading.get_ident())
-                calls.append(chunk)
-                first = len(calls) <= want
-            if first:
-                together.wait()
-
-        with workers(cpus):
-            epimodel._run_chunks(run_chunk, list(range(chunks)))
-        assert len(seen) == want and sorted(calls) == list(range(chunks))
 
 
 def _weekly_expected_cases_oracle(traj, week_starts):
@@ -1228,9 +1046,8 @@ def test_twenty_runs_go_to_the_loop_eight_at_a_time(default_cfg,
     monkeypatch.setattr(epimodel, "_kernel_advance", counting)
     init = default_init_state(default_cfg)
     wx = sinusoid_weather(20)
-    with workers(1):
-        simulate_runs(default_params,
-                      [Run(wx, 1000.0 * (j + 1), init) for j in range(20)])
+    simulate_runs(default_params,
+                  [Run(wx, 1000.0 * (j + 1), init) for j in range(20)])
     assert lanes == [8, 8, 4]
 
 
