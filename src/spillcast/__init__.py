@@ -22,8 +22,8 @@ _EXPORTS = {
     **dict.fromkeys(("CompartmentState", "ModelParams", "Trajectory",
                      "default_init_state", "derivatives", "simulate"),
                     "epimodel"),
-    **dict.fromkeys(("CaseRecord", "CaseSeries", "WeatherRecord",
-                     "WeatherSeries", "load_cases", "load_weather"), "ingest"),
+    **dict.fromkeys(("CaseSeries", "WeatherSeries", "load_cases",
+                     "load_weather"), "ingest"),
     **dict.fromkeys(("OnsetPdf", "OnsetSample", "RiskLevel", "classify",
                      "fit_onset_pdf"), "onset"),
     **dict.fromkeys(("R0Inputs", "exposed_survival", "r0", "r0_bird",

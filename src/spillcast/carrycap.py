@@ -15,6 +15,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from .config import STEPS_PER_DAY
 from .epimodel import (
     SEED_BIRDS,
     SEED_DAY,
@@ -71,7 +72,8 @@ def _complete_years(weather: WeatherSeries) -> list[int]:
 
 
 def calibrate_K(weather: WeatherSeries, cases: CaseSeries, params: ModelParams,
-                grid, init: CompartmentState, steps_per_day: int = 24,
+                grid, init: CompartmentState,
+                steps_per_day: int = STEPS_PER_DAY,
                 seed_day: int = SEED_DAY,
                 seed_birds: float = SEED_BIRDS) -> KSeries:
     """Grid-search a piecewise-constant (per calendar year) K.

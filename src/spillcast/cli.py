@@ -187,16 +187,10 @@ def forecast_setup(args, cfg, params, weather, cases):
     return mode, lead, k
 
 
-def onset_bandwidth(cfg):
-    if cfg.onset_bandwidth_m > 0 and cfg.onset_bandwidth_r0 > 0:
-        return (cfg.onset_bandwidth_m, cfg.onset_bandwidth_r0)
-    return None
-
-
-def severity_bandwidth(cfg):
-    if cfg.severity_bandwidth_m > 0 and cfg.severity_bandwidth_w > 0:
-        return (cfg.severity_bandwidth_m, cfg.severity_bandwidth_w)
-    return None
+def bandwidth_pair(first, second):
+    """The two configured bandwidths if both are > 0, else None, which
+    means automatic."""
+    return (first, second) if first > 0 and second > 0 else None
 
 
 # --- commands ---------------------------------------------------------------
@@ -234,7 +228,9 @@ def cmd_fit_onset(args) -> int:
         trajectories, usable, transform=cfg.feature_transform)
     for year in skipped:
         print(f"note: year {year} has no cases; skipped", file=sys.stderr)
-    pdf = fit_onset_pdf(samples, bandwidth=onset_bandwidth(cfg),
+    pdf = fit_onset_pdf(samples,
+                        bandwidth=bandwidth_pair(cfg.onset_bandwidth_m,
+                                                 cfg.onset_bandwidth_r0),
                         grid_size=cfg.onset_grid, levels=cfg.contour_levels,
                         transform=cfg.feature_transform)
     out = out_dir(args)
@@ -277,7 +273,9 @@ def cmd_fit_severity(args) -> int:
         trajectories, usable,
         w_weights=(cfg.w_temp, cfg.w_humidity, cfg.w_precip),
         transform=cfg.feature_transform)
-    surface = fit_rate_surface(samples, bandwidths=severity_bandwidth(cfg),
+    bandwidths = bandwidth_pair(cfg.severity_bandwidth_m,
+                                cfg.severity_bandwidth_w)
+    surface = fit_rate_surface(samples, bandwidths=bandwidths,
                                grid_size=cfg.severity_grid)
     out = out_dir(args)
     artifacts.save_severity_model(surface, out)

@@ -40,8 +40,11 @@ DEFAULT_THERMAL = {
     "human_recovery": "constant,0.143",
 }
 
-# the severity priors that [forecast] prior may name (severity.PRIOR_KINDS)
+# the severity priors that [forecast] prior may name (severity.build_prior)
 PRIORS = ("uniform", "gaussian", "band")
+
+# RK4 steps per simulated day: every default of steps_per_day
+STEPS_PER_DAY = 24
 
 # the largest onset_grid and severity_grid: the onset grid holds n^2
 # densities, 8 MB at this bound
@@ -61,7 +64,7 @@ class Config:
     init_aquatic: float = 1_000.0
     init_infected_birds: float = 1.0
     k_default: float = 20_000.0
-    steps_per_day: int = 24
+    steps_per_day: int = STEPS_PER_DAY
 
     # [kde]
     onset_bandwidth_m: float = 0.0        # 0 = weighted Silverman per axis

@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_THERMAL, Config
+from .config import DEFAULT_THERMAL, STEPS_PER_DAY, Config
 from .errors import (
     BlowUp,
     LengthMismatch,
@@ -264,13 +264,6 @@ class Trajectory:
 
     def state(self, i: int) -> CompartmentState:
         return CompartmentState.from_values(self.states[i])
-
-
-def r0_inputs_for_day(params: ModelParams, temp: float, m_s: float,
-                      b_s: float) -> R0Inputs:
-    """Assemble the reproduction-number inputs from one day's thermal rates
-    and susceptible counts."""
-    return _r0_inputs(params.daily_rates(temp), m_s, b_s)
 
 
 def _r0_inputs(rates, m_s: float, b_s: float) -> R0Inputs:
@@ -609,7 +602,8 @@ def _pulse_day(run: Run):
 
 
 def simulate(params: ModelParams, weather: WeatherSeries, k_series,
-             init: CompartmentState, steps_per_day: int = 24) -> Trajectory:
+             init: CompartmentState,
+             steps_per_day: int = STEPS_PER_DAY) -> Trajectory:
     """Integrate the model over the weather span: ``simulate_runs`` with
     the one run.
 
@@ -627,7 +621,8 @@ def simulate(params: ModelParams, weather: WeatherSeries, k_series,
                          steps_per_day)[0]
 
 
-def simulate_runs(params: ModelParams, runs, steps_per_day: int = 24) -> list:
+def simulate_runs(params: ModelParams, runs,
+                  steps_per_day: int = STEPS_PER_DAY) -> list:
     """Simulate independent runs; returns one Trajectory per run.
 
     A run is integrated as ``simulate`` describes; a seeded run up to its
@@ -752,17 +747,11 @@ def _simulate_chunks(advance, params: ModelParams, runs: list, rates,
     return trajectories
 
 
-def weekly_expected_cases(traj: Trajectory, week_starts) -> np.ndarray:
-    """Expected reported cases summed over each week starting at the given
-    dates; days outside the trajectory contribute zero.  This is
-    ``weekly_expected_cases_runs`` of the one trajectory."""
-    return weekly_expected_cases_runs([traj], [week_starts])[0]
-
-
 def weekly_expected_cases_runs(trajectories, week_starts) -> list:
-    """``weekly_expected_cases`` of each trajectory over its own week
-    starts (``week_starts[i]`` for ``trajectories[i]``), gathered from all
-    of them in one indexed pass.
+    """Expected reported cases of each trajectory summed over each week
+    of its own week starts (``week_starts[i]`` for ``trajectories[i]``);
+    days outside the trajectory contribute zero.  The weeks of all the
+    trajectories are gathered in one indexed pass.
 
     A week's days are found by their offset from its trajectory's first
     date, and its seven values are added left to right from 0.0, day
@@ -793,7 +782,7 @@ def seeded_year_trajectory(params: ModelParams, weather_year: WeatherSeries,
                            k_series, init: CompartmentState,
                            seed_day: int = SEED_DAY,
                            seed_birds: float = SEED_BIRDS,
-                           steps_per_day: int = 24) -> Trajectory:
+                           steps_per_day: int = STEPS_PER_DAY) -> Trajectory:
     """Simulate one year, moving ``seed_birds`` susceptible birds to the
     infectious compartment at the start of day ``seed_day``."""
     run = Run(weather_year, k_series, init, seed_day, seed_birds)

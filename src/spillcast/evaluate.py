@@ -124,11 +124,6 @@ class NegBinModel:
     def pmf(self, k) -> np.ndarray:
         return np.exp(self.log_pmf(k))
 
-    def mean(self) -> float:
-        if self.poisson_mean is not None:
-            return self.poisson_mean
-        return self.r * (1.0 - self.p) / self.p
-
 
 def _lgam_each(values: np.ndarray) -> np.ndarray:
     """Elementwise lgam, evaluated once per distinct value."""

@@ -48,17 +48,6 @@ PRECIP_RANGE = (0.0, 2000.0)
 
 
 @dataclass(frozen=True)
-class WeatherRecord:
-    """One day of weather: mean temperature (degC), relative humidity (%),
-    precipitation (mm/day)."""
-
-    date: date
-    temp_mean: float
-    humidity: float
-    precip: float
-
-
-@dataclass(frozen=True)
 class WeatherSeries:
     """Daily weather over a contiguous span of calendar days.
 
@@ -97,17 +86,6 @@ class WeatherSeries:
     def __len__(self):
         return len(self.dates)
 
-    def record(self, i: int) -> WeatherRecord:
-        return WeatherRecord(
-            self.dates[i],
-            float(self.temp_mean[i]),
-            float(self.humidity[i]),
-            float(self.precip[i]),
-        )
-
-    def records(self):
-        return [self.record(i) for i in range(len(self))]
-
     def slice(self, start: int, stop: int) -> "WeatherSeries":
         """Days [start, stop), as Python slices them.  A run of days of a
         checked series is contiguous and in range, so it is not checked
@@ -128,12 +106,6 @@ class WeatherSeries:
         """Split into calendar-year subseries (keyed by year)."""
         return {year: self.slice(lo, hi)
                 for year, lo, hi in _year_bounds(self.dates, 1)}
-
-
-@dataclass(frozen=True)
-class CaseRecord:
-    week_start: date
-    count: int
 
 
 @dataclass(frozen=True)
@@ -160,9 +132,6 @@ class CaseSeries:
 
     def __len__(self):
         return len(self.week_starts)
-
-    def records(self):
-        return [CaseRecord(d, int(c)) for d, c in zip(self.week_starts, self.counts)]
 
     def year_slices(self) -> dict[int, "CaseSeries"]:
         """Split into calendar-year subseries (keyed by year); like

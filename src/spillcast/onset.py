@@ -22,6 +22,8 @@ from .ingest import write_table
 
 DEFAULT_LEVELS = (0.88, 0.90, 0.95)
 GRID_PAD_BANDWIDTHS = 3.0
+# a case week's sample day, its midpoint: week start + 3 days
+WEEK_MIDPOINT = timedelta(days=3)
 
 
 class RiskLevel(enum.IntEnum):
@@ -68,8 +70,8 @@ def collect_onset_samples(trajectories: dict, cases: dict,
     """One sample per year at the first nonzero case week.
 
     ``trajectories`` and ``cases`` map year -> Trajectory / CaseSeries.
-    The sample sits on the week's midpoint day (start + 3); years without
-    cases yield no sample and are returned as flagged.
+    The sample sits on the week's midpoint day (``WEEK_MIDPOINT``); years
+    without cases yield no sample and are returned as flagged.
     """
     samples, skipped = [], []
     for year in sorted(cases):
@@ -82,7 +84,7 @@ def collect_onset_samples(trajectories: dict, cases: dict,
             skipped.append(year)
             continue
         first = nonzero[0]
-        midpoint = series.week_starts[first] + timedelta(days=3)
+        midpoint = series.week_starts[first] + WEEK_MIDPOINT
         try:
             day = traj.dates.index(midpoint)
         except ValueError:
@@ -125,9 +127,6 @@ class OnsetPdf:
         return float(
             (self.m_grid[1] - self.m_grid[0]) * (self.r0_grid[1] - self.r0_grid[0])
         )
-
-    def grid_mass(self) -> float:
-        return float(np.sum(self.density) * self.cell_area)
 
     def evaluate(self, m, r0) -> np.ndarray:
         """KDE density at the already-transformed points (m[i], r0[i]).

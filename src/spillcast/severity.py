@@ -14,15 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
-from .config import PRIORS, Config
+from .config import Config
 from .epimodel import ModelParams, Trajectory
 from .errors import EmptyCurve, NonFiniteFit, TooFewSamples, ZeroEvidence
 from .ingest import SEVERITY_HEADER, CaseSeries, WeatherSeries, write_table
 from .onset import (
+    WEEK_MIDPOINT,
     OnsetPdf,
     RiskLevel,
     apply_transform,
@@ -34,9 +35,6 @@ from .special import lgam
 
 MIN_KERNEL_WEIGHT = 1e-12
 AUTO_SIGMA_FRACTION = 0.05
-# configured prior name (config.PRIORS, in order) -> build_prior kind
-PRIOR_KINDS = dict(zip(PRIORS, ("uniform_box", "gaussian_ridge",
-                                "uniform_band")))
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ def collect_severity_samples(trajectories: dict, cases: dict,
         for wk, count in zip(series.week_starts, series.counts):
             if count < 1:
                 continue
-            day = index.get(wk + timedelta(days=3))
+            day = index.get(wk + WEEK_MIDPOINT)
             if day is None:
                 continue
             m, _ = apply_transform(transform, float(traj.m[day]), 0.0)
@@ -211,7 +209,7 @@ def _poisson_pmf_grids(xs, lam: np.ndarray):
 
 @dataclass(frozen=True)
 class PriorGrid:
-    kind: str                    # uniform_box | gaussian_ridge | uniform_band
+    kind: str                    # one of config.PRIORS
     grid: Grid2D
     density: np.ndarray
 
@@ -225,14 +223,14 @@ def build_prior(kind: str, curve, grid: Grid2D, sigma: float = 0.0,
                 halfwidth: float = 0.0) -> PriorGrid:
     """Prior density over (m, w), normalized to grid mass 1.
 
-    uniform_box ignores the curve; gaussian_ridge is a mixture of isotropic
-    Gaussians centered on the forecast (m, w) curve points; uniform_band is
-    an indicator of distance <= halfwidth from the curve.  sigma/halfwidth
+    uniform ignores the curve; gaussian is a mixture of isotropic
+    Gaussians centered on the forecast (m, w) curve points; band is an
+    indicator of distance <= halfwidth from the curve.  sigma/halfwidth
     of 0 default to 5% of the larger grid extent.
     """
     lo_m, hi_m, lo_w, hi_w = grid.extent
     scale = max(hi_m - lo_m, hi_w - lo_w)
-    if kind == "uniform_box":
+    if kind == "uniform":
         density = np.full(grid.shape, 1.0 / ((hi_m - lo_m) * (hi_w - lo_w)))
         return PriorGrid(kind=kind, grid=grid, density=density)
 
@@ -243,12 +241,12 @@ def build_prior(kind: str, curve, grid: Grid2D, sigma: float = 0.0,
     dm = grid.m_centers[:, None] - pts[None, :, 0]
     dw = grid.w_centers[:, None] - pts[None, :, 1]
 
-    if kind == "gaussian_ridge":
+    if kind == "gaussian":
         sigma = sigma if sigma > 0 else AUTO_SIGMA_FRACTION * scale
         km = np.exp(-0.5 * (dm / sigma) ** 2)
         kw = np.exp(-0.5 * (dw / sigma) ** 2)
         density = np.einsum("ik,jk->ij", km, kw)
-    elif kind == "uniform_band":
+    elif kind == "band":
         halfwidth = halfwidth if halfwidth > 0 else AUTO_SIGMA_FRACTION * scale
         dist2 = dm[:, None, :] ** 2 + dw[None, :, :] ** 2
         density = (np.min(dist2, axis=2) <= halfwidth**2).astype(float)
@@ -326,8 +324,8 @@ def build_posteriors(prior: PriorGrid, surface: RateSurface,
 
 def curve_posteriors(curve, surface: RateSurface, cfg: Config) -> list:
     """Posteriors for x = 1..cfg.x_max under the configured prior
-    (``cfg.prior``, see ``PRIOR_KINDS``) built on the (m, w) curve."""
-    prior = build_prior(PRIOR_KINDS[cfg.prior], curve, surface.grid,
+    (``cfg.prior``) built on the (m, w) curve."""
+    prior = build_prior(cfg.prior, curve, surface.grid,
                         sigma=cfg.prior_sigma, halfwidth=cfg.band_halfwidth)
     return build_posteriors(prior, surface, cfg.x_max)
 

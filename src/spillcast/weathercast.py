@@ -26,7 +26,6 @@ class ARModel:
     order: int
     coef: np.ndarray
     intercept: float
-    resid_var: float
 
     def __post_init__(self):
         if self.order < 1 or len(self.coef) != self.order:
@@ -48,8 +47,7 @@ def fit_ar(series, order: int, ridge: float = DEFAULT_RIDGE) -> ARModel:
     if n < 2 * order + 1:
         raise TooShort(f"need at least {2 * order + 1} points for AR({order}), got {n}")
 
-    rows = n - order
-    design = np.empty((rows, order + 1))
+    design = np.empty((n - order, order + 1))
     design[:, 0] = 1.0
     for i in range(1, order + 1):
         design[:, i] = y[order - i:n - i]
@@ -63,14 +61,7 @@ def fit_ar(series, order: int, ridge: float = DEFAULT_RIDGE) -> ARModel:
         raise SingularDesign("normal equations are singular") from None
     if not np.all(np.isfinite(beta)):
         raise SingularDesign("non-finite AR solution")
-
-    resid = target - design @ beta
-    return ARModel(
-        order=order,
-        coef=beta[1:],
-        intercept=float(beta[0]),
-        resid_var=float(resid @ resid / max(rows - order - 1, 1)),
-    )
+    return ARModel(order=order, coef=beta[1:], intercept=float(beta[0]))
 
 
 def forecast(model: ARModel, history, horizon: int) -> np.ndarray:

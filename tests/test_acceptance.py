@@ -141,7 +141,7 @@ def test_criterion_3_kde_hdr():
         weights = rng.integers(1, 8, 6).astype(float).tolist()
         samples = [OnsetSample(m, r, w) for (m, r), w in zip(pts, weights)]
         pdf = fit_onset_pdf(samples, grid_size=128, levels=(0.88, 0.90, 0.95))
-        assert 0.99 <= pdf.grid_mass() <= 1.01
+        assert 0.99 <= float(np.sum(pdf.density) * pdf.cell_area) <= 1.01
 
         t88, t90, t95 = pdf.thresholds
         assert t95 <= t90 <= t88
@@ -167,7 +167,7 @@ def test_criterion_4_severity_engine():
         # posterior normalization
         grid = square_grid(32)
         lam = rng.uniform(0.0, 12.0, grid.shape)
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         surface = surface_with(grid, lam)
         posteriors = build_posteriors(prior, surface, 10)
         for post in posteriors:
@@ -236,7 +236,7 @@ def test_criterion_4_severity_engine():
                                            np.array(counts, dtype=int))
         fit_samples = collect_severity_samples(trajectories, case_series)
         fitted = fit_rate_surface(fit_samples, grid_size=64)
-        uniform = build_prior("uniform_box", None, fitted.grid)
+        uniform = build_prior("uniform", None, fitted.grid)
         candidates = build_posteriors(uniform, fitted, 30)
         target = trajectories[2021]
         result = estimate_severity(target, candidates)

@@ -803,7 +803,7 @@ def test_package_import_loads_nothing():
         "import json, spillcast; ns = {}; "
         "exec('from spillcast import *', ns); "
         "print(json.dumps(sorted(k for k in ns if k != '__builtins__')))"))
-    assert names == sorted(spillcast.__all__) and len(names) == 27
+    assert names == sorted(spillcast.__all__) and len(names) == 25
     for name in spillcast.__all__:
         value = getattr(spillcast, name)
         assert value is getattr(sys.modules[value.__module__], name)

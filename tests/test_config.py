@@ -178,11 +178,18 @@ def test_grid_above_1024_rejected(key, value):
 
 def test_prior_names_are_one_tuple():
     """The configured priors, the CLI's --prior choices and the prior kinds
-    they select are the same names, in one order."""
-    from spillcast.cli import build_parser
-    from spillcast.severity import PRIOR_KINDS
+    that severity.build_prior builds are the same names, in one order."""
+    import numpy as np
 
-    assert tuple(PRIOR_KINDS) == PRIORS == ("uniform", "gaussian", "band")
+    from spillcast.cli import build_parser
+    from spillcast.severity import Grid2D, build_prior
+
+    assert PRIORS == ("uniform", "gaussian", "band")
+    grid = Grid2D(np.arange(4.0) + 0.5, np.arange(4.0) + 0.5)
+    for name in PRIORS:
+        assert build_prior(name, [(1.5, 1.5)], grid).kind == name
+    with pytest.raises(ValueError, match="unknown prior kind"):
+        build_prior("uniform_box", [(1.5, 1.5)], grid)
     commands = build_parser()._subparsers._group_actions[0].choices
     for name in ("estimate-severity", "predict-severity"):
         prior = next(a for a in commands[name]._actions if a.dest == "prior")
@@ -191,3 +198,15 @@ def test_prior_names_are_one_tuple():
         assert parse_config(f"[forecast]\nprior = {name}\n").prior == name
     with pytest.raises(errors.InvariantViolation, match="unknown prior"):
         parse_config("[forecast]\nprior = uniform_box\n")
+
+
+def test_steps_per_day_has_one_default():
+    """Every runner that takes steps_per_day defaults to Config's value."""
+    import inspect
+
+    from spillcast import carrycap, epimodel
+
+    for fn in (epimodel.simulate, epimodel.simulate_runs,
+               epimodel.seeded_year_trajectory, carrycap.calibrate_K):
+        default = inspect.signature(fn).parameters["steps_per_day"].default
+        assert default == Config().steps_per_day, fn.__name__

@@ -22,12 +22,11 @@ from spillcast.epimodel import (
     Trajectory,
     default_init_state,
     derivatives,
-    r0_inputs_for_day,
     seeded_year_trajectory,
     simulate,
     simulate_runs,
     save_trajectory,
-    weekly_expected_cases,
+    weekly_expected_cases_runs,
 )
 from spillcast.ingest import WeatherSeries
 from spillcast.r0 import r0
@@ -238,7 +237,8 @@ def reference_simulate(params, weather, k_series, init, steps_per_day=24):
         states[i] = y[:15]
         m_prof[i] = y[6] + y[7] + y[8]
         temp = float(weather.temp_mean[i])
-        r0_daily[i] = r0(r0_inputs_for_day(params, temp, y[6], y[11]))
+        r0_daily[i] = r0(epimodel._r0_inputs(params.daily_rates(temp),
+                                               y[6], y[11]))
 
         rates = params.daily_rates(temp)
         k_cap = float(k_arr[i])
@@ -438,7 +438,7 @@ def test_weekly_expected_cases_sums_days(default_cfg, default_params):
     wx = constant_weather(21, temp=25.0, start=date(2021, 6, 1))
     traj = simulate(default_params, wx, np.full(21, 5000.0), init)
     weeks = [date(2021, 6, 1), date(2021, 6, 8), date(2021, 6, 15)]
-    totals = weekly_expected_cases(traj, weeks)
+    totals = weekly_expected_cases_runs([traj], [weeks])[0]
     assert totals[0] == pytest.approx(traj.new_infections[0:7].sum())
     assert totals[2] == pytest.approx(traj.new_infections[14:21].sum())
 
@@ -850,7 +850,7 @@ def test_weekly_expected_cases_equals_the_date_sum(seed, n, offsets):
                       m=np.zeros(n), r0=np.zeros(n), new_infections=daily,
                       weather=wx)
     weeks = [wx.dates[0] + timedelta(days=o) for o in offsets]
-    got = weekly_expected_cases(traj, weeks)
+    got = weekly_expected_cases_runs([traj], [weeks])[0]
     assert got.tobytes() == _weekly_expected_cases_oracle(traj, weeks).tobytes()
 
 
@@ -861,7 +861,7 @@ def test_weekly_expected_cases_keeps_the_left_to_right_order():
     daily = np.array([1e16, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     traj = Trajectory(dates=wx.dates, states=np.zeros((7, 15)), m=np.zeros(7),
                       r0=np.zeros(7), new_infections=daily, weather=wx)
-    assert weekly_expected_cases(traj, [wx.dates[0]])[0] == 1e16
+    assert weekly_expected_cases_runs([traj], [[wx.dates[0]]])[0][0] == 1e16
 
 
 class TestThermalRatesPerWeather:

@@ -276,7 +276,7 @@ class TestSeverityIntegration:
         wx = world.weather.year_slices()[2022]
         traj = simulate(params, wx, np.full(len(wx), world.k_star), init,
                         steps_per_day=cfg.steps_per_day)
-        prior = build_prior("uniform_box", None, surface.grid)
+        prior = build_prior("uniform", None, surface.grid)
         posteriors = build_posteriors(prior, surface, cfg.x_max)
         gated = estimate_severity(traj, posteriors, onset_pdf=pdf)
         ungated = estimate_severity(traj, posteriors)
@@ -292,7 +292,7 @@ class TestSeverityIntegration:
         _, surface = fitted
         supported = surface.lam[surface.lam > 0.0]
         assert np.all(supported >= 1.0 - 1e-9)
-        prior = build_prior("uniform_box", None, surface.grid)
+        prior = build_prior("uniform", None, surface.grid)
         posteriors = build_posteriors(prior, surface, 30)
         assert [p.x for p in posteriors] == list(range(1, 31))
 
@@ -305,7 +305,7 @@ class TestSeverityIntegration:
         i, j = zero_cells[0]
         curve = [(float(surface.grid.m_centers[i]),
                   float(surface.grid.w_centers[j]))]
-        prior = build_prior("uniform_band", curve, surface.grid,
+        prior = build_prior("band", curve, surface.grid,
                             halfwidth=1e-9)
         with pytest.raises(errors.ZeroEvidence):
             build_posteriors(prior, surface, 30)
@@ -316,7 +316,7 @@ class TestSeverityIntegration:
         from tests.test_severity import square_grid, surface_with
         grid = square_grid(16)
         surface = surface_with(grid, np.full(grid.shape, 1e-11))
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         posteriors = build_posteriors(prior, surface, 30)
         xs = [p.x for p in posteriors]
         assert 1 in xs

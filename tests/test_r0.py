@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spillcast.epimodel import default_init_state, r0_inputs_for_day, simulate
+from spillcast.epimodel import _r0_inputs, default_init_state, simulate
 from spillcast.errors import ZeroDenominator
 from spillcast.r0 import R0Inputs, exposed_survival, r0, r0_bird, r0_mosquito
 
@@ -146,8 +146,8 @@ def test_trajectory_r0_single_code_path(default_cfg, default_params):
     init = default_init_state(default_cfg)
     traj = simulate(default_params, wx, np.full(30, 5000.0), init)
     for i in (0, 7, 29):
-        n_inputs = r0_inputs_for_day(
-            default_params, float(wx.temp_mean[i]),
+        n_inputs = _r0_inputs(
+            default_params.daily_rates(float(wx.temp_mean[i])),
             m_s=float(traj.states[i, 6]), b_s=float(traj.states[i, 11]),
         )
         assert traj.r0[i] == r0(n_inputs)

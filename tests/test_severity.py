@@ -178,14 +178,14 @@ class TestFitRateSurface:
 class TestPriors:
     def test_uniform_box_density(self):
         grid = square_grid(32, 0.0, 2.0)  # extent 2 x 2
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         assert np.allclose(prior.density, 1.0 / 4.0)
         mass = float(np.sum(prior.density) * grid.cell_area)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussian_ridge_single_point(self):
         grid = square_grid(64, -3.0, 3.0)
-        prior = build_prior("gaussian_ridge", [(0.0, 0.0)], grid, sigma=0.5)
+        prior = build_prior("gaussian", [(0.0, 0.0)], grid, sigma=0.5)
         mass = float(np.sum(prior.density) * grid.cell_area)
         assert mass == pytest.approx(1.0, abs=1e-6)
         center = prior.density[32, 32]
@@ -194,7 +194,7 @@ class TestPriors:
     def test_uniform_band_small_halfwidth_concentrates(self):
         grid = square_grid(32, 0.0, 1.0)
         curve = [(0.25, 0.25), (0.75, 0.75)]
-        prior = build_prior("uniform_band", curve, grid, halfwidth=1e-9)
+        prior = build_prior("band", curve, grid, halfwidth=1e-9)
         occupied = np.count_nonzero(prior.density)
         assert occupied <= 4
         mass = float(np.sum(prior.density) * grid.cell_area)
@@ -203,13 +203,13 @@ class TestPriors:
     def test_empty_curve(self):
         grid = square_grid()
         with pytest.raises(errors.EmptyCurve):
-            build_prior("gaussian_ridge", [], grid)
+            build_prior("gaussian", [], grid)
 
 
 class TestPosterior:
     def test_uniform_prior_constant_lambda_stays_uniform(self):
         grid = square_grid()
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         surface = surface_with(grid, np.full(grid.shape, 3.0))
         for x in (1, 3, 8):
             post = posterior(x, prior, surface)
@@ -219,7 +219,7 @@ class TestPosterior:
         grid = square_grid(32)
         lam = np.zeros(grid.shape)
         lam[16:, :] = 40.0
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         post = posterior(0, prior, surface_with(grid, lam))
         mass_zero_half = float(np.sum(post.density[:16, :]) * grid.cell_area)
         assert mass_zero_half == pytest.approx(1.0, abs=1e-12)
@@ -229,7 +229,7 @@ class TestPosterior:
         grid = square_grid(32)
         lam = np.full(grid.shape, 1.0)
         lam[16:, :] = 9.0
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         post = posterior(9, prior, surface_with(grid, lam))
         ratio = post.density[20, 5] / post.density[5, 5]
         expected = (math.exp(-9.0) * 9.0**9 / math.factorial(9)) / \
@@ -240,7 +240,7 @@ class TestPosterior:
         grid = square_grid(24)
         rng = np.random.default_rng(6)
         lam = rng.uniform(0.0, 12.0, grid.shape)
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         for x in range(1, 11):
             post = posterior(x, prior, surface_with(grid, lam))
             mass = float(np.sum(post.density) * grid.cell_area)
@@ -249,7 +249,7 @@ class TestPosterior:
     def test_zero_evidence(self):
         grid = square_grid(16)
         surface = surface_with(grid, np.zeros(grid.shape))
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         with pytest.raises(errors.ZeroEvidence):
             posterior(3, prior, surface)
 
@@ -260,7 +260,7 @@ class TestMpp:
         # the Poisson mode; the integer rate ties its two modes and the
         # smaller one wins
         grid = square_grid(16)
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         surface = surface_with(grid, np.full(grid.shape, 4.0))
         posteriors = build_posteriors(prior, surface, 10)
         x, off = mpp_predict((0.5, 0.5), posteriors)
@@ -272,7 +272,7 @@ class TestMpp:
         rng = np.random.default_rng(14)
         grid = square_grid(32)
         lam = rng.uniform(0.0, 12.0, grid.shape)
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         surface = surface_with(grid, lam)
         posteriors = build_posteriors(prior, surface, 10)
 
@@ -295,7 +295,7 @@ class TestMpp:
         grid = square_grid(32)
         lam = np.full(grid.shape, 1.0)
         lam[16:, :] = 9.0
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         surface = surface_with(grid, lam)
         posteriors = build_posteriors(prior, surface, 30)
         point = (0.8, 0.5)
@@ -317,7 +317,7 @@ class TestMpp:
         rng = np.random.default_rng(8)
         lam = rng.uniform(0.0, 9.0, grid.shape)
         surface = surface_with(grid, lam)
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         scaled = object.__new__(PriorGrid)
         object.__setattr__(scaled, "kind", prior.kind)
         object.__setattr__(scaled, "grid", prior.grid)
@@ -354,7 +354,7 @@ class TestMpp:
 
     def test_off_grid_flagged_nearest_cell(self):
         grid = square_grid(16)
-        prior = build_prior("uniform_box", None, grid)
+        prior = build_prior("uniform", None, grid)
         lam = np.linspace(1.0, 9.0, 16)[:, None] * np.ones((1, 16))
         posteriors = build_posteriors(prior, surface_with(grid, lam), 10)
         x_in, off_in = mpp_predict((0.97, 0.5), posteriors)
@@ -431,7 +431,7 @@ def test_mpp_days_equals_the_per_day_loop(data, n_m, n_w, n_days, gated):
 @pytest.mark.parametrize("gated", [False, True])
 def test_mpp_days_empty_span(gated):
     grid = square_grid(4)
-    prior = build_prior("uniform_box", None, grid)
+    prior = build_prior("uniform", None, grid)
     posteriors = build_posteriors(prior, surface_with(grid, np.ones((4, 4))), 3)
     empty = np.array([])
     with mock.patch.object(severity, "classify_days",
@@ -494,7 +494,7 @@ class TestEndToEnd:
         cfg, params, trajectories, case_series, lam_true = lambda_world
         samples = collect_severity_samples(trajectories, case_series)
         surface = fit_rate_surface(samples, grid_size=64)
-        prior = build_prior("uniform_box", None, surface.grid)
+        prior = build_prior("uniform", None, surface.grid)
         posteriors = build_posteriors(prior, surface, 30)
 
         traj = trajectories[2021]
@@ -509,7 +509,7 @@ class TestEndToEnd:
         cfg, params, trajectories, case_series, _ = lambda_world
         samples = collect_severity_samples(trajectories, case_series)
         surface = fit_rate_surface(samples, grid_size=64)
-        prior = build_prior("uniform_box", None, surface.grid)
+        prior = build_prior("uniform", None, surface.grid)
         posteriors = build_posteriors(prior, surface, 30)
         from spillcast.epimodel import Trajectory
         wx = constant_weather(20, temp=25.0, start=date(2022, 1, 1))
@@ -526,7 +526,7 @@ class TestEndToEnd:
         cfg, params, trajectories, case_series, _ = lambda_world
         samples = collect_severity_samples(trajectories, case_series)
         surface = fit_rate_surface(samples, grid_size=32)
-        prior = build_prior("uniform_box", None, surface.grid)
+        prior = build_prior("uniform", None, surface.grid)
         posteriors = build_posteriors(prior, surface, 10)
         empty = trajectories[2021]
         from spillcast.epimodel import Trajectory
@@ -545,7 +545,7 @@ class TestEndToEnd:
         train_cases = {y: case_series[y] for y in train}
         samples = collect_severity_samples(train, train_cases)
         surface = fit_rate_surface(samples, grid_size=64)
-        prior = build_prior("uniform_box", None, surface.grid)
+        prior = build_prior("uniform", None, surface.grid)
         posteriors = build_posteriors(prior, surface, 30)
 
         traj = trajectories[2021]
@@ -591,7 +591,7 @@ class TestPredictSeverity:
         cfg, params, trajectories, case_series, _ = lambda_world
         samples = collect_severity_samples(trajectories, case_series)
         surface = fit_rate_surface(samples, grid_size=32)
-        prior = build_prior("uniform_box", None, surface.grid)
+        prior = build_prior("uniform", None, surface.grid)
         posteriors = build_posteriors(prior, surface, 5)
         result = estimate_severity(trajectories[2021], posteriors)
         sev_path = tmp_path / "severity.csv"

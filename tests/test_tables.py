@@ -228,7 +228,7 @@ def test_writers_match_reference_on_fixture(tmp_path, world,
     traj = pipeline_trajectories[2022]
     surface = fit_rate_surface(
         collect_severity_samples(pipeline_trajectories, cases), grid_size=32)
-    prior = build_prior("uniform_box", None, surface.grid)
+    prior = build_prior("uniform", None, surface.grid)
     forecast = estimate_severity(traj, build_posteriors(prior, surface, 5))
     k = KSeries(world.weather.dates, np.full(len(world.weather), world.k_star))
     check_every_writer(tmp_path, world.weather, world.cases, k, traj,

@@ -98,7 +98,7 @@ class TestForecast:
         scalar loop's: the same products added in the same order."""
         rng = np.random.default_rng(seed)
         model = ARModel(order=order, coef=rng.uniform(-1.0, 1.0, order) * scale,
-                        intercept=intercept, resid_var=0.0)
+                        intercept=intercept)
         history = 20.0 * rng.standard_normal(order + extra)
         with np.errstate(all="ignore"):
             ours = forecast(model, history, horizon)
@@ -106,7 +106,7 @@ class TestForecast:
         assert canonical_bytes(ours) == canonical_bytes(theirs)
 
     def test_negative_horizon_rejected(self):
-        model = ARModel(order=1, coef=np.ones(1), intercept=0.0, resid_var=0.0)
+        model = ARModel(order=1, coef=np.ones(1), intercept=0.0)
         with pytest.raises(ValueError):
             forecast(model, [1.0], -1)
 
@@ -115,13 +115,12 @@ class TestForecast:
         assert len(forecast(model, np.arange(30.0), 0)) == 0
 
     def test_ar1_geometric_decay(self):
-        model = ARModel(order=1, coef=np.array([0.5]), intercept=0.0,
-                        resid_var=0.0)
+        model = ARModel(order=1, coef=np.array([0.5]), intercept=0.0)
         out = forecast(model, [8.0], 3)
         assert np.allclose(out, [4.0, 2.0, 1.0])
 
     def test_history_too_short(self):
-        model = ARModel(order=3, coef=np.zeros(3), intercept=1.0, resid_var=0.0)
+        model = ARModel(order=3, coef=np.zeros(3), intercept=1.0)
         with pytest.raises(errors.HistoryTooShort):
             forecast(model, [1.0, 2.0], 4)
 
