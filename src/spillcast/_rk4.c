@@ -39,10 +39,37 @@
  * which is also the build on other CPUs and on compilers without the
  * target attribute, and epimodel retries with it when a build fails.
  *
+ * The disease-free day.  A run with no infection in it (the onset runs
+ * of the warming trend, a seeded run before its pulse) only moves six
+ * compartments: E_M, A_M, M_S, E_B, F_B and B_S.  A day whose every lane
+ * has (a) H_E, H_I, H_R, M_E, M_I, B_E, B_I, B_R and the accumulator at
+ * +0.0, bit for bit (a -0.0 or a subnormal fails), (b) H_S finite and > 0
+ * and (c) all 16 rates and the five loss-rate sums finite with the sign
+ * bit clear integrates only those six, in the same RK4 steps, with the
+ * expressions of the full right-hand side and each dead input written as
+ * a literal +0.0 (n_b = b_s + 0.0 + 0.0 + 0.0, 0.0 * m_s for foi_m * m_s),
+ * which GCC does not fold without -ffast-math.  That is exact: every
+ * force of infection is then +0.0 in both branches of its select, each
+ * infection derivative is +0.0 or -0.0, so a dead value stays +0.0 after
+ * every stage and step (+0.0 + -0.0 is +0.0) and is never clamped,
+ * H_S + -0.0 is H_S, and each live value rounds as in the full body; the
+ * sums are checked because a finite rate plus a finite rate can be inf,
+ * and inf * 0.0 is NaN.  The one input that would still break it is a
+ * non-finite M_S or B_S (0.0 * inf is NaN, which the full body would
+ * carry into M_E or B_E), so the day adds m_s - m_s + b_s - b_s over
+ * every right-hand-side input; unless that sum is 0 at the end, the day
+ * is run again in the full body from its start state and clamp counts.
+ * R0, the outputs, the clamp count and the BLOW_UP check are those of the
+ * full body; counts[lanes + l] counts the disease-free days of lane l.
+ * Each right-hand side then divides once (A_M / K) instead of four times.
+ * epimodel._advance, the Python loop, has no such shortcut: it stays the
+ * oracle.
+ *
  * Errors.  On a day whose R0 denominator rule or BLOWUP_LIMIT fails in
  * some lane, spillcast_advance returns that code at once, with the lane
- * and the day's index after the clamp counts; the states and outputs of
- * every lane are then undefined.  epimodel._KERNEL_ERRORS maps the code
+ * and the day's index after the clamp and disease-free day counts; the
+ * states and outputs of every lane are then undefined.
+ * epimodel._KERNEL_ERRORS maps the code
  * of a one-lane call to the exception r0.r0 or _advance raises on that
  * day (DIVISION_BY_ZERO to ZeroDenominator(DENOMINATOR_UNDERFLOW)).
  * After any code from a call of several lanes, epimodel.simulate_runs
@@ -58,11 +85,19 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define N_RATES 16
 #define N_COMP 15
 #define N_STATE 16  /* the compartments, then the new-infection accumulator */
 #define MAX_LANES 8
+#define N_LIVE 6    /* the compartments a disease-free day moves */
+#define INF_BITS 0x7ff0000000000000  /* the bits of +inf */
+
+/* Where the six live compartments of a disease-free day are in a state,
+ * and the entries that must be +0.0 for one (see the header). */
+static const int LIVE[N_LIVE] = {4, 5, 6, 9, 10, 11};
+static const int DEAD[] = {1, 2, 3, 7, 8, 12, 13, 14, 15};
 
 /* Return codes. */
 enum {
@@ -83,6 +118,15 @@ enum {
 #endif
 #endif
 #endif
+
+/* The bits of a double. */
+static inline uint64_t bits(double v)
+{
+    uint64_t b;
+
+    memcpy(&b, &v, sizeof b);
+    return b;
+}
 
 /* r0.r0 of one day's rates (a row in epimodel._RATE_KEYS order) and
  * susceptible counts, or an error code. */
@@ -131,7 +175,8 @@ static int day_r0(const double *r, double m_s, double b_s, double *out)
  * SEL(mask, a, b), a where the mask is set, else b; CLAMP(v, count),
  * the negative clamp of v that adds 1 to count per clamped lane;
  * OVER(mask, v, limit), which sets the mask in the lanes where v exceeds
- * the limit; RHS, how the right-hand side is compiled; and TARGET, the
+ * the limit; BITS(v), the bits of v as a vi; RHS, how the right-hand
+ * sides (full and disease-free) are compiled; and TARGET, the
  * instruction set of the lane loop.  One lane keeps the shape of a plain
  * scalar loop, which ran fastest: the clamp and the limit check are
  * branches, as the Python loop has them (a select or a mask there sits on
@@ -153,6 +198,7 @@ typedef int64_t vi_1;
 #define CLAMP(v, count) if ((v) < 0.0) { (v) = 0.0; (count) += 1; }
 #define RHS static __attribute__((noinline))
 #define OVER(mask, v, limit) if ((v) > (limit)) (mask) = 1
+#define BITS(v) bits(v)
 #define LANES 1
 #define TARGET
 #include "_rk4.c"
@@ -161,6 +207,7 @@ typedef int64_t vi_1;
 #undef CLAMP
 #undef RHS
 #undef OVER
+#undef BITS
 
 #define LANE(v, l) ((v)[l])
 #define SEL(mask, a, b) ((vd)(((vi)(a) & (mask)) | ((vi)(b) & ~(mask))))
@@ -171,6 +218,7 @@ typedef int64_t vi_1;
     }
 #define RHS INLINE
 #define OVER(mask, v, limit) (mask) |= (v) > (limit)
+#define BITS(v) ((vi)(v))
 
 typedef double vd_2 __attribute__((vector_size(8 * 2)));
 typedef int64_t vi_2 __attribute__((vector_size(8 * 2)));
@@ -219,9 +267,10 @@ int spillcast_width(void)
  * writes the day's start state, adult mosquitoes, R0 and expected new
  * reported cases to states (N_COMP columns), m, r0 and new_inf.  y holds
  * the lanes' states (N_STATE values each) and is updated in place.  The
- * number of clamped values of lane l is added to counts[l]; on an error,
- * counts[lanes] and counts[lanes + 1] receive the lane and the day (see
- * the header).  Two packed index arrays, not four, because every array
+ * number of clamped values of lane l is added to counts[l] and its number
+ * of disease-free days to counts[lanes + l]; on an error,
+ * counts[2 * lanes] and counts[2 * lanes + 1] receive the lane and the day
+ * (see the header).  Two packed index arrays, not four, because every array
  * argument costs a ctypes conversion on each call. */
 int spillcast_advance(int64_t lanes, int64_t n, int64_t steps, double h,
                       double half, double sixth, double rho,
@@ -231,7 +280,7 @@ int spillcast_advance(int64_t lanes, int64_t n, int64_t steps, double h,
                       const int64_t *rows, int64_t *counts)
 {
     const int64_t *rate_row = rows, *row = rows + lanes;
-    int64_t *fail = counts + lanes;
+    int64_t *free_days = counts + lanes, *fail = counts + 2 * lanes;
     int64_t first, part, group;
     int status;
 
@@ -240,13 +289,13 @@ int spillcast_advance(int64_t lanes, int64_t n, int64_t steps, double h,
     if (lanes == 1)
         return advance_1(1, n, steps, h, half, sixth, rho, blowup_limit,
                          rates, rate_row, k_cap, row, states, m, r0, new_inf,
-                         y, counts, fail);
+                         y, counts, free_days, fail);
     group = spillcast_width();
 #ifdef AVX512_LANES
     if (group == 8 && lanes > 4)
         return advance_8(lanes, n, steps, h, half, sixth, rho, blowup_limit,
                          rates, rate_row, k_cap, row, states, m, r0, new_inf,
-                         y, counts, fail);
+                         y, counts, free_days, fail);
 #endif
     if (group > 4)
         group = 4;
@@ -257,13 +306,15 @@ int spillcast_advance(int64_t lanes, int64_t n, int64_t steps, double h,
             status = advance_4(part, n, steps, h, half, sixth, rho,
                                blowup_limit, rates, rate_row + first, k_cap,
                                row + first, states, m, r0, new_inf,
-                               y + first * N_STATE, counts + first, fail);
+                               y + first * N_STATE, counts + first,
+                               free_days + first, fail);
         else
 #endif
             status = advance_2(part, n, steps, h, half, sixth, rho,
                                blowup_limit, rates, rate_row + first, k_cap,
                                row + first, states, m, r0, new_inf,
-                               y + first * N_STATE, counts + first, fail);
+                               y + first * N_STATE, counts + first,
+                               free_days + first, fail);
         if (status != OK) {
             fail[0] += first;
             return status;
@@ -319,6 +370,29 @@ RHS void NAME(rhs)(const NAME(Day) *d, const vd *y, vd *dy)
     dy[15] = new_h;
 }
 
+/* The right-hand side of a disease-free day (see the header): the
+ * derivatives of the LIVE compartments from their values z, each dead
+ * input +0.0, in the expressions of NAME(rhs); adds m_s - m_s + b_s - b_s
+ * to *finite. */
+RHS void NAME(free_rhs)(const NAME(Day) *d, const vd *z, vd *dz,
+                        vd *finite)
+{
+    const vd zero = {0.0};
+    const vd e_m = z[0], a_m = z[1], m_s = z[2], e_b = z[3], f_b = z[4],
+             b_s = z[5];
+    const vd n_b = b_s + 0.0 + 0.0 + 0.0;
+    const vd room = 1.0 - a_m / d->k_cap;
+
+    dz[0] = d->phi_m * (m_s + 0.0 + 0.0) - d->aquatic_out * e_m;
+    dz[1] = d->nu_m * e_m * SEL(room > zero, room, zero)
+            - d->aquatic_out * a_m;
+    dz[2] = d->nu_m * a_m - 0.0 * m_s - d->mu_m * m_s;
+    dz[3] = d->phi_b * n_b - d->bird_young_out * e_b;
+    dz[4] = d->mat_b * e_b - d->bird_young_out * f_b;
+    dz[5] = d->mat_b * f_b - 0.0 * b_s - d->mu_b * b_s;
+    *finite = *finite + (m_s - m_s) + (b_s - b_s);
+}
+
 /* spillcast_advance for 1 <= lanes <= LANES; lanes past `lanes` repeat
  * lane 0, so they compute what it does and are never read. */
 TARGET
@@ -328,16 +402,17 @@ static int NAME(advance)(int64_t lanes, int64_t n, int64_t steps, double h,
                          const int64_t *rate_row, const double *k_cap,
                          const int64_t *row, double *states, double *m,
                          double *r0, double *new_inf, double *y_io,
-                         int64_t *clamps, int64_t *fail)
+                         int64_t *clamps, int64_t *free_days, int64_t *fail)
 {
-    const vd zero = {0.0}, limit = zero + blowup_limit;
+    const vd zero = {0.0}, limit = zero + blowup_limit, inf = zero + INFINITY;
     vd y[N_STATE], k1[N_STATE], tmp[N_STATE];
 #if LANES == 1
     vd k2[N_STATE], k3[N_STATE], k4[N_STATE];
 #else
     vd k[N_STATE], sum[N_STATE];
 #endif
-    vi clamped = {0};
+    vd z[N_LIVE], z_k1[N_LIVE], z_k[N_LIVE], z_sum[N_LIVE], z_tmp[N_LIVE];
+    vi clamped = {0}, quiet_days = {0};
     const double *lane_rates[LANES];
     int64_t lane_row[LANES];
     NAME(Day) d;
@@ -352,8 +427,9 @@ static int NAME(advance)(int64_t lanes, int64_t n, int64_t steps, double h,
             LANE(y[j], l) = y_io[src * N_STATE + j];
     }
     for (i = 0; i < n; i++) {
-        vd cum_before, new_cases;
-        vi big;
+        vd cum_before, new_cases, finite;
+        vi big, quiet, count;
+        int disease_free = 1;
 
         for (l = 0; l < lanes; l++) {
             const int64_t o = lane_row[l] + i;
@@ -389,6 +465,8 @@ static int NAME(advance)(int64_t lanes, int64_t n, int64_t steps, double h,
             LANE(d.eps_h, l) = r[14];
             LANE(d.gam_h, l) = r[15];
             LANE(d.k_cap, l) = k_cap[lane_row[l] + i];
+            for (j = 0; j < N_RATES; j++)
+                disease_free &= bits(r[j]) < INF_BITS;
         }
         d.aquatic_out = d.nu_m + d.mu_a;
         d.m_e_out = d.pdr + d.mu_m;
@@ -397,39 +475,84 @@ static int NAME(advance)(int64_t lanes, int64_t n, int64_t steps, double h,
         d.b_i_out = d.lam_b + d.mu_wb + d.mu_b;
 
         cum_before = y[15];
-        for (s = 0; s < steps; s++) {
-            NAME(rhs)(&d, y, k1);
-            for (j = 0; j < N_COMP; j++)
-                tmp[j] = y[j] + half * k1[j];
+        /* the disease-free day (see the header) */
+        quiet = (y[0] > zero) & (y[0] < inf) & (d.aquatic_out < inf)
+                & (d.m_e_out < inf) & (d.bird_young_out < inf)
+                & (d.b_e_out < inf) & (d.b_i_out < inf);
+        for (j = 0; j < (int)(sizeof DEAD / sizeof *DEAD); j++)
+            quiet &= BITS(y[DEAD[j]]) == 0;
+        for (l = 0; l < LANES; l++)
+            disease_free &= LANE(quiet, l) != 0;
+        if (disease_free) {
+            finite = zero;
+            count = clamped;
+            for (j = 0; j < N_LIVE; j++)
+                z[j] = y[LIVE[j]];
+            for (s = 0; s < steps; s++) {
+                NAME(free_rhs)(&d, z, z_k1, &finite);
+                for (j = 0; j < N_LIVE; j++)
+                    z_tmp[j] = z[j] + half * z_k1[j];
+                NAME(free_rhs)(&d, z_tmp, z_k, &finite);
+                for (j = 0; j < N_LIVE; j++)
+                    z_sum[j] = z_k1[j] + 2.0 * z_k[j];
+                for (j = 0; j < N_LIVE; j++)
+                    z_tmp[j] = z[j] + half * z_k[j];
+                NAME(free_rhs)(&d, z_tmp, z_k, &finite);
+                for (j = 0; j < N_LIVE; j++)
+                    z_sum[j] = z_sum[j] + 2.0 * z_k[j];
+                for (j = 0; j < N_LIVE; j++)
+                    z_tmp[j] = z[j] + h * z_k[j];
+                NAME(free_rhs)(&d, z_tmp, z_k, &finite);
+                for (j = 0; j < N_LIVE; j++) {
+                    z[j] += sixth * (z_sum[j] + z_k[j]);
+                    CLAMP(z[j], count);
+                }
+            }
+            /* a NaN in the sum fails every lane's test */
+            for (l = 0; l < LANES; l++)
+                disease_free &= LANE(finite, l) == 0.0;
+            if (disease_free) {
+                for (j = 0; j < N_LIVE; j++)
+                    y[LIVE[j]] = z[j];
+                clamped = count;
+                quiet_days += 1;
+            }
+        }
+        if (!disease_free) {
+            for (s = 0; s < steps; s++) {
+                NAME(rhs)(&d, y, k1);
+                for (j = 0; j < N_COMP; j++)
+                    tmp[j] = y[j] + half * k1[j];
 #if LANES == 1
-            NAME(rhs)(&d, tmp, k2);
-            for (j = 0; j < N_COMP; j++)
-                tmp[j] = y[j] + half * k2[j];
-            NAME(rhs)(&d, tmp, k3);
-            for (j = 0; j < N_COMP; j++)
-                tmp[j] = y[j] + h * k3[j];
-            NAME(rhs)(&d, tmp, k4);
-            for (j = 0; j < N_STATE; j++)
-                y[j] += sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
+                NAME(rhs)(&d, tmp, k2);
+                for (j = 0; j < N_COMP; j++)
+                    tmp[j] = y[j] + half * k2[j];
+                NAME(rhs)(&d, tmp, k3);
+                for (j = 0; j < N_COMP; j++)
+                    tmp[j] = y[j] + h * k3[j];
+                NAME(rhs)(&d, tmp, k4);
+                for (j = 0; j < N_STATE; j++)
+                    y[j] += sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
 #else
-            /* k1 + 2 k2 + 2 k3 + k4, added left to right as above, one
-             * stage at a time (see the bindings) */
-            NAME(rhs)(&d, tmp, k);
-            for (j = 0; j < N_STATE; j++)
-                sum[j] = k1[j] + 2.0 * k[j];
-            for (j = 0; j < N_COMP; j++)
-                tmp[j] = y[j] + half * k[j];
-            NAME(rhs)(&d, tmp, k);
-            for (j = 0; j < N_STATE; j++)
-                sum[j] = sum[j] + 2.0 * k[j];
-            for (j = 0; j < N_COMP; j++)
-                tmp[j] = y[j] + h * k[j];
-            NAME(rhs)(&d, tmp, k);
-            for (j = 0; j < N_STATE; j++)
-                y[j] += sixth * (sum[j] + k[j]);
+                /* k1 + 2 k2 + 2 k3 + k4, added left to right as above, one
+                 * stage at a time (see the bindings) */
+                NAME(rhs)(&d, tmp, k);
+                for (j = 0; j < N_STATE; j++)
+                    sum[j] = k1[j] + 2.0 * k[j];
+                for (j = 0; j < N_COMP; j++)
+                    tmp[j] = y[j] + half * k[j];
+                NAME(rhs)(&d, tmp, k);
+                for (j = 0; j < N_STATE; j++)
+                    sum[j] = sum[j] + 2.0 * k[j];
+                for (j = 0; j < N_COMP; j++)
+                    tmp[j] = y[j] + h * k[j];
+                NAME(rhs)(&d, tmp, k);
+                for (j = 0; j < N_STATE; j++)
+                    y[j] += sixth * (sum[j] + k[j]);
 #endif
-            for (j = 0; j < N_COMP; j++) {
-                CLAMP(y[j], clamped);
+                for (j = 0; j < N_COMP; j++) {
+                    CLAMP(y[j], clamped);
+                }
             }
         }
         new_cases = rho * (y[15] - cum_before);
@@ -447,6 +570,7 @@ static int NAME(advance)(int64_t lanes, int64_t n, int64_t steps, double h,
     }
     for (l = 0; l < lanes; l++) {
         clamps[l] += LANE(clamped, l);
+        free_days[l] += LANE(quiet_days, l);
         for (j = 0; j < N_STATE; j++)
             y_io[l * N_STATE + j] = LANE(y[j], l);
     }

@@ -39,6 +39,17 @@ sends its runs there eight at a time, grouped by length and pulse day, and
 runs these chunks one after another on the calling thread.  If any lane
 fails, a width-1 pass simulates the runs again one at a time, so the error
 raised is always that of the first failing run, as without lanes.
+
+A day on which every lane of a call is disease-free (the infection
+compartments and the accumulator at +0.0 bit for bit, H_S finite and > 0,
+every rate and loss-rate sum finite with its sign bit clear) goes through
+the compiled loop's disease-free body: the same RK4 steps on the six
+compartments that move (E_M, A_M, M_S, E_B, F_B, B_S), with each dead
+input a literal +0.0, which is exact.  If M_S or B_S turned non-finite
+within the day, the day is run again in the full body.  The warming
+trend's runs, and seeded runs up to their pulse, take it on every day;
+``_kernel_advance`` returns each run's count of such days.  ``_advance``
+has no such shortcut.
 """
 
 from __future__ import annotations
@@ -476,7 +487,10 @@ def _build_kernel(path: Path) -> bool:
     ``_compilers()`` that builds it, with the AVX2 and AVX-512 lanes or,
     should that fail, without them; False, with nothing printed and
     nothing left behind, if each compiler is missing, fails or times out,
-    or the directory is not writable."""
+    or the directory is not writable.  Once the new library is in place,
+    every other ``_rk4-*.so`` there is deleted: its key is stale, so no
+    process loads it again.  The ``*.tmp`` files of builds still running
+    are left alone."""
     import subprocess
     import tempfile
 
@@ -499,6 +513,10 @@ def _build_kernel(path: Path) -> bool:
                 if done.returncode == 0:
                     os.replace(tmp, path)
                     tmp = None
+                    for stale in path.parent.glob("_rk4-*.so"):
+                        if stale != path:
+                            with contextlib.suppress(OSError):
+                                stale.unlink()
                     return True
         return False
     except OSError:
@@ -532,7 +550,8 @@ def _kernel_advance(advance, params: ModelParams, steps_per_day: int, n: int,
     and its K from, and writes its outputs to, rows ``rows[l]`` on of
     ``k_arr`` and ``out`` = (states, m, r0, new_infections); ``y`` holds
     the (lanes, 16) states and is updated in place.  Returns the status,
-    the failing day's index and the clamp count of each run."""
+    the failing day's index, and the clamp count and the number of
+    disease-free days of each run (see ``_rk4.c``)."""
     lanes = len(rows)
     states, m_prof, r0_daily, new_inf = out
     # the loop reads and writes n rows from each start through raw pointers
@@ -546,11 +565,12 @@ def _kernel_advance(advance, params: ModelParams, steps_per_day: int, n: int,
                                      len(r0_daily), len(new_inf))):
         raise ValueError(f"arrays do not fit {lanes} runs of {n} days")
     h = 1.0 / steps_per_day
-    counts = np.zeros(lanes + 2, dtype=np.int64)  # clamps, failing lane, day
+    # clamps, disease-free days, failing lane, failing day
+    counts = np.zeros(2 * lanes + 2, dtype=np.int64)
     status = advance(lanes, n, operator.index(steps_per_day), h, 0.5 * h,
                      h / 6.0, params.rho, BLOWUP_LIMIT, rates, k_arr, *out, y,
                      np.array(rate_rows + rows, dtype=np.int64), counts)
-    return status, int(counts[-1]), counts[:lanes]
+    return status, int(counts[-1]), counts[:lanes], counts[lanes:-2]
 
 
 # --- runs ----------------------------------------------------------------------
@@ -695,7 +715,7 @@ def _simulate_chunks(advance, params: ModelParams, runs: list, rates,
                                   [part[row:row + n] for part in out])
             return [end], [count]
         state = np.array(y)
-        status, day, counts = _kernel_advance(
+        status, day, counts, _ = _kernel_advance(
             advance, params, steps_per_day, hi - lo, rates,
             [rate_starts[i] + lo for i in lanes], k_all,
             [starts[i] + lo for i in lanes], out, state)

@@ -16,7 +16,13 @@ import numpy as np
 
 from .config import Config
 from .epimodel import ModelParams, Run, default_init_state, simulate_runs
-from .errors import EmptyYear, TooFewResiduals, TooFewYears, ZeroVariance
+from .errors import (
+    EmptyYear,
+    LengthMismatch,
+    TooFewResiduals,
+    TooFewYears,
+    ZeroVariance,
+)
 from .ingest import WeatherSeries
 from .onset import OnsetPdf, RiskLevel, risk_codes
 from .special import kolmogorov, ndtr, t_tail
@@ -147,22 +153,32 @@ def trend_report(archive: WeatherSeries, pdf: OnsetPdf, params: ModelParams,
     """Per-year risk indicators over a multi-decade archive plus OLS
     trends for both.
 
-    ``k_predictor`` maps a year's WeatherSeries to its carrying-capacity
-    series (typically the fitted precipitation-bin planes); a K <= 0
-    raises NonFiniteInput.  Every year starts from the default initial
-    state; the years go to ``simulate_runs`` together, bit-identical to
-    simulating each year alone, and all their days are classified in one
-    ``risk_codes`` call, bit-identical to ``forecast_onset`` year by year;
-    each year's High and Green days are counted from the codes.
+    ``k_predictor`` maps a WeatherSeries to its carrying-capacity series,
+    one K per day (typically the fitted precipitation-bin planes).  It is
+    called once, on the whole archive, and each year takes its own days'
+    slice; a predictor that works day by day, as every ``cli.k_map``
+    method does, gives the K it would give each year alone.  A series of
+    another length raises LengthMismatch, a K <= 0 NonFiniteInput.  Every
+    year starts from the default initial state; the years go to
+    ``simulate_runs`` together, bit-identical to simulating each year
+    alone, and all their days are classified in one ``risk_codes`` call,
+    bit-identical to ``forecast_onset`` year by year; each year's High and
+    Green days are counted from the codes.
     """
     by_year = archive.year_slices()
     years = sorted(by_year)
     if len(years) < 10:
         raise TooFewYears(f"need at least 10 years of weather, got {len(years)}")
 
+    k = k_predictor(archive).values
+    if len(k) != len(archive):
+        raise LengthMismatch(
+            f"K series length {len(k)} != weather length {len(archive)}")
+    # the years are consecutive spans of the archive, in order
+    sizes = [len(by_year[year]) for year in years]
     init = default_init_state(cfg)
-    runs = [Run(by_year[year], k_predictor(by_year[year]).values, init)
-            for year in years]
+    runs = [Run(by_year[year], k_year, init) for year, k_year
+            in zip(years, np.split(k, np.cumsum(sizes)[:-1]))]
     trajs = simulate_runs(params, runs, steps_per_day=cfg.steps_per_day)
     # a day's density does not depend on the days classified with it
     _, codes = risk_codes(pdf, np.concatenate([t.m for t in trajs]),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spillcast import epimodel, errors
+from spillcast import epimodel, errors, synth
 from spillcast.config import Config
 from spillcast.epimodel import (
     COMPARTMENTS,
@@ -1092,3 +1092,162 @@ def test_rate_rows_equal_the_stacked_columns(rates):
     got = epimodel._rate_rows(params, temps)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# --- the disease-free day of the compiled loop ---------------------------------
+
+_LIVE = [COMPARTMENTS.index(c) for c in ("E_M", "A_M", "M_S", "E_B", "F_B",
+                                         "B_S")]
+# the entries a disease-free day needs at +0.0: the infection compartments
+# and the accumulator
+_DEAD = [COMPARTMENTS.index(c) for c in ("H_E", "H_I", "H_R", "M_E", "M_I",
+                                         "B_E", "B_I", "B_R")] + [15]
+_SPOILERS = (None, "-0.0 state", "subnormal state", "-0.0 rate",
+             "sum overflow", "NaN M_S", "infected birds", "huge M_S")
+
+
+@st.composite
+def disease_free_calls(draw):
+    """One call of 1-8 lanes, each with its own rate rows, K and a
+    disease-free start state, one lane of which may be spoiled: a -0.0 or a
+    subnormal in an infection compartment, a -0.0 rate or two rates whose
+    loss-rate sum overflows on one day, a NaN or huge M_S, or infected
+    birds (the pulse)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lanes = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    rates = epimodel._rate_rows(ModelParams.from_config(Config()),
+                                rng.uniform(-5.0, 38.0, lanes * n))
+    k = rng.uniform(100.0, 20000.0, lanes * n)
+    y = np.zeros((lanes, 16))
+    y[:, 0] = rng.uniform(1.0, 3000.0, lanes)
+    y[:, _LIVE] = rng.uniform(0.0, 3000.0, (lanes, len(_LIVE)))
+    spoil = draw(st.sampled_from(_SPOILERS))
+    lane = draw(st.integers(0, lanes - 1))
+    row = lane * n + draw(st.integers(0, n - 1))
+    if spoil in ("-0.0 state", "subnormal state"):
+        y[lane, draw(st.sampled_from(_DEAD))] = (
+            -0.0 if spoil == "-0.0 state" else 5e-324)
+    elif spoil == "-0.0 rate":
+        rates[row, draw(st.integers(0, 15))] = -0.0
+    elif spoil == "sum overflow":
+        # lam_b + mu_wb: both finite, their sum inf
+        rates[row, 12:14] = 1e308
+    elif spoil == "NaN M_S":
+        y[lane, 6] = np.nan
+    elif spoil == "huge M_S":
+        y[lane, 6] = 1e308
+    elif spoil == "infected birds":
+        y[lane, 13] = 20.0
+    return lanes, n, draw(st.integers(1, 3)), rates, k, y, spoil, lane
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@given(call=disease_free_calls())
+@settings(max_examples=150, deadline=None)
+def test_disease_free_days_equal_the_python_loop(call):
+    """The compiled loop, which integrates a disease-free day on its six
+    live compartments, against ``_advance`` on each lane alone, day by
+    day: the same outputs, end state and clamp count bit for bit, or a
+    failure on the day and of the kind of the Python loop.  An unspoiled
+    call takes the disease-free day on every day of every lane; a spoiled
+    lane takes the full body on at least one day."""
+    if epimodel.kernel() != "c":
+        pytest.skip("no compiled loop")
+    lanes, n, steps, rates, k, y, spoil, lane = call
+    params = ModelParams.from_config(Config())
+    wx = constant_weather(n)
+    want = [(np.empty((n, 15)), np.empty(n), np.empty(n), np.empty(n))
+            for _ in range(lanes)]
+    ends, clamps, failures = [], [], {}
+    for l in range(lanes):
+        state, count = y[l].tolist(), 0
+        for i in range(n):
+            try:
+                state, c = epimodel._advance(
+                    params, wx, rates[l * n:(l + 1) * n], k[l * n:(l + 1) * n],
+                    state, steps, i, i + 1, want[l])
+            except (errors.ZeroDenominator, errors.BlowUp) as exc:
+                failures[l] = (i, type(exc))
+                break
+            count += c
+        ends.append(state)
+        clamps.append(count)
+    got = (np.empty((lanes * n, 15)), np.empty(lanes * n),
+           np.empty(lanes * n), np.empty(lanes * n))
+    state = y.copy()
+    status, day, got_clamps, free = epimodel._kernel_advance(
+        epimodel._load_kernel(), params, steps, n, rates,
+        [l * n for l in range(lanes)], k, [l * n for l in range(lanes)], got,
+        state)
+    if status:
+        assert failures, status
+        kind = errors.BlowUp if status == 4 else errors.ZeroDenominator
+        assert any(failures.get(l) == (day, kind) for l in failures)
+        return
+    assert not failures
+    for l in range(lanes):
+        for g, w in zip(got, want[l]):
+            assert _same_bits(g[l * n:(l + 1) * n], w)
+        assert _same_bits(state[l], ends[l])
+    assert got_clamps.tolist() == clamps
+    if spoil is None:
+        assert free.tolist() == [n] * lanes
+    elif spoil != "huge M_S":
+        assert free[lane] < n
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 6])
+def test_overflow_within_a_day_raises_as_the_python_loop(lanes):
+    """Mosquitoes laying 1e300 eggs a day overflow M_S within the first
+    day, which a disease-free day must not integrate past: the compiled
+    loop raises the Python loop's error on the same day."""
+    params = ModelParams.from_config(Config(rates={
+        "egg_laying": "constant,1e300", "aquatic_dev": "constant,1e3"}))
+    runs = [Run(constant_weather(10), 1e300, default_init_state(Config()))
+            for _ in range(lanes)]
+    raised = []
+    for loop in DAY_LOOPS:
+        with day_loop(loop), pytest.raises(errors.BlowUp) as got:
+            simulate_runs(params, runs, steps_per_day=2)
+        raised.append(str(got.value))
+    assert raised[0] == raised[1]
+
+
+def test_disease_free_days_are_counted(default_params, monkeypatch):
+    """Unseeded runs with no infection, as the warming trend simulates
+    them, take the disease-free day on every day, alone and in lanes;
+    runs seeded on day 90 on exactly the 90 days before the pulse."""
+    if epimodel.kernel() != "c":
+        pytest.skip("no compiled loop")
+    free = {}
+    real = epimodel._kernel_advance
+
+    def counting(advance, params, steps, n, rates, rate_rows, k_arr, rows,
+                 *rest):
+        done = real(advance, params, steps, n, rates, rate_rows, k_arr, rows,
+                    *rest)
+        for row, count in zip(rows, done[3].tolist()):
+            free[row] = free.get(row, 0) + count
+        return done
+
+    monkeypatch.setattr(epimodel, "_kernel_advance", counting)
+    init = default_init_state(synth.default_config())
+    wx = sinusoid_weather(365)
+    for width in (1, 3, 8):
+        runs = [Run(wx, 1000.0 * (j + 1), init) for j in range(width)]
+        runs += [Run(wx, 1000.0 * (j + 1), init, seed_day=90)
+                 for j in range(width)]
+        free.clear()
+        simulate_runs(default_params, runs)
+        # each run's first row, and the row after its pulse
+        counts = [free.get(365 * j, 0) + free.get(365 * j + 90, 0)
+                  for j in range(2 * width)]
+        assert counts == [365] * width + [90] * width

@@ -280,7 +280,7 @@ def test_compiled_loop_fills_only_its_span(default_params):
                   np.full(12, -1.0), np.full(12, -1.0)) for _ in range(2))
     rates = epimodel._rate_rows(default_params, wx.temp_mean)
     state = np.array([y])
-    status, _, clamps = epimodel._kernel_advance(
+    status, _, clamps, _ = epimodel._kernel_advance(
         epimodel._load_kernel(), default_params, 3, 5, rates, [4], k_arr,
         [4], got, state)
     end_py, clamps_py = epimodel._advance(default_params, wx, rates, k_arr, y,
@@ -290,3 +290,24 @@ def test_compiled_loop_fills_only_its_span(default_params):
     assert clamps.tolist() == [clamps_py]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+def test_build_deletes_stale_libraries(tmp_path):
+    """A build leaves only the current key's library in the cache: the
+    library of an old key goes, and a build's temporary file stays, since
+    it may belong to a build still running."""
+    (tmp_path / "_rk4-0123456789abcdef.so").write_bytes(b"stale")
+    (tmp_path / "_rk4-0123456789abcdef-x1.tmp").write_bytes(b"")
+    path = tmp_path / epimodel._kernel_path().name
+    assert epimodel._build_kernel(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [path.name, "_rk4-0123456789abcdef-x1.tmp"])
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+@pytest.mark.parametrize("extra", [(), (epimodel._NO_AVX2,)])
+def test_kernel_source_compiles_without_warnings(tmp_path, extra):
+    """``_rk4.c`` builds with the loader's flags and ``-Wall -Wextra
+    -Werror``, with and without the AVX2 and AVX-512 bodies."""
+    build(tmp_path / "lib.so", "-Wall", "-Wextra", "-Werror", *extra)

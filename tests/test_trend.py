@@ -277,3 +277,27 @@ def test_level_counts_per_year_equal_annual_indicators(levels):
     r_year, r_relative = _yearly_indicators(codes, [len(y) for y in levels])
     assert list(zip(r_year, r_relative)) == [annual_indicators(year)
                                              for year in levels]
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_plane_k_of_the_archive_sliced_equals_each_year(seed):
+    """``trend_report`` predicts K once over the archive and slices it by
+    year: for the plane predictor the slices equal, bit for bit, the K
+    predicted on each year alone (fallback and clamped days included)."""
+    from spillcast.carrycap import fit_plane, predict_K_plane, quantile_edges
+    from spillcast.synth import seasonal_weather
+    rng = np.random.default_rng(seed)
+    archive = seasonal_weather(2000, 3, noise_sigma=0.3,
+                               seed=int(rng.integers(0, 1000)))
+    samples = np.column_stack([
+        rng.uniform(0.0, 30.0, 120), rng.uniform(20.0, 100.0, 120),
+        rng.uniform(0.0, 3.0, 120), rng.uniform(-2000.0, 9000.0, 120)])
+    model = fit_plane(samples, quantile_edges(samples[:, 2]))
+    whole = predict_K_plane(model, archive).values
+    lo = 0
+    for _, wx in sorted(archive.year_slices().items()):
+        part = predict_K_plane(model, wx).values
+        assert whole[lo:lo + len(wx)].tobytes() == part.tobytes()
+        lo += len(wx)
+    assert lo == len(whole)
