@@ -16,7 +16,7 @@ at midnight; per-day temperature and carrying capacity are held constant
 across the day.
 
 ``simulate_runs`` is the one runner, for any set of independent runs (K
-grid x years, the years of an archive, a short-term window), each with its
+grid x years, the years of an archive, a forecast's windows), each with its
 own weather, K, start state and optional seed pulse; ``simulate`` is it with
 one run.  Days advance through ``spillcast_advance`` in ``_rk4.c``, a C
 port of the day loop that the first simulation of a process compiles and

@@ -1,17 +1,17 @@
 """Forecast orchestration shared by the onset and severity predictors.
 
-Both prediction flavors follow the same recipe: forecast weather from the
-history (one annual-cycle AR rollout for long-term, iterated lead-day
-windows with actual data appended in between for short-term), splice the
-forecast onto the target year's actual weather, simulate, and hand the
-forecast-window days downstream.
+Both prediction flavors follow the same recipe: cut the forecast days into
+windows (one for long-term, one every lead days for short-term), forecast
+each window's weather from the actual weather before it (an annual-cycle
+AR rollout for long-term, an AR(lead) rollout for short-term), simulate,
+and hand the forecast-window days downstream.
 
-Short-term windows do not re-simulate the target year from January 1:
-each window resumes from a checkpoint, the state at the start of the
-previous window, and simulates only the actual weather since then plus
-its own forecast.  Every actual day is therefore simulated once and every
-forecast day once, and the output is bit-identical to a restart from
-January 1 (see ``forecast_points``).
+The target year's actual weather is simulated once, from January 1 to the
+last window's start, and every window starts from that run's state on its
+first day; the windows share one ``simulate_runs`` call.  Every actual
+day is therefore simulated once and every forecast day once, and the
+output is bit-identical to re-simulating each window from January 1 (see
+``forecast_points``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ import numpy as np
 
 from . import weathercast
 from .config import Config
-from .epimodel import ModelParams, default_init_state, simulate
+from .epimodel import (
+    ModelParams,
+    Run,
+    default_init_state,
+    simulate,
+    simulate_runs,
+)
 from .errors import LengthMismatch
 from .ingest import WeatherSeries
 from .onset import OnsetPdf, RiskSeries, classify_days
@@ -44,19 +50,6 @@ def weather_feature(weather: WeatherSeries, weights=(1.0, 0.0, 0.0)) -> np.ndarr
     precipitation (default: mean temperature)."""
     wt, wh, wp = weights
     return wt * weather.temp_mean + wh * weather.humidity + wp * weather.precip
-
-
-def splice(actual: WeatherSeries, fcst: WeatherSeries) -> WeatherSeries:
-    if len(actual) == 0:
-        return fcst
-    if len(fcst) == 0:
-        return actual
-    return WeatherSeries(
-        actual.dates + fcst.dates,
-        np.concatenate([actual.temp_mean, fcst.temp_mean]),
-        np.concatenate([actual.humidity, fcst.humidity]),
-        np.concatenate([actual.precip, fcst.precip]),
-    )
 
 
 def _k_by_index(ks, dates) -> np.ndarray:
@@ -80,23 +73,30 @@ def forecast_points(weather: WeatherSeries, mode: str, lead: int,
 
     ``weather`` holds all available actual weather; everything before
     ``forecast_start`` (default: January 1 of the final year) is history.
-    The target year starts from the default initial state on January 1 and
-    is driven by actual weather up to each window and forecast weather
-    inside it.
+    The forecast days are cut into windows: one for ``long_term``, one
+    every ``lead`` days for ``short_term``.  Each window's weather is
+    forecast from the actual weather before it.  The target year starts
+    from the default initial state on January 1, and is driven by actual
+    weather up to each window and by forecast weather inside it.
 
-    A short-term window resumes from a checkpoint, the state at the start
-    of the previous window, and simulates the actual weather of the
-    previous window followed by its own forecast; the state where the
-    actual weather ends is the next window's checkpoint.  This equals a
-    restart from January 1 bit for bit: the compartments never read the
-    cumulative-infection accumulator that restarts at each call, and K
-    for a day depends only on that day's date or weather.
+    The actual weather from January 1 to the last window's start is
+    simulated once, the lead-in, and each window starts from the lead-in's
+    state on its first day.  All windows then go to one ``simulate_runs``
+    call.  This equals a restart from January 1 for every window bit for
+    bit: the compartments never read the cumulative-infection accumulator
+    that restarts at each run, and K for a day depends only on that day's
+    date or weather.
 
     ``k_series`` supplies the carrying capacity: a fixed KSeries, a
-    callable mapping the simulated WeatherSeries to one day by day (e.g.
+    callable mapping a simulated WeatherSeries to one day by day (e.g.
     the fitted precipitation-bin planes), or None for the configured
     constant.  A simulated day the series does not cover raises
     LengthMismatch, and a K <= 0 raises NonFiniteInput.
+
+    Errors come in this order: every window's AR fit runs before any
+    simulation; then the lead-in's K and simulation; then, as
+    ``simulate_runs`` orders them, every window's K before any window is
+    simulated, and the first failing window in date order.
     """
     if forecast_start is None:
         forecast_start = date(weather.dates[-1].year, 1, 1)
@@ -104,58 +104,41 @@ def forecast_points(weather: WeatherSeries, mode: str, lead: int,
         start_idx = weather.dates.index(forecast_start)
     except ValueError:
         raise ValueError(f"{forecast_start} not in the weather span") from None
-    horizon = (weather.dates[-1] - forecast_start).days + 1
+    if mode == "long_term":
+        step = len(weather) - start_idx
+    elif mode == "short_term":
+        if lead < 1:
+            return []
+        step = lead
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    starts = range(start_idx, len(weather), step)
+    forecasts = [weathercast.forecast_weather(
+        weather.slice(0, t), mode, min(step, len(weather) - t),
+        order_long=cfg.ar_order_long, ridge=cfg.ar_ridge) for t in starts]
 
     year_start = date(forecast_start.year, 1, 1)
     year_start_idx = weather.dates.index(year_start) \
         if year_start in set(weather.dates) else start_idx
 
-    def k_for(spliced):
+    def k_for(wx):
         if k_series is None:
-            return np.full(len(spliced), cfg.k_default)
-        ks = k_series(spliced) if callable(k_series) else k_series
-        return _k_by_index(ks, spliced.dates)
+            return cfg.k_default
+        ks = k_series(wx) if callable(k_series) else k_series
+        return _k_by_index(ks, wx.dates)
 
+    actual = weather.slice(year_start_idx, starts[-1])
+    lead_in = simulate(params, actual, k_for(actual), default_init_state(cfg),
+                       steps_per_day=cfg.steps_per_day)
+    runs = [Run(fcst, k_for(fcst), lead_in.state(t - year_start_idx)
+                if t < starts[-1] else lead_in.end_state)
+            for t, fcst in zip(starts, forecasts)]
     w_weights = (cfg.w_temp, cfg.w_humidity, cfg.w_precip)
-
-    def run(actual, fcst, init):
-        """Simulate ``actual`` then ``fcst`` from ``init``; returns the
-        trajectory and its forecast points."""
-        spliced = splice(actual, fcst)
-        traj = simulate(params, spliced, k_for(spliced), init,
-                        steps_per_day=cfg.steps_per_day)
-        w_series = weather_feature(spliced, w_weights)
-        return traj, [
-            ForecastPoint(traj.dates[i], float(traj.m[i]),
-                          float(w_series[i]), float(traj.r0[i]))
-            for i in range(len(actual), len(traj))
-        ]
-
-    init = default_init_state(cfg)
-    if mode == "long_term":
-        history = weather.slice(0, start_idx)
-        fcst = weathercast.forecast_weather(
-            history, "long_term", horizon,
-            order_long=cfg.ar_order_long, ridge=cfg.ar_ridge)
-        return run(weather.slice(year_start_idx, start_idx), fcst, init)[1]
-    if mode != "short_term":
-        raise ValueError(f"unknown mode {mode!r}")
-    if lead < 1:
-        return []
     points: list[ForecastPoint] = []
-    checkpoint_idx, checkpoint = year_start_idx, init
-    t = start_idx
-    while t < len(weather.dates):
-        history = weather.slice(0, t)
-        step = min(lead, len(weather.dates) - t)
-        fcst = weathercast.forecast_weather(
-            history, "short_term", step,
-            order_long=cfg.ar_order_long, ridge=cfg.ar_ridge)
-        actual = weather.slice(checkpoint_idx, t)
-        traj, window = run(actual, fcst, checkpoint)
-        points.extend(window)
-        checkpoint_idx, checkpoint = t, traj.state(len(actual))
-        t += step
+    for traj in simulate_runs(params, runs, cfg.steps_per_day):
+        w_series = weather_feature(traj.weather, w_weights)
+        points.extend(map(ForecastPoint, traj.dates, traj.m.tolist(),
+                          w_series.tolist(), traj.r0.tolist()))
     return points
 
 

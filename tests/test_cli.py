@@ -971,3 +971,17 @@ class TestKFileRule:
         assert code == 2
         assert "invalid choice" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["const", "csv", "plane"])
+def test_k_map_on_an_empty_span(fixture_dir, world, method):
+    """The K maps that forecasts use give an empty KSeries for the 0-day
+    lead-in of a long-term forecast from January 1."""
+    from spillcast.cli import k_map
+    from spillcast.epimodel import ModelParams
+
+    cfg = world.cfg
+    k = k_map(method, fixture_dir["k"], cfg, ModelParams.from_config(cfg),
+              world.weather, world.cases)(world.weather.slice(0, 0))
+    assert k.dates == ()
+    assert len(k.values) == 0

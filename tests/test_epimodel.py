@@ -400,6 +400,22 @@ class TestSimulateOracle:
                 assert_same_trajectory(
                     simulate(params, wx, k, init, steps_per_day=1), want)
 
+    @pytest.mark.parametrize("k", [5000.0, np.array([])])
+    @pytest.mark.parametrize("loop", DAY_LOOPS)
+    def test_zero_day_span_returns_its_start_state(self, default_params,
+                                                   loop, k):
+        """A 0-day span, as a long-term forecast from January 1 simulates
+        before its window: no rows, and the start state as its end."""
+        init = CompartmentState(**dict(zip(
+            COMPARTMENTS, np.random.default_rng(2).uniform(0.0, 3000.0, 15))))
+        with day_loop(loop):
+            traj = simulate(default_params, constant_weather(0), k, init)
+        assert len(traj) == 0
+        assert traj.states.shape == (0, 15)
+        assert len(traj.m) == len(traj.r0) == len(traj.new_infections) == 0
+        assert traj.clamp_count == 0
+        assert traj.end_state == init
+
     def test_underflowed_r0_denominator_raises_as_python(self):
         """Bird rates so small that r0's (delta_b + mu_b) * (lambda_b +
         mu_wnd_b + mu_b) underflows to zero: both loops raise r0's

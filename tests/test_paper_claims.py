@@ -1,5 +1,11 @@
 """The paper's claims as recorded numbers.
 
+Onset accuracy: the seed-3 fixture through the CLI, ``fit-onset`` on its
+three training years, then ``predict-onset`` for the target year 2022 in
+long mode and in short mode at leads 14, 7 and 1, each forecast compared
+with the first week of reported cases.  These pin the forecast path end to
+end.
+
 The warming analysis: onset density fitted on the first three years of the
 seed-3 synthetic world, then the benchmark's 30-year warming archive
 (1994-2023, +0.05 degC a year, seed 3) simulated at constant K, every day
@@ -8,14 +14,23 @@ numbers are pinned so that a change to the trend path (the compiled loop,
 the K predictor, the classifier, the regression) that moves them shows.
 """
 
+from datetime import date
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spillcast import synth
 from spillcast.carrycap import KSeries
+from spillcast.cli import main
 from spillcast.epimodel import ModelParams, default_init_state, simulate
 from spillcast.onset import collect_onset_samples, fit_onset_pdf
 from spillcast.trend import trend_report
+
+# the first 2022 week with a reported case, and each forecast's first High day
+FIRST_CASE_WEEK = date(2022, 7, 19)
+FIRST_HIGH_DAY = {"long": date(2022, 7, 2), "14": date(2022, 7, 16),
+                  "7": date(2022, 7, 9), "1": date(2022, 7, 6)}
 
 # (slope per year, two-sided p-value) of the OLS trends
 R_YEAR_TREND = (0.003050635313450972, 2.032914505628102e-15)
@@ -23,6 +38,52 @@ R_RELATIVE_TREND = (0.00166268714707233, 0.059728866407080417)
 # High days of each archive year, 1994 first
 HIGH_DAYS = [38, 43, 44, 47, 54, 51, 46, 49, 54, 50, 56, 56, 59, 60, 59,
              59, 59, 63, 64, 61, 68, 65, 66, 77, 74, 71, 74, 72, 73, 67]
+
+
+def _rows(path):
+    """The data rows of a CSV file, without its header and # lines."""
+    lines = path.read_text().splitlines()[1:]
+    return [line.split(",") for line in lines if not line.startswith("#")]
+
+
+@pytest.fixture(scope="module")
+def onset_forecasts(tmp_path_factory, world):
+    """The first case week of 2022 and each forecast's {date: level}."""
+    root = tmp_path_factory.mktemp("onset_claims")
+    fx = {k: str(v) for k, v in
+          synth.write_fixture(root / "fixture", world).items()}
+    data = ["--weather", fx["weather"], "--config", fx["config"]]
+    assert main(["fit-onset", *data, "--cases", fx["cases"],
+                 "--out", str(root / "model")]) == 0
+    levels = {}
+    for key in FIRST_HIGH_DAY:
+        mode = (["--mode", "long"] if key == "long"
+                else ["--mode", "short", "--lead", key])
+        out = root / f"risk_{key}"
+        assert main(["predict-onset", *data, "--model", str(root / "model"),
+                     *mode, "--out", str(out)]) == 0
+        levels[key] = {date.fromisoformat(row[0]): row[3]
+                       for row in _rows(out / "risk.csv")}
+    first_week = next(date.fromisoformat(week) for week, count
+                      in _rows(Path(fx["cases"]))
+                      if week >= "2022" and int(count) > 0)
+    return first_week, levels
+
+
+def test_first_case_week(onset_forecasts):
+    assert onset_forecasts[0] == FIRST_CASE_WEEK
+
+
+@pytest.mark.parametrize("forecast", sorted(FIRST_HIGH_DAY))
+def test_onset_forecast_warns_before_the_first_case_week(onset_forecasts,
+                                                          forecast):
+    """The first High day leads the first case week by 17 days (long), 3
+    (lead 14), 10 (lead 7) and 13 (lead 1), and that week starts High."""
+    _, levels = onset_forecasts
+    level = levels[forecast]
+    assert next(d for d in sorted(level) if level[d] == "high") \
+        == FIRST_HIGH_DAY[forecast]
+    assert level[FIRST_CASE_WEEK] == "high"
 
 
 @pytest.fixture(scope="module")

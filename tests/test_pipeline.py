@@ -4,13 +4,18 @@ from datetime import date, timedelta
 
 from spillcast import errors, pipeline, weathercast
 from spillcast.carrycap import KSeries
-from spillcast.epimodel import ModelParams, default_init_state, simulate
+from spillcast.epimodel import (
+    ModelParams,
+    default_init_state,
+    simulate,
+    simulate_runs,
+)
+from spillcast.ingest import WeatherSeries
 from spillcast.onset import RiskLevel, collect_onset_samples, fit_onset_pdf
 from spillcast.pipeline import (
     ForecastPoint,
     forecast_points,
     predict_onset_risk,
-    splice,
     weather_feature,
 )
 from spillcast.severity import (
@@ -85,21 +90,35 @@ class TestForecastPoints:
                             forecast_start=date(2030, 1, 1))
 
 
+def splice(actual, fcst):
+    """``actual`` followed by ``fcst`` as one WeatherSeries."""
+    return WeatherSeries(
+        actual.dates + fcst.dates,
+        np.concatenate([actual.temp_mean, fcst.temp_mean]),
+        np.concatenate([actual.humidity, fcst.humidity]),
+        np.concatenate([actual.precip, fcst.precip]),
+    )
+
+
 def restart_short_term(weather, lead, params, cfg, forecast_start=None,
-                       k_series=None):
-    """Brute-force oracle: every short-term window re-simulates the target
-    year from the default initial state on January 1."""
+                       k_series=None, mode="short_term"):
+    """Brute-force oracle: every window (one every ``lead`` days, or the
+    single long-term one) re-simulates the target year from the default
+    initial state on January 1, its actual weather spliced onto the
+    window's forecast."""
     if forecast_start is None:
         forecast_start = date(weather.dates[-1].year, 1, 1)
     start = weather.dates.index(forecast_start)
     year_start = weather.dates.index(date(forecast_start.year, 1, 1))
+    if mode == "long_term":
+        lead = len(weather) - start
     init = default_init_state(cfg)
     points = []
     t = start
     while t < len(weather):
         step = min(lead, len(weather) - t)
         fcst = weathercast.forecast_weather(
-            weather.slice(0, t), "short_term", step,
+            weather.slice(0, t), mode, step,
             order_long=cfg.ar_order_long, ridge=cfg.ar_ridge)
         spliced = splice(weather.slice(year_start, t), fcst)
         if k_series is None:
@@ -137,8 +156,9 @@ def _weather_k(wx):
 
 
 class TestShortTermCheckpoint:
-    """Short-term windows resume from a checkpoint instead of restarting on
-    January 1; the points must equal the restart oracle exactly."""
+    """Every window starts from the state of one lead-in run over the
+    actual weather instead of restarting on January 1; the points must
+    equal the restart oracle exactly."""
 
     # (forecast_start, last weather day): spans kept short so the
     # restart oracle stays cheap at lead 1
@@ -146,8 +166,14 @@ class TestShortTermCheckpoint:
         "default": (None, date(2022, 2, 28)),
         "midyear": (date(2022, 7, 1), date(2022, 7, 15)),
     }
+    K_KINDS = ["none", "fixed", "callable"]
 
-    @pytest.mark.parametrize("k_kind", ["none", "fixed", "callable"])
+    @staticmethod
+    def _k(k_kind, weather):
+        return {"none": None, "fixed": _fixed_k(weather),
+                "callable": _weather_k}[k_kind]
+
+    @pytest.mark.parametrize("k_kind", K_KINDS)
     @pytest.mark.parametrize("span", sorted(SPANS))
     @pytest.mark.parametrize("lead", [1, 7, 14])
     def test_equals_restart_from_january(self, world, lead, span, k_kind):
@@ -155,8 +181,7 @@ class TestShortTermCheckpoint:
         params = ModelParams.from_config(cfg)
         start, last = self.SPANS[span]
         weather = world.weather.slice(0, world.weather.dates.index(last) + 1)
-        k_series = {"none": None, "fixed": _fixed_k(weather),
-                    "callable": _weather_k}[k_kind]
+        k_series = self._k(k_kind, weather)
         got = forecast_points(weather, "short_term", lead, params, cfg,
                               forecast_start=start, k_series=k_series)
         want = restart_short_term(weather, lead, params, cfg,
@@ -165,20 +190,47 @@ class TestShortTermCheckpoint:
         assert len(got) == len(want) == (last - first).days + 1
         assert got == want
 
-    def test_simulates_each_day_at_most_twice(self, world, monkeypatch):
+    @pytest.mark.parametrize("k_kind", K_KINDS)
+    @pytest.mark.parametrize("start", [None, date(2022, 7, 1)])
+    def test_long_term_equals_restart_from_january(self, world, start,
+                                                   k_kind):
+        """The long-term window: a 0-day lead-in from January 1, or the
+        actual weather up to July 1 and the forecast from there."""
         cfg = world.cfg
         params = ModelParams.from_config(cfg)
-        days = []
+        k_series = self._k(k_kind, world.weather)
+        got = forecast_points(world.weather, "long_term", 365, params, cfg,
+                              forecast_start=start, k_series=k_series)
+        want = restart_short_term(world.weather, 365, params, cfg,
+                                  forecast_start=start, k_series=k_series,
+                                  mode="long_term")
+        first = start or date(2022, 1, 1)
+        assert len(got) == len(want) == (date(2022, 12, 31) - first).days + 1
+        assert got == want
 
-        def counting(params, weather, *args, **kwargs):
-            days.append(len(weather))
+    def test_one_lead_in_and_one_call_for_all_windows(self, world,
+                                                       monkeypatch):
+        """One lead-in ``simulate`` over the actual weather to the last
+        window's start and one ``simulate_runs`` call for all windows:
+        every actual day is simulated once and every forecast day once."""
+        cfg = world.cfg
+        params = ModelParams.from_config(cfg)
+        calls = []
+
+        def counting_simulate(params, weather, *args, **kwargs):
+            calls.append(("simulate", [len(weather)]))
             return simulate(params, weather, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "simulate", counting)
+        def counting_runs(params, runs, *args, **kwargs):
+            calls.append(("simulate_runs", [len(r.weather) for r in runs]))
+            return simulate_runs(params, runs, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "simulate", counting_simulate)
+        monkeypatch.setattr(pipeline, "simulate_runs", counting_runs)
         points = forecast_points(world.weather, "short_term", 14, params, cfg)
         assert len(points) == 365
-        assert len(days) == 27  # one simulation per window
-        assert sum(days) <= 2 * 366
+        assert calls == [("simulate", [364]),
+                         ("simulate_runs", [14] * 26 + [1])]
 
 
 class TestKAlignment:
@@ -321,13 +373,3 @@ class TestSeverityIntegration:
         xs = [p.x for p in posteriors]
         assert 1 in xs
         assert 30 not in xs  # pmf(30, 1e-11) underflows to exactly zero
-
-
-def test_splice_preserves_contiguity():
-    a = constant_weather(10, start=date(2022, 1, 1))
-    b = constant_weather(5, start=date(2022, 1, 11))
-    joined = splice(a, b)
-    assert len(joined) == 15
-    assert joined.dates[0] == date(2022, 1, 1)
-    assert joined.dates[-1] == date(2022, 1, 15)
-    assert len(splice(a, constant_weather(0))) == 10
