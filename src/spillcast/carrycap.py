@@ -1,8 +1,9 @@
 """Estimation and prediction of the aquatic carrying capacity K.
 
-Historical K is calibrated per calendar year by grid search: the level
-whose simulated weekly reported cases best match the observed counts
-(squared error) wins, ties going to the smaller K.  Prediction offers
+Historical K is calibrated per calendar year with observed cases by grid
+search: the level whose simulated weekly reported cases best match the
+observed counts (squared error) wins, ties going to the smaller K; the
+other years take the nearest calibrated year's level.  Prediction offers
 day-of-year averaging across years (CLI ``--k mean``) and per-
 precipitation-bin planes K = a*T + b*H + c fitted to history
 (``--k plane``).
@@ -78,12 +79,15 @@ def calibrate_K(weather: WeatherSeries, cases: CaseSeries, params: ModelParams,
                 seed_birds: float = SEED_BIRDS) -> KSeries:
     """Grid-search a piecewise-constant (per calendar year) K.
 
-    Each complete calendar year is simulated once per candidate level from
-    the given initial state (with the season-start infected-bird pulse, so
-    the forward model actually produces cases); the level minimizing the
-    squared error between simulated and observed weekly reported cases is
-    selected (ties break to the smaller K).  Partial edge years inherit the
-    nearest calibrated year's level.
+    Each complete calendar year with at least one observed case week is
+    simulated once per candidate level from the given initial state (with
+    the season-start infected-bird pulse, so the forward model actually
+    produces cases); the level minimizing the squared error between
+    simulated and observed weekly reported cases is selected (ties break
+    to the smaller K).  Every other year, a partial edge year or a
+    complete year without case weeks, inherits the nearest calibrated
+    year's level (the earlier one on a tie).  A weather span with no
+    complete year that has case weeks raises ``InsufficientData``.
 
     All years x levels go to ``simulate_runs`` as one set of runs; each
     run's trajectory is bit-identical to ``seeded_year_trajectory`` on its
@@ -92,30 +96,31 @@ def calibrate_K(weather: WeatherSeries, cases: CaseSeries, params: ModelParams,
     grid = sorted(float(k) for k in grid)
     if not grid:
         raise InsufficientData("empty K grid")
-    years = _complete_years(weather)
-    if not years:
+    complete = _complete_years(weather)
+    if not complete:
         raise InsufficientData("need at least one complete calendar year")
-
-    weather_by_year = weather.year_slices()
     weeks_by_year = {}
     for wk, count in zip(cases.week_starts, cases.counts):
         weeks_by_year.setdefault(wk.year, []).append((wk, int(count)))
+    years = [year for year in complete if year in weeks_by_year]
+    if not years:
+        raise InsufficientData(
+            f"no case week in the complete years {complete[0]}-{complete[-1]} "
+            "of the weather to calibrate K on")
 
+    weather_by_year = weather.year_slices()
     runs = [Run(weather_by_year[year], k, init, seed_day, seed_birds)
             for year in years for k in grid]
-    week_starts = {year: [w for w, _ in weeks_by_year.get(year, [])]
-                   for year in years}
     predictions = iter(weekly_expected_cases_runs(
         simulate_runs(params, runs, steps_per_day=steps_per_day),
-        [week_starts[year] for year in years for _ in grid]))
+        [[w for w, _ in weeks_by_year[year]] for year in years for _ in grid]))
     chosen: dict[int, float] = {}
     for year in years:
-        weeks = weeks_by_year.get(year, [])
-        observed = np.array([c for _, c in weeks], dtype=float)
+        observed = np.array([c for _, c in weeks_by_year[year]], dtype=float)
         best_k, best_err = None, None
         for k in grid:
             predicted = next(predictions)
-            err = float(np.sum((predicted - observed) ** 2)) if weeks else 0.0
+            err = float(np.sum((predicted - observed) ** 2))
             if best_err is None or err < best_err:
                 best_k, best_err = k, err
         chosen[year] = best_k

@@ -3,8 +3,9 @@
     spillcast simulate | fit-onset | predict-onset | fit-severity |
               estimate-severity | predict-severity | evaluate | trend
 
-Every command reads file inputs, writes CSV/JSON outputs plus a manifest
-into --out, and follows one exit-code contract: 0 success, 2 input or
+Every command reads file inputs, writes CSV/JSON outputs into --out and
+returns their names; `main` then writes the manifest, which hashes the
+file arguments given.  One exit-code contract: 0 success, 2 input or
 usage error, 3 numerical failure.
 """
 
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PRIORS, Config, load_config
+from .config import Config, load_config
 from .errors import InputError, LengthMismatch, NumericalError
 
 # Each command imports the modules it runs, so that none pays to load the
@@ -28,6 +29,8 @@ from .errors import InputError, LengthMismatch, NumericalError
 # No command loads scipy: the special functions are ports (`special`).
 
 K_METHODS = ("const", "csv", "mean", "plane")
+# the file arguments a manifest hashes, where a command has them
+INPUT_FILES = ("weather", "cases", "k_file", "severity_csv")
 
 
 def sha256_file(path) -> str:
@@ -38,20 +41,24 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, args, inputs, outputs) -> None:
-    manifest = {
-        "command": command,
+def write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_manifest(out_dir: Path, args, outputs) -> None:
+    files = (getattr(args, name, None) for name in INPUT_FILES)
+    write_json(out_dir / "manifest.json", {
+        "command": args.command,
         "tool_version": __version__,
         "seed": args.seed,
         "config": str(args.config) if args.config else None,
         "config_hash": sha256_file(args.config) if args.config else None,
-        "inputs": {str(p): sha256_file(p) for p in inputs if p},
-        "outputs": sorted(str(Path(o).name) for o in outputs),
+        "inputs": {str(p): sha256_file(p) for p in files if p},
+        "outputs": sorted(outputs),
         "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_cfg(args) -> Config:
@@ -64,15 +71,37 @@ def out_dir(args) -> Path:
     return out
 
 
+def model_inputs(args):
+    """Preamble of the model commands: (cfg, params, weather, cases), with
+    cases None when --cases is not given."""
+    from .epimodel import ModelParams
+    from .ingest import load_cases, load_weather
+
+    cfg = load_cfg(args)
+    params = ModelParams.from_config(cfg)
+    weather = load_weather(args.weather)
+    cases = load_cases(args.cases) if args.cases else None
+    return cfg, params, weather, cases
+
+
+def onset_gate(args):
+    """The --onset-model that gates Green days to zero, or None."""
+    from . import artifacts
+
+    return (artifacts.load_onset_model(args.onset_model)
+            if args.onset_model else None)
+
+
 def k_map(method, k_file, cfg, params, history, cases):
     """--k METHOD as a WeatherSeries -> KSeries map.
 
     ``const`` is the configured default.  ``csv`` reads ``k_file``, which
-    must give a K > 0 for every simulated day.  ``mean`` and ``plane`` are
-    calibrated on ``history`` against ``cases`` by a per-year grid search
-    over 0.2..2.0 x the configured default: ``mean`` is the day-of-year
-    mean of each calendar year (``predict_K_mean``), ``plane`` the fitted
-    per-precipitation-bin planes with K floored at 1e-6.
+    must give a K > 0 for every simulated day; no other method takes one.
+    ``mean`` and ``plane`` are calibrated on ``history`` against ``cases``
+    by a per-year grid search over 0.2..2.0 x the configured default:
+    ``mean`` is the day-of-year mean of each calendar year
+    (``predict_K_mean``), ``plane`` the fitted per-precipitation-bin planes
+    with K floored at 1e-6.
     """
     from .carrycap import (
         KSeries,
@@ -85,6 +114,8 @@ def k_map(method, k_file, cfg, params, history, cases):
     )
     from .epimodel import default_init_state
 
+    if k_file and method != "csv":
+        raise InputError(f"--k-file is read only by --k csv, not --k {method}")
     if method == "const":
         return lambda wx: KSeries(wx.dates, np.full(len(wx), cfg.k_default))
     if method == "csv":
@@ -138,13 +169,9 @@ def fit_history(args):
     """Preamble of the fit commands: the trajectory of each complete
     calendar year from the default initial state, and the case weeks of
     those years; returns (cfg, {year: Trajectory}, {year: CaseSeries})."""
-    from .epimodel import ModelParams, Run, default_init_state, simulate_runs
-    from .ingest import load_cases, load_weather
+    from .epimodel import Run, default_init_state, simulate_runs
 
-    cfg = load_cfg(args)
-    params = ModelParams.from_config(cfg)
-    weather = load_weather(args.weather)
-    cases = load_cases(args.cases)
+    cfg, params, weather, cases = model_inputs(args)
     k = k_map(args.k, args.k_file, cfg, params, weather, cases)(weather)
     by_date = dict(zip(k.dates, k.values))
     init = default_init_state(cfg)
@@ -160,6 +187,19 @@ def fit_history(args):
     case_years = cases.year_slices()
     usable = {y: case_years[y] for y in trajectories if y in case_years}
     return cfg, trajectories, usable
+
+
+def simulate_span(args):
+    """Preamble of simulate and estimate-severity: (cfg, weather, the
+    trajectory of the whole weather span from the default initial
+    state)."""
+    from .epimodel import default_init_state, simulate
+
+    cfg, params, weather, cases = model_inputs(args)
+    k = k_map(args.k, args.k_file, cfg, params, weather, cases)(weather)
+    return cfg, weather, simulate(params, weather, k.values,
+                                  default_init_state(cfg),
+                                  steps_per_day=cfg.steps_per_day)
 
 
 def forecast_setup(args, cfg, params, weather, cases):
@@ -194,32 +234,18 @@ def bandwidth_pair(first, second):
 
 
 # --- commands ---------------------------------------------------------------
+# Each returns the names of the files it wrote into --out, which it creates
+# only once its work has succeeded.
 
-def cmd_simulate(args) -> int:
-    from .epimodel import (
-        ModelParams,
-        default_init_state,
-        save_trajectory,
-        simulate,
-    )
-    from .ingest import load_cases, load_weather
+def cmd_simulate(args) -> list:
+    from .epimodel import save_trajectory
 
-    cfg = load_cfg(args)
-    params = ModelParams.from_config(cfg)
-    weather = load_weather(args.weather)
-    cases = load_cases(args.cases) if args.cases else None
-    k = k_map(args.k, args.k_file, cfg, params, weather, cases)(weather)
-    traj = simulate(params, weather, k.values, default_init_state(cfg),
-                    steps_per_day=cfg.steps_per_day)
-    out = out_dir(args)
-    save_trajectory(traj, out / "trajectory.csv")
-    write_manifest(out, "simulate", args,
-                   [args.weather, args.cases, args.k_file],
-                   ["trajectory.csv"])
-    return 0
+    _, _, traj = simulate_span(args)
+    save_trajectory(traj, out_dir(args) / "trajectory.csv")
+    return ["trajectory.csv"]
 
 
-def cmd_fit_onset(args) -> int:
+def cmd_fit_onset(args) -> list:
     from . import artifacts
     from .onset import collect_onset_samples, fit_onset_pdf
 
@@ -233,38 +259,26 @@ def cmd_fit_onset(args) -> int:
                                                  cfg.onset_bandwidth_r0),
                         grid_size=cfg.onset_grid, levels=cfg.contour_levels,
                         transform=cfg.feature_transform)
-    out = out_dir(args)
-    artifacts.save_onset_model(pdf, out)
-    write_manifest(out, "fit-onset", args,
-                   [args.weather, args.cases, args.k_file],
-                   [artifacts.ONSET_HEADER, artifacts.ONSET_SAMPLES,
-                    artifacts.ONSET_GRID])
-    return 0
+    artifacts.save_onset_model(pdf, out_dir(args))
+    return [artifacts.ONSET_HEADER, artifacts.ONSET_SAMPLES,
+            artifacts.ONSET_GRID]
 
 
-def cmd_predict_onset(args) -> int:
+def cmd_predict_onset(args) -> list:
     from . import artifacts
-    from .epimodel import ModelParams
-    from .ingest import load_cases, load_weather
     from .onset import save_risk_series
     from .pipeline import predict_onset_risk
 
-    cfg = load_cfg(args)
-    params = ModelParams.from_config(cfg)
-    weather = load_weather(args.weather)
+    cfg, params, weather, cases = model_inputs(args)
     pdf = artifacts.load_onset_model(args.model)
-    cases = load_cases(args.cases) if args.cases else None
     mode, lead, k = forecast_setup(args, cfg, params, weather, cases)
     risk = predict_onset_risk(weather, mode, lead, pdf, params, cfg,
                               k_series=k)
-    out = out_dir(args)
-    save_risk_series(risk, out / "risk.csv")
-    write_manifest(out, "predict-onset", args,
-                   [args.weather, args.cases, args.k_file], ["risk.csv"])
-    return 0
+    save_risk_series(risk, out_dir(args) / "risk.csv")
+    return ["risk.csv"]
 
 
-def cmd_fit_severity(args) -> int:
+def cmd_fit_severity(args) -> list:
     from . import artifacts
     from .severity import collect_severity_samples, fit_rate_surface
 
@@ -277,73 +291,41 @@ def cmd_fit_severity(args) -> int:
                                 cfg.severity_bandwidth_w)
     surface = fit_rate_surface(samples, bandwidths=bandwidths,
                                grid_size=cfg.severity_grid)
-    out = out_dir(args)
-    artifacts.save_severity_model(surface, out)
-    write_manifest(out, "fit-severity", args,
-                   [args.weather, args.cases, args.k_file],
-                   [artifacts.SEVERITY_HEADER, artifacts.SEVERITY_SAMPLES,
-                    artifacts.SEVERITY_GRID])
-    return 0
+    artifacts.save_severity_model(surface, out_dir(args))
+    return [artifacts.SEVERITY_HEADER, artifacts.SEVERITY_SAMPLES,
+            artifacts.SEVERITY_GRID]
 
 
-def _cfg_with_prior(cfg, prior_name):
-    if prior_name is None:
-        return cfg
-    import dataclasses
-    return dataclasses.replace(cfg, prior=prior_name)
-
-
-def cmd_estimate_severity(args) -> int:
+def cmd_estimate_severity(args) -> list:
     from . import artifacts
-    from .epimodel import ModelParams, default_init_state, simulate
-    from .ingest import load_cases, load_weather
     from .pipeline import weather_feature
     from .severity import curve_posteriors, estimate_severity, save_severity
 
-    cfg = _cfg_with_prior(load_cfg(args), args.prior)
-    params = ModelParams.from_config(cfg)
-    weather = load_weather(args.weather)
     surface = artifacts.load_severity_model(args.model)
-    onset_pdf = (artifacts.load_onset_model(args.onset_model)
-                 if args.onset_model else None)
-    cases = load_cases(args.cases) if args.cases else None
-    k = k_map(args.k, args.k_file, cfg, params, weather, cases)(weather)
-    traj = simulate(params, weather, k.values, default_init_state(cfg),
-                    steps_per_day=cfg.steps_per_day)
+    onset_pdf = onset_gate(args)
+    cfg, weather, traj = simulate_span(args)
     w_weights = (cfg.w_temp, cfg.w_humidity, cfg.w_precip)
     w_series = weather_feature(weather, w_weights)
     curve = list(zip(traj.m.tolist(), w_series.tolist()))
     posteriors = curve_posteriors(curve, surface, cfg)
     result = estimate_severity(traj, posteriors, w_weights=w_weights,
                                onset_pdf=onset_pdf)
-    out = out_dir(args)
-    save_severity(result, out / "severity.csv")
-    write_manifest(out, "estimate-severity", args,
-                   [args.weather, args.cases, args.k_file], ["severity.csv"])
-    return 0
+    save_severity(result, out_dir(args) / "severity.csv")
+    return ["severity.csv"]
 
 
-def cmd_predict_severity(args) -> int:
+def cmd_predict_severity(args) -> list:
     from . import artifacts
-    from .epimodel import ModelParams
-    from .ingest import load_cases, load_weather
     from .severity import predict_severity, save_severity
 
-    cfg = _cfg_with_prior(load_cfg(args), args.prior)
-    params = ModelParams.from_config(cfg)
-    weather = load_weather(args.weather)
-    cases = load_cases(args.cases)
+    cfg, params, weather, cases = model_inputs(args)
     surface = artifacts.load_severity_model(args.model)
+    onset_pdf = onset_gate(args)
     mode, lead, k = forecast_setup(args, cfg, params, weather, cases)
-    onset_pdf = (artifacts.load_onset_model(args.onset_model)
-                 if args.onset_model else None)
     result = predict_severity(weather, cases, mode, lead, surface, params,
                               cfg, k_series=k, onset_pdf=onset_pdf)
-    out = out_dir(args)
-    save_severity(result, out / "severity.csv")
-    write_manifest(out, "predict-severity", args,
-                   [args.weather, args.cases, args.k_file], ["severity.csv"])
-    return 0
+    save_severity(result, out_dir(args) / "severity.csv")
+    return ["severity.csv"]
 
 
 def _weekly_predictions(severity_csv, week_starts):
@@ -363,7 +345,7 @@ def _weekly_predictions(severity_csv, week_starts):
                          f"{exc.args[0]}, a day of a scored week") from None
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> list:
     from .evaluate import bayesian_predictive, nb_one_step, score_run
     from .ingest import load_cases, write_table
 
@@ -401,24 +383,16 @@ def cmd_evaluate(args) -> int:
     write_table(out / "scores.csv",
                 ["week", "observed", "model", "prob_observed", "score"],
                 zip(*rows))
-    with open(out / "scores.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(out, "evaluate", args,
-                   [args.cases, args.severity_csv],
-                   ["scores.csv", "scores.json"])
-    return 0
+    write_json(out / "scores.json", summary)
+    return ["scores.csv", "scores.json"]
 
 
-def cmd_trend(args) -> int:
+def cmd_trend(args) -> list:
     from . import artifacts
-    from .epimodel import ModelParams
-    from .ingest import load_cases, load_weather, write_table
+    from .ingest import write_table
     from .trend import trend_report
 
-    cfg = load_cfg(args)
-    params = ModelParams.from_config(cfg)
-    weather = load_weather(args.weather)
+    cfg, params, weather, cases = model_inputs(args)
     pdf = artifacts.load_onset_model(args.model)
     if args.years:
         try:
@@ -431,47 +405,21 @@ def cmd_trend(args) -> int:
             raise InputError(f"no weather in {args.years}")
         weather = weather.slice(idx[0], idx[-1] + 1)
 
-    cases = load_cases(args.cases) if args.cases else None
-    k = k_map("plane" if args.cases else "const", None, cfg, params, weather, cases)
+    method = "const" if cases is None else "plane"
+    k = k_map(method, None, cfg, params, weather, cases)
     report = trend_report(weather, pdf, params, k, cfg)
     out = out_dir(args)
     write_table(out / "trend.csv", ["year", "r_year", "r_relative"],
                 [report.years, report.r_year, report.r_relative])
-    summary = {}
-    for name, res in (("r_year", report.trend_r_year),
-                      ("r_relative", report.trend_r_relative)):
-        summary[name] = {
-            "slope": res.slope,
-            "intercept": res.intercept,
-            "stderr": res.stderr,
-            "p_value": res.p_value,
-            "ks_p": res.ks_p,
-        }
-    with open(out / "trend.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(out, "trend", args, [args.weather, args.cases],
-                   ["trend.csv", "trend.json"])
-    return 0
+    write_json(out / "trend.json", {
+        name: {key: getattr(res, key) for key in
+               ("slope", "intercept", "stderr", "p_value", "ks_p")}
+        for name, res in (("r_year", report.trend_r_year),
+                          ("r_relative", report.trend_r_relative))})
+    return ["trend.csv", "trend.json"]
 
 
 # --- parser -----------------------------------------------------------------
-
-def add_common(parser, k_flag=True):
-    parser.add_argument("--config", help="INI configuration file")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the manifest")
-    parser.add_argument("--out", required=True, help="output directory")
-    if k_flag:
-        parser.add_argument(
-            "--k", choices=K_METHODS, default="const",
-            help="carrying-capacity source: const (configured default), csv "
-                 "(--k-file), or mean/plane (calibrated from --cases); "
-                 "predict-* reject mean")
-        parser.add_argument("--k-file", dest="k_file",
-                            help="K CSV for --k csv: K > 0 on every "
-                                 "simulated day")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -482,78 +430,76 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run the compartmental model")
-    add_common(p)
-    p.add_argument("--weather", required=True)
-    p.add_argument("--cases", help="needed for calibrated --k methods")
-    p.set_defaults(func=cmd_simulate)
+    def command(name, func, summary, cases, model=None, weather=True):
+        """A subcommand with the common arguments: --cases required or
+        optional, --weather unless ``weather`` is false, and --model when
+        ``model`` gives its help."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="INI configuration file")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed recorded in the manifest")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--cases", required=cases,
+                       help="weekly case counts CSV")
+        if weather:
+            p.add_argument("--weather", required=True,
+                           help="daily weather CSV")
+        if model:
+            p.add_argument("--model", required=True, help=model)
+        return p
 
-    p = sub.add_parser("fit-onset", help="fit the onset-risk density")
-    add_common(p)
-    p.add_argument("--weather", required=True)
-    p.add_argument("--cases", required=True)
-    p.set_defaults(func=cmd_fit_onset)
+    onset, severity = "fitted onset model dir", "fitted severity model dir"
+    parsers = {
+        "simulate": command("simulate", cmd_simulate,
+                            "run the compartmental model", cases=False),
+        "fit-onset": command("fit-onset", cmd_fit_onset,
+                             "fit the onset-risk density", cases=True),
+        "predict-onset": command("predict-onset", cmd_predict_onset,
+                                 "forecast daily onset risk", cases=False,
+                                 model=onset),
+        "fit-severity": command("fit-severity", cmd_fit_severity,
+                                "fit the Poisson rate surface", cases=True),
+        "estimate-severity": command(
+            "estimate-severity", cmd_estimate_severity,
+            "per-day MPP severity on historical weather", cases=False,
+            model=severity),
+        "predict-severity": command(
+            "predict-severity", cmd_predict_severity,
+            "forecast per-day severity for the target year", cases=True,
+            model=severity),
+    }
+    for p in parsers.values():
+        p.add_argument(
+            "--k", choices=K_METHODS, default="const",
+            help="carrying-capacity source: const (configured default), csv "
+                 "(--k-file), or mean/plane (calibrated from --cases); "
+                 "predict-* reject mean")
+        p.add_argument("--k-file", dest="k_file",
+                       help="K CSV, only for --k csv: K > 0 on every "
+                            "simulated day")
+    for name in ("predict-onset", "predict-severity"):
+        parsers[name].add_argument("--mode", choices=("long", "short"),
+                                   default="long")
+        parsers[name].add_argument(
+            "--lead", type=int, default=0,
+            help="days per short-term forecast window (0 = config "
+                 "short_lead)")
+    for name in ("estimate-severity", "predict-severity"):
+        parsers[name].add_argument(
+            "--onset-model", dest="onset_model",
+            help="gate Green days to zero with this onset model")
 
-    p = sub.add_parser("predict-onset", help="forecast daily onset risk")
-    add_common(p)
-    p.add_argument("--weather", required=True)
-    p.add_argument("--cases")
-    p.add_argument("--model", required=True, help="fitted onset model dir")
-    p.add_argument("--mode", choices=("long", "short"), default="long")
-    p.add_argument("--lead", type=int, default=0,
-                   help="days per short-term forecast window "
-                        "(0 = config short_lead)")
-    p.set_defaults(func=cmd_predict_onset)
-
-    p = sub.add_parser("fit-severity", help="fit the Poisson rate surface")
-    add_common(p)
-    p.add_argument("--weather", required=True)
-    p.add_argument("--cases", required=True)
-    p.set_defaults(func=cmd_fit_severity)
-
-    p = sub.add_parser("estimate-severity",
-                       help="per-day MPP severity on historical weather")
-    add_common(p)
-    p.add_argument("--weather", required=True)
-    p.add_argument("--cases")
-    p.add_argument("--model", required=True, help="fitted severity model dir")
-    p.add_argument("--prior", choices=PRIORS)
-    p.add_argument("--onset-model", dest="onset_model",
-                   help="gate Green days to zero with this onset model")
-    p.set_defaults(func=cmd_estimate_severity)
-
-    p = sub.add_parser("predict-severity",
-                       help="forecast per-day severity for the target year")
-    add_common(p)
-    p.add_argument("--weather", required=True)
-    p.add_argument("--cases", required=True)
-    p.add_argument("--model", required=True, help="fitted severity model dir")
-    p.add_argument("--mode", choices=("long", "short"), default="long")
-    p.add_argument("--lead", type=int, default=0,
-                   help="days per short-term forecast window "
-                        "(0 = config short_lead)")
-    p.add_argument("--prior", choices=PRIORS)
-    p.add_argument("--onset-model", dest="onset_model",
-                   help="gate Green days to zero with this onset model")
-    p.set_defaults(func=cmd_predict_severity)
-
-    p = sub.add_parser("evaluate", help="log-score weekly predictions")
-    add_common(p, k_flag=False)
-    p.add_argument("--cases", required=True)
+    p = command("evaluate", cmd_evaluate, "log-score weekly predictions",
+                cases=True, weather=False)
     p.add_argument("--severity-csv", dest="severity_csv",
                    help="daily severity forecast to score as 'bayes'")
     p.add_argument("--model", choices=("bayes", "nb", "both"), default="both")
     p.add_argument("--target-year", dest="target_year", type=int)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("trend", help="multi-decade warming-trend analysis")
-    add_common(p, k_flag=False)
-    p.add_argument("--weather", required=True, help="multi-decade archive")
-    p.add_argument("--cases", help="history for plane-based K (optional)")
-    p.add_argument("--model", required=True, help="fitted onset model dir")
+    p = command("trend", cmd_trend, "multi-decade warming-trend analysis",
+                cases=False, model=onset)
     p.add_argument("--years", help="range A..B to analyze")
-    p.set_defaults(func=cmd_trend)
-
     return parser
 
 
@@ -564,11 +510,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+        write_manifest(Path(args.out), args, args.func(args))
+        return 0
+    except (InputError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

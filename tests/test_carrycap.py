@@ -110,6 +110,29 @@ class TestCalibrate:
         with pytest.raises(errors.InsufficientData):
             calibrate_K(full, cases, params, [], init)
 
+    def test_unobserved_year_takes_the_nearest_observed_level(self,
+                                                              generated):
+        # a complete year with no case week used to score 0 at every level
+        # and so take the grid's smallest K (1000 here)
+        cfg, params, wx, cases = generated
+        init = default_init_state(cfg)
+        before, after = seasonal_weather(2020, 1), seasonal_weather(2022, 1)
+        three = WeatherSeries(
+            before.dates + wx.dates + after.dates,
+            *(np.concatenate([getattr(s, name) for s in (before, wx, after)])
+              for name in ("temp_mean", "humidity", "precip")))
+        calibrated = calibrate_K(three, cases, params,
+                                 range(1000, 10001, 1000), init)
+        assert len(calibrated) == len(three)
+        assert set(np.unique(calibrated.values)) == {5000.0}
+
+    def test_no_observed_complete_year_raises(self, generated):
+        cfg, params, _, cases = generated
+        other = seasonal_weather(2023, 2)
+        with pytest.raises(errors.InsufficientData, match="case"):
+            calibrate_K(other, cases, params, [1000.0, 5000.0],
+                        default_init_state(cfg))
+
 
 class TestPredictMean:
     def test_two_identical_years(self):

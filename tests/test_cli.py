@@ -152,8 +152,7 @@ class TestSeverityCommands:
         out = tmp_path / "est"
         code = main(["estimate-severity", "--weather", fixture_dir["weather"],
                      "--model", severity_model,
-                     "--config", fixture_dir["config"],
-                     "--prior", "uniform", "--out", str(out)])
+                     "--config", fixture_dir["config"], "--out", str(out)])
         assert code == 0
         lines = (out / "severity.csv").read_text().splitlines()
         assert lines[0] == "date,M,W,predicted_cases"
@@ -162,11 +161,12 @@ class TestSeverityCommands:
 
     def test_unknown_prior_exit_2(self, tmp_path, fixture_dir,
                                   severity_model, capsys):
+        config = _config_with(tmp_path, fixture_dir, {"prior": "fancy"})
         code = main(["estimate-severity", "--weather", fixture_dir["weather"],
-                     "--model", severity_model, "--prior", "fancy",
+                     "--model", severity_model, "--config", config,
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        capsys.readouterr()
+        assert "error: prior: unknown prior 'fancy'" in capsys.readouterr().err
 
     def test_predict_with_gate(self, tmp_path, fixture_dir, severity_model,
                                onset_model):
@@ -181,13 +181,12 @@ class TestSeverityCommands:
         assert len(lines) - 1 == 365
 
     def test_gaussian_prior_runs(self, tmp_path, fixture_dir, severity_model):
+        config = _config_with(tmp_path, fixture_dir, {"prior": "gaussian"})
         out = tmp_path / "ps"
         code = main(["predict-severity", "--weather", fixture_dir["weather"],
                      "--cases", fixture_dir["cases"],
-                     "--model", severity_model,
-                     "--config", fixture_dir["config"],
-                     "--prior", "gaussian", "--mode", "long",
-                     "--out", str(out)])
+                     "--model", severity_model, "--config", config,
+                     "--mode", "long", "--out", str(out)])
         assert code == 0
 
 
@@ -425,6 +424,48 @@ class TestTrend:
         for res in summary.values():
             assert 0.0 <= res["p_value"] <= 1.0
 
+    @staticmethod
+    def trend_with_cases(tmp_path, archive, fixture_dir, onset_model):
+        from spillcast.ingest import save_weather
+        archive_path = tmp_path / "archive.csv"
+        save_weather(archive, archive_path)
+        out = tmp_path / "trend"
+        code = main(["trend", "--weather", str(archive_path),
+                     "--cases", fixture_dir["cases"],
+                     "--config", fixture_dir["config"],
+                     "--model", onset_model, "--out", str(out)])
+        return code, out
+
+    def test_cases_on_part_of_the_archive(self, tmp_path, fixture_dir,
+                                          onset_model):
+        """The fixture's 2019-2022 cases calibrate the plane K of a
+        1994-2023 warming archive.  The 26 years without cases used to take
+        the K grid's smallest level, so every year had no High day and the
+        trend read slope 0 at p 1."""
+        from spillcast.synth import seasonal_weather
+        archive = seasonal_weather(1994, 30, warming_per_year=0.05,
+                                   temp_base=16.2, noise_sigma=0.35, seed=3)
+        code, out = self.trend_with_cases(tmp_path, archive, fixture_dir,
+                                          onset_model)
+        assert code == 0
+        rows = (out / "trend.csv").read_text().splitlines()[1:]
+        assert len(rows) == 30
+        assert all(float(row.split(",")[1]) > 0 for row in rows)
+        r_year = json.loads((out / "trend.json").read_text())["r_year"]
+        assert r_year["slope"] > 0 and r_year["p_value"] < 1e-6
+
+    def test_cases_outside_the_archive_exit_2(self, tmp_path, fixture_dir,
+                                              onset_model, capsys):
+        # no archive year has a case week: every year used to take the K
+        # grid's smallest level, and the command exited 0
+        from spillcast.synth import seasonal_weather
+        archive = seasonal_weather(2000, 10, noise_sigma=0.2, seed=8)
+        code, out = self.trend_with_cases(tmp_path, archive, fixture_dir,
+                                          onset_model)
+        assert code == 2
+        assert "no case week" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _cpus():
     try:
@@ -514,18 +555,58 @@ class TestDeterminism:
         assert (outs[0] / "risk.csv").read_bytes() == \
                (outs[1] / "risk.csv").read_bytes()
 
-    def test_manifest_hashes_inputs(self, tmp_path, fixture_dir):
-        import hashlib
-        out = tmp_path / "sim"
-        assert main(["simulate", "--weather", fixture_dir["weather"],
-                     "--config", fixture_dir["config"],
-                     "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        digest = hashlib.sha256(
-            Path(fixture_dir["weather"]).read_bytes()).hexdigest()
-        assert manifest["inputs"][fixture_dir["weather"]] == digest
-        assert manifest["command"] == "simulate"
-        assert manifest["seed"] == 0
+
+def _manifest_argv(command, tmp_path, fx, onset_model, severity_model):
+    """Arguments of one run of each command, file arguments included."""
+    from spillcast.ingest import load_cases, save_weather
+    from spillcast.synth import seasonal_weather
+    weather, cases = ["--weather", fx["weather"]], ["--cases", fx["cases"]]
+    if command == "evaluate":
+        weeks = load_cases(fx["cases"]).week_starts
+        severity_csv = tmp_path / "severity.csv"
+        severity_csv.write_text("date,M,W,predicted_cases\n" + "".join(
+            f"{weeks[0] + timedelta(days=i)},1.0,2.0,3\n"
+            for i in range((weeks[-1] - weeks[0]).days + 7)))
+        return [*cases, "--severity-csv", str(severity_csv)]
+    if command == "trend":
+        archive = tmp_path / "archive.csv"
+        save_weather(seasonal_weather(2000, 10, noise_sigma=0.2, seed=8),
+                     archive)
+        return ["--weather", str(archive), "--model", onset_model]
+    return {
+        "simulate": [*weather, "--k", "csv", "--k-file", fx["k"]],
+        "fit-onset": [*weather, *cases],
+        "predict-onset": [*weather, *cases, "--model", onset_model],
+        "fit-severity": [*weather, *cases],
+        "estimate-severity": [*weather, "--model", severity_model,
+                              "--onset-model", onset_model],
+        "predict-severity": [*weather, *cases, "--model", severity_model],
+    }[command]
+
+
+@pytest.mark.parametrize("command", [
+    "simulate", "fit-onset", "predict-onset", "fit-severity",
+    "estimate-severity", "predict-severity", "evaluate", "trend"])
+def test_manifest_of_every_command(tmp_path, fixture_dir, onset_model,
+                                   severity_model, command):
+    """Each manifest names its command and the default seed, hashes exactly
+    the file arguments given and lists exactly the other files in --out."""
+    import hashlib
+    argv = _manifest_argv(command, tmp_path, fixture_dir, onset_model,
+                          severity_model)
+    out = tmp_path / "out"
+    assert main([command, *argv, "--config", fixture_dir["config"],
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == 0
+    files = [value for flag, value in zip(argv, argv[1:]) if flag in
+             ("--weather", "--cases", "--k-file", "--severity-csv")]
+    assert manifest["inputs"] == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for path in files}
+    assert manifest["outputs"] == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
 
 
 def test_numerical_failure_exit_3(tmp_path, fixture_dir, capsys):
@@ -961,6 +1042,19 @@ class TestKFileRule:
         assert code == 2
         assert "K <= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["const", "plane"])
+    def test_k_file_without_k_csv_exit_2(self, tmp_path, fixture_dir, capsys,
+                                         method):
+        # the K file used to be ignored without a word
+        out = tmp_path / "sim"
+        code = main(["simulate", "--weather", fixture_dir["weather"],
+                     "--cases", fixture_dir["cases"],
+                     "--config", fixture_dir["config"], "--k", method,
+                     "--k-file", fixture_dir["k"], "--out", str(out)])
+        assert code == 2
+        assert "--k-file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_k_ar_rejected(self, tmp_path, fixture_dir, capsys):
         # "ar" returned the calibrated series as-is and never ran an AR model
         out = tmp_path / "sim"
@@ -981,7 +1075,8 @@ def test_k_map_on_an_empty_span(fixture_dir, world, method):
     from spillcast.epimodel import ModelParams
 
     cfg = world.cfg
-    k = k_map(method, fixture_dir["k"], cfg, ModelParams.from_config(cfg),
+    k_file = fixture_dir["k"] if method == "csv" else None
+    k = k_map(method, k_file, cfg, ModelParams.from_config(cfg),
               world.weather, world.cases)(world.weather.slice(0, 0))
     assert k.dates == ()
     assert len(k.values) == 0

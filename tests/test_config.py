@@ -177,11 +177,10 @@ def test_grid_above_1024_rejected(key, value):
 
 
 def test_prior_names_are_one_tuple():
-    """The configured priors, the CLI's --prior choices and the prior kinds
-    that severity.build_prior builds are the same names, in one order."""
+    """The configured priors and the prior kinds that severity.build_prior
+    builds are the same names, in one order."""
     import numpy as np
 
-    from spillcast.cli import build_parser
     from spillcast.severity import Grid2D, build_prior
 
     assert PRIORS == ("uniform", "gaussian", "band")
@@ -190,10 +189,6 @@ def test_prior_names_are_one_tuple():
         assert build_prior(name, [(1.5, 1.5)], grid).kind == name
     with pytest.raises(ValueError, match="unknown prior kind"):
         build_prior("uniform_box", [(1.5, 1.5)], grid)
-    commands = build_parser()._subparsers._group_actions[0].choices
-    for name in ("estimate-severity", "predict-severity"):
-        prior = next(a for a in commands[name]._actions if a.dest == "prior")
-        assert prior.choices == PRIORS
     for name in PRIORS:
         assert parse_config(f"[forecast]\nprior = {name}\n").prior == name
     with pytest.raises(errors.InvariantViolation, match="unknown prior"):

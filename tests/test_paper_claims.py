@@ -1,10 +1,10 @@
 """The paper's claims as recorded numbers.
 
-Onset accuracy: the seed-3 fixture through the CLI, ``fit-onset`` on its
-three training years, then ``predict-onset`` for the target year 2022 in
-long mode and in short mode at leads 14, 7 and 1, each forecast compared
-with the first week of reported cases.  These pin the forecast path end to
-end.
+Onset accuracy: the fixture of the seed-3 world, and of the seed-29 and
+seed-17 worlds, through the CLI, ``fit-onset`` on its three training
+years, then ``predict-onset`` for the target year 2022 in long mode and in
+short mode at leads 14, 7 and 1, each forecast compared with the first
+week of reported cases.  These pin the forecast path end to end.
 
 The warming analysis: onset density fitted on the first three years of the
 seed-3 synthetic world, then the benchmark's 30-year warming archive
@@ -31,6 +31,18 @@ from spillcast.trend import trend_report
 FIRST_CASE_WEEK = date(2022, 7, 19)
 FIRST_HIGH_DAY = {"long": date(2022, 7, 2), "14": date(2022, 7, 16),
                   "7": date(2022, 7, 9), "1": date(2022, 7, 6)}
+# the same at more seeds: the first case week, then each forecast's first
+# High day and its level on that week
+MORE_SEEDS = {
+    29: (date(2022, 7, 19), {"long": (date(2022, 7, 10), "risky"),
+                             "14": (date(2022, 7, 16), "high"),
+                             "7": (date(2022, 7, 11), "high"),
+                             "1": (date(2022, 7, 15), "high")}),
+    17: (date(2022, 7, 12), {"long": (date(2022, 6, 26), "high"),
+                             "14": (date(2022, 7, 2), "high"),
+                             "7": (date(2022, 7, 2), "high"),
+                             "1": (date(2022, 7, 1), "high")}),
+}
 
 # (slope per year, two-sided p-value) of the OLS trends
 R_YEAR_TREND = (0.003050635313450972, 2.032914505628102e-15)
@@ -46,10 +58,8 @@ def _rows(path):
     return [line.split(",") for line in lines if not line.startswith("#")]
 
 
-@pytest.fixture(scope="module")
-def onset_forecasts(tmp_path_factory, world):
+def _onset_forecasts(root, world):
     """The first case week of 2022 and each forecast's {date: level}."""
-    root = tmp_path_factory.mktemp("onset_claims")
     fx = {k: str(v) for k, v in
           synth.write_fixture(root / "fixture", world).items()}
     data = ["--weather", fx["weather"], "--config", fx["config"]]
@@ -70,6 +80,15 @@ def onset_forecasts(tmp_path_factory, world):
     return first_week, levels
 
 
+@pytest.fixture(scope="module")
+def onset_forecasts(tmp_path_factory, world):
+    return _onset_forecasts(tmp_path_factory.mktemp("onset_claims"), world)
+
+
+def _first_high(level):
+    return next(d for d in sorted(level) if level[d] == "high")
+
+
 def test_first_case_week(onset_forecasts):
     assert onset_forecasts[0] == FIRST_CASE_WEEK
 
@@ -81,9 +100,19 @@ def test_onset_forecast_warns_before_the_first_case_week(onset_forecasts,
     (lead 14), 10 (lead 7) and 13 (lead 1), and that week starts High."""
     _, levels = onset_forecasts
     level = levels[forecast]
-    assert next(d for d in sorted(level) if level[d] == "high") \
-        == FIRST_HIGH_DAY[forecast]
+    assert _first_high(level) == FIRST_HIGH_DAY[forecast]
     assert level[FIRST_CASE_WEEK] == "high"
+
+
+@pytest.mark.parametrize("seed", sorted(MORE_SEEDS))
+def test_onset_accuracy_at_more_seeds(tmp_path, seed):
+    """Every forecast's first High day comes before the first case week.
+    At seed 29 the long-term forecast is only Risky on that week."""
+    first_week, levels = _onset_forecasts(tmp_path,
+                                          synth.generate_world(seed=seed))
+    assert (first_week, {key: (_first_high(level), level[first_week])
+                         for key, level in levels.items()}) \
+        == MORE_SEEDS[seed]
 
 
 @pytest.fixture(scope="module")
